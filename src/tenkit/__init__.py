@@ -29,6 +29,7 @@ from .decomp import (
     cp_reconstruct,
     hosvd,
     read_model,
+    reconstruct,
     tr_reconstruct,
     tt_chain,
     tt_orthogonalize,

@@ -96,17 +96,14 @@ def _cmd_decompose(args) -> int:
         if args.args:
             raise ArgumentError("hosvd takes no extra arguments")
         model = decomp.hosvd(t)
-        ranks = model.ranks
     elif method == "thosvd":
         model = decomp.truncated_hosvd(t, _int_args(args.args, "ranks"))
-        ranks = model.ranks
     elif method == "cp":
         if len(args.args) != 1:
             raise ArgumentError("cp takes exactly one rank argument")
         rank = _int_args(args.args, "the cp rank")[0]
         fit = decomp.cp_als(t, rank, seed=args.seed)
         model = fit.model
-        ranks = (rank,)
     elif method == "tt":
         if len(args.args) == 1 and not args.args[0].lstrip("+-").isdigit():
             try:
@@ -118,20 +115,13 @@ def _cmd_decompose(args) -> int:
             model = decomp.tt_svd(t, max_ranks=_int_args(args.args, "bond caps"))
         else:
             model = decomp.tt_svd(t)
-        ranks = model.bond_ranks
     else:
         raise ArgumentError(f"unknown method {method!r} (need hosvd|thosvd|cp|tt)")
 
     decomp.write_model(args.outdir, model)
-    if method in ("hosvd", "thosvd"):
-        approx = decomp.tucker_reconstruct(model)
-    elif method == "cp":
-        approx = decomp.cp_reconstruct(model)
-    else:
-        approx = decomp.tt_reconstruct(model)
-    rel = _rel_error(t, approx)
+    rel = _rel_error(t, decomp.reconstruct(model))
     print(f"wrote {method} model to {args.outdir}")
-    _mline("ranks", *ranks)
+    _mline("ranks", *decomp._kind_of(model).ranks(model))
     _mline("rel_error", rel)
     if method == "cp":
         norm = frobenius_norm(t)
@@ -181,15 +171,7 @@ def _cmd_contract(args) -> int:
 
 def _cmd_verify(args) -> int:
     t = read_tensor(args.tensor)
-    model = decomp.read_model(args.modeldir)
-    if isinstance(model, decomp.CPModel):
-        approx = decomp.cp_reconstruct(model)
-    elif isinstance(model, decomp.TuckerModel):
-        approx = decomp.tucker_reconstruct(model)
-    elif isinstance(model, decomp.TTTrain):
-        approx = decomp.tt_reconstruct(model)
-    else:
-        approx = decomp.tr_reconstruct(model)
+    approx = decomp.reconstruct(decomp.read_model(args.modeldir))
     if approx.shape != t.shape:
         raise ArgumentError(
             f"model reconstructs shape ({','.join(map(str, approx.shape))}), "

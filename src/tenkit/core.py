@@ -10,6 +10,7 @@ private to this module.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -39,11 +40,21 @@ __all__ = [
 ]
 
 
+def _as_int(value, what: str) -> int:
+    """An integer argument as an int; bools and non-integers raise ArgumentError."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ArgumentError(f"{what} must be an integer, got {value!r}")
+
+
 def _check_shape(shape: Sequence[int]) -> Shape:
     out = []
     for n, extent in enumerate(shape, start=1):
-        e = int(extent)
-        if e != extent or e < 1:
+        e = _as_int(extent, f"extent of mode {n}")
+        if e < 1:
             raise ShapeError(f"extent of mode {n} must be a positive integer, got {extent!r}")
         out.append(e)
     return tuple(out)
@@ -141,7 +152,8 @@ class DenseTensor:
         return self._shape == other._shape and np.array_equal(self._data, other._data)
 
     def __hash__(self):
-        return hash((self._shape, self._data.tobytes()))
+        # -0.0 + 0.0 is 0.0, so tensors that compare equal hash equal.
+        return hash((self._shape, (self._data + 0.0).tobytes()))
 
     def __repr__(self) -> str:
         if self.size <= 8:
@@ -163,6 +175,7 @@ def linear_index(idx: Sequence[int], shape: Sequence[int]) -> int:
     flat = 0
     stride = 1
     for n, (i, extent) in enumerate(zip(idx, shape), start=1):
+        i = _as_int(i, f"index for mode {n}")
         if not 1 <= i <= extent:
             raise BoundsError(f"index {i} out of bounds for mode {n} (extent {extent})")
         flat += (i - 1) * stride

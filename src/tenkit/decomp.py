@@ -13,7 +13,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -42,13 +42,10 @@ __all__ = [
     "tt_orthogonalize",
     "tt_split",
     "tr_reconstruct",
+    "reconstruct",
     "write_model",
     "read_model",
 ]
-
-
-def _as_tuple(items) -> tuple:
-    return tuple(items)
 
 
 @dataclass(frozen=True)
@@ -59,7 +56,7 @@ class CPModel:
     factors: tuple[DenseTensor, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", _as_tuple(self.factors))
+        object.__setattr__(self, "factors", tuple(self.factors))
         if self.weights.order != 1:
             raise ModelError(f"cp weights must be order-1, got order {self.weights.order}")
         if not self.factors:
@@ -97,7 +94,7 @@ class TuckerModel:
     factors: tuple[DenseTensor, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", _as_tuple(self.factors))
+        object.__setattr__(self, "factors", tuple(self.factors))
         if len(self.factors) != self.core.order:
             raise ModelError(
                 f"tucker model has {len(self.factors)} factors for an order-{self.core.order} core"
@@ -121,56 +118,22 @@ class TuckerModel:
 
 
 @dataclass(frozen=True)
-class TTTrain:
-    """Chain of order-3 cores; core n is (R_{n-1}, I_n, R_n).
-
-    Full trains have unit boundary bonds; sub-trains may expose one side.
-    discarded_energy records the squared singular mass dropped by a
-    truncated fit (0.0 for exact construction).
-    """
+class _CoreChain:
+    """Validation and accessors shared by TTTrain and TRRing; a closed chain
+    also checks the bond from the last core back to the first."""
 
     cores: tuple[DenseTensor, ...]
-    discarded_energy: float = field(default=0.0, compare=False)
+    _kind, _noun, _closed = "tt", "train", False
 
     def __post_init__(self):
-        object.__setattr__(self, "cores", _as_tuple(self.cores))
+        object.__setattr__(self, "cores", tuple(self.cores))
         if not self.cores:
-            raise ModelError("tt train needs at least one core")
+            raise ModelError(f"{self._kind} {self._noun} needs at least one core")
         for n, c in enumerate(self.cores, start=1):
             if c.order != 3:
-                raise ModelError(f"tt core {n} must be order-3, got order {c.order}")
-        for n in range(len(self.cores) - 1):
-            right = self.cores[n].shape[2]
-            left = self.cores[n + 1].shape[0]
-            if right != left:
-                raise ModelError(
-                    f"bond mismatch between cores {n + 1} and {n + 2}: {right} vs {left}"
-                )
-
-    @property
-    def bond_ranks(self) -> tuple[int, ...]:
-        return (self.cores[0].shape[0],) + tuple(c.shape[2] for c in self.cores)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(c.shape[1] for c in self.cores)
-
-
-@dataclass(frozen=True)
-class TRRing:
-    """Closed loop of order-3 cores; the last bond wraps around to the first."""
-
-    cores: tuple[DenseTensor, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "cores", _as_tuple(self.cores))
-        if not self.cores:
-            raise ModelError("tr ring needs at least one core")
-        for n, c in enumerate(self.cores, start=1):
-            if c.order != 3:
-                raise ModelError(f"tr core {n} must be order-3, got order {c.order}")
+                raise ModelError(f"{self._kind} core {n} must be order-3, got order {c.order}")
         n = len(self.cores)
-        for k in range(n):
+        for k in range(n if self._closed else n - 1):
             right = self.cores[k].shape[2]
             left = self.cores[(k + 1) % n].shape[0]
             if right != left:
@@ -185,6 +148,25 @@ class TRRing:
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(c.shape[1] for c in self.cores)
+
+
+@dataclass(frozen=True)
+class TTTrain(_CoreChain):
+    """Chain of order-3 cores; core n is (R_{n-1}, I_n, R_n).
+
+    Full trains have unit boundary bonds; sub-trains may expose one side.
+    discarded_energy records the squared singular mass dropped by a
+    truncated fit (0.0 for exact construction).
+    """
+
+    discarded_energy: float = field(default=0.0, compare=False)
+
+
+@dataclass(frozen=True)
+class TRRing(_CoreChain):
+    """Closed loop of order-3 cores; the last bond wraps around to the first."""
+
+    _kind, _noun, _closed = "tr", "ring", True
 
 
 # --- CP ---------------------------------------------------------------------
@@ -234,6 +216,8 @@ def cp_als(
         raise ArgumentError(f"restarts must be positive, got {restarts}")
     if max_sweeps < 1:
         raise ArgumentError(f"max_sweeps must be positive, got {max_sweeps}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ArgumentError(f"tol must be finite and >= 0, got {tol!r}")
     norm_x = frobenius_norm(x)
     mats = [matricize(x, n)._nd() for n in range(1, x.order + 1)]
     best: tuple[CPModel, tuple[float, ...], int] | None = None
@@ -373,6 +357,8 @@ def tt_svd(
     """
     if x.order < 2:
         raise ArgumentError(f"tt_svd needs an order >= 2 tensor, got order {x.order}")
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise ArgumentError(f"tol must be finite and >= 0, got {tol!r}")
     n = x.order
     if max_ranks is not None:
         max_ranks = [int(r) for r in max_ranks]
@@ -453,41 +439,76 @@ def tr_reconstruct(r: TRRing) -> DenseTensor:
     return _tensor_from_nd(np.trace(acc, axis1=0, axis2=acc.ndim - 1))
 
 
-# --- model directories ------------------------------------------------------
+# --- model kinds and model directories --------------------------------------
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One model kind: its class, part files, manifest ranks and reconstruction.
+
+    A model directory holds <head>.ten (for kinds with a head part) and
+    <series>_1.ten, <series>_2.ten, ... for the model's tuple field <series>s.
+    """
+
+    name: str
+    cls: type
+    head: str | None
+    series: str
+    ranks: Callable[[object], tuple[int, ...]]
+    reconstruct: Callable[[object], DenseTensor]
+
+
+_KINDS = {
+    k.name: k
+    for k in (
+        _Kind("cp", CPModel, "weights", "factor", lambda m: (m.rank,), cp_reconstruct),
+        _Kind("tucker", TuckerModel, "core", "factor", lambda m: m.ranks, tucker_reconstruct),
+        _Kind("tt", TTTrain, None, "core", lambda m: m.bond_ranks, tt_reconstruct),
+        _Kind("tr", TRRing, None, "core", lambda m: m.bond_ranks, tr_reconstruct),
+    )
+}
+# Every part file name of any kind; write_model removes those it does not write.
+_PART_RE = re.compile("|".join(sorted(
+    {rf"{k.head}\.ten" for k in _KINDS.values() if k.head}
+    | {rf"{k.series}_[0-9]+\.ten" for k in _KINDS.values()}
+)))
+
+
+def _kind_of(model) -> _Kind:
+    for kind in _KINDS.values():
+        if isinstance(model, kind.cls):
+            return kind
+    raise ArgumentError(f"{type(model).__name__} is not a model ({'|'.join(_KINDS)})")
+
+
+def reconstruct(model) -> DenseTensor:
+    """Dense tensor of a CP, Tucker, TT or TR model."""
+    return _kind_of(model).reconstruct(model)
+
 
 _MANIFEST = "model.json"
 
 
-def _write_manifest(path: str, kind: str, ranks: Sequence[int]) -> None:
-    with open(os.path.join(path, _MANIFEST), "w", encoding="utf-8") as fh:
-        fh.write(f"kind={kind}\n")
-        fh.write("ranks=" + " ".join(str(r) for r in ranks) + "\n")
-
-
 def write_model(dirpath: str | os.PathLike, model) -> None:
-    """Write a model directory: a key-value manifest plus one .ten per part."""
+    """Write a model directory: a key-value manifest plus one .ten per part.
+
+    Part files of any kind that this model does not write are removed, so a
+    directory never mixes the parts of two models.
+    """
+    kind = _kind_of(model)
     path = os.fspath(dirpath)
     os.makedirs(path, exist_ok=True)
-    if isinstance(model, CPModel):
-        _write_manifest(path, "cp", [model.rank])
-        write_tensor(os.path.join(path, "weights.ten"), model.weights)
-        for n, f in enumerate(model.factors, start=1):
-            write_tensor(os.path.join(path, f"factor_{n}.ten"), f)
-    elif isinstance(model, TuckerModel):
-        _write_manifest(path, "tucker", model.ranks)
-        write_tensor(os.path.join(path, "core.ten"), model.core)
-        for n, f in enumerate(model.factors, start=1):
-            write_tensor(os.path.join(path, f"factor_{n}.ten"), f)
-    elif isinstance(model, TTTrain):
-        _write_manifest(path, "tt", model.bond_ranks)
-        for n, c in enumerate(model.cores, start=1):
-            write_tensor(os.path.join(path, f"core_{n}.ten"), c)
-    elif isinstance(model, TRRing):
-        _write_manifest(path, "tr", model.bond_ranks)
-        for n, c in enumerate(model.cores, start=1):
-            write_tensor(os.path.join(path, f"core_{n}.ten"), c)
-    else:
-        raise ArgumentError(f"cannot serialize {type(model).__name__}")
+    with open(os.path.join(path, _MANIFEST), "w", encoding="utf-8") as fh:
+        fh.write(f"kind={kind.name}\n")
+        fh.write("ranks=" + " ".join(str(r) for r in kind.ranks(model)) + "\n")
+    parts = {f"{kind.head}.ten": getattr(model, kind.head)} if kind.head else {}
+    for n, t in enumerate(getattr(model, kind.series + "s"), start=1):
+        parts[f"{kind.series}_{n}.ten"] = t
+    for fname, t in parts.items():
+        write_tensor(os.path.join(path, fname), t)
+    for fname in os.listdir(path):
+        if fname not in parts and _PART_RE.fullmatch(fname):
+            os.remove(os.path.join(path, fname))
 
 
 def _read_series(path: str, prefix: str) -> list[DenseTensor]:
@@ -522,32 +543,21 @@ def read_model(dirpath: str | os.PathLike):
         if m is None:
             raise ModelError(f"manifest line {lineno} is not key=value: {body!r}")
         entries[m.group(1)] = m.group(2).strip()
-    kind = entries.get("kind")
-    if kind not in ("cp", "tucker", "tt", "tr"):
-        raise ModelError(f"manifest kind must be cp|tucker|tt|tr, got {kind!r}")
+    kind = _KINDS.get(entries.get("kind"))
+    if kind is None:
+        raise ModelError(f"manifest kind must be {'|'.join(_KINDS)}, got {entries.get('kind')!r}")
     try:
         ranks = tuple(int(v) for v in entries.get("ranks", "").split())
     except ValueError:
         raise ModelError(f"manifest ranks are not integers: {entries.get('ranks')!r}") from None
-    if kind == "cp":
-        weights_path = os.path.join(path, "weights.ten")
-        if not os.path.exists(weights_path):
-            raise ModelError("cp model directory has no weights.ten")
-        model = CPModel(read_tensor(weights_path), tuple(_read_series(path, "factor")))
-        stated = ranks == (model.rank,)
-    elif kind == "tucker":
-        core_path = os.path.join(path, "core.ten")
-        if not os.path.exists(core_path):
-            raise ModelError("tucker model directory has no core.ten")
-        model = TuckerModel(read_tensor(core_path), tuple(_read_series(path, "factor")))
-        stated = ranks == model.ranks
-    elif kind == "tt":
-        model = TTTrain(tuple(_read_series(path, "core")))
-        stated = ranks == model.bond_ranks
-    else:
-        model = TRRing(tuple(_read_series(path, "core")))
-        stated = ranks == model.bond_ranks
-    if not stated:
+    head = []
+    if kind.head:
+        head_path = os.path.join(path, f"{kind.head}.ten")
+        if not os.path.exists(head_path):
+            raise ModelError(f"{kind.name} model directory has no {kind.head}.ten")
+        head.append(read_tensor(head_path))
+    model = kind.cls(*head, tuple(_read_series(path, kind.series)))
+    if ranks != kind.ranks(model):
         raise ModelError(
             f"manifest ranks {' '.join(map(str, ranks))} do not match the stored tensors"
         )

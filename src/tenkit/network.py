@@ -165,9 +165,10 @@ def pair_cost(net: TensorNetwork, a: str, b: str) -> int:
     return _checked_product(net.extent(label) for label in union)
 
 
-def _simulate(net: TensorNetwork, steps: Sequence[tuple[str, str]]):
-    """Validate a step sequence; return (step_costs, peak_intermediate)."""
-    state = {name: set(net.labels(name)) for name in net.node_names}
+def _replay(net: TensorNetwork, steps: Sequence[tuple[str, str]], tensors: bool = False):
+    """Validate and replay steps; return (step_costs, peak_intermediate, (labels, tensor))
+    of the node left. Tensors are contracted only if `tensors` is set, else they are None."""
+    state = {name: (net.labels(name), net.tensor(name) if tensors else None) for name in net.node_names}
     costs = []
     peak_inter = 0
     for k, (a, b) in enumerate(steps, start=1):
@@ -176,19 +177,24 @@ def _simulate(net: TensorNetwork, steps: Sequence[tuple[str, str]]):
         for name in (a, b):
             if name not in state:
                 raise PlanError(f"step {k} ({a},{b}): node '{name}' is not available")
-        la, lb = state[a], state[b]
-        costs.append(_checked_product(net.extent(l) for l in la | lb))
-        merged = la ^ lb
+        (la, ta), (lb, tb) = state[a], state[b]
+        shared = [l for l in la if l in lb]
+        rest_b = tuple(l for l in lb if l not in shared)
+        merged = tuple(l for l in la if l not in shared) + rest_b
+        costs.append(_checked_product(net.extent(l) for l in la + rest_b))
         peak_inter = max(peak_inter, _checked_product(net.extent(l) for l in merged))
-        state[a] = merged
+        if tensors:
+            ta = tensor_product(ta, tb, [(la.index(l) + 1, lb.index(l) + 1) for l in shared])
+        state[a] = (merged, ta)
         del state[b]
     if len(state) != 1:
         raise PlanError(f"plan leaves {len(state)} nodes; a complete plan leaves exactly one")
-    return costs, peak_inter
+    (last,) = state.values()
+    return costs, peak_inter, last
 
 
 def _make_plan(net: TensorNetwork, steps: Sequence[tuple[str, str]]) -> ContractionPlan:
-    costs, peak_inter = _simulate(net, steps)
+    costs, peak_inter, _ = _replay(net, steps)
     return ContractionPlan(
         steps=tuple((a, b) for a, b in steps),
         step_costs=tuple(costs),
@@ -296,23 +302,7 @@ def plan(net: TensorNetwork, strategy="exhaustive") -> ContractionPlan:
 
 def evaluate(net: TensorNetwork, contraction: ContractionPlan) -> DenseTensor:
     """Execute a plan with pairwise tensor products; modes follow the output order."""
-    state = {name: (net.labels(name), net.tensor(name)) for name in net.node_names}
-    for k, (a, b) in enumerate(contraction.steps, start=1):
-        if a == b:
-            raise PlanError(f"step {k} ({a},{b}): a node cannot be contracted with itself")
-        for name in (a, b):
-            if name not in state:
-                raise PlanError(f"step {k} ({a},{b}): node '{name}' is not available")
-        la, ta = state[a]
-        lb, tb = state[b]
-        shared = [l for l in la if l in lb]
-        pairing = [(la.index(l) + 1, lb.index(l) + 1) for l in shared]
-        merged_labels = tuple(l for l in la if l not in shared) + tuple(l for l in lb if l not in shared)
-        state[a] = (merged_labels, tensor_product(ta, tb, pairing))
-        del state[b]
-    if len(state) != 1:
-        raise PlanError(f"plan leaves {len(state)} nodes; a complete plan leaves exactly one")
-    (labels, result), = state.values()
+    _, _, (labels, result) = _replay(net, contraction.steps, tensors=True)
     if set(labels) != set(net.output):
         raise PlanError("plan result labels do not match the network output")
     return permute(result, [labels.index(l) + 1 for l in net.output])

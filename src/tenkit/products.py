@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DenseTensor, _tensor_from_nd
+from .core import DenseTensor, _as_int, _tensor_from_nd
 from .errors import ArgumentError, ShapeError
 
 __all__ = [
@@ -67,6 +67,7 @@ def khatri_rao(a: DenseTensor, b: DenseTensor) -> DenseTensor:
 
 def mode_product(x: DenseTensor, a: DenseTensor, n: int) -> DenseTensor:
     """Multiply matrix a into mode n of x: matricize(result, n) = a @ matricize(x, n)."""
+    n = _as_int(n, "mode")
     if not 1 <= n <= x.order:
         raise ArgumentError(f"mode {n} out of range for order {x.order}")
     _need_order2(a, "mode_product")

@@ -593,7 +593,13 @@ def test_model_dir_round_trips(tmp_path):
     )
     train, _ = planted_tt_train(rng, (3, 3), (1, 2, 1))
     ring = tk.TRRing((rand_tensor(rng, (2, 3, 2)), rand_tensor(rng, (2, 2, 2))))
-    for name, model in [("cp", cp), ("tucker", tucker), ("tt", train), ("tr", ring)]:
+    cases = [
+        ("cp", cp, tk.cp_reconstruct),
+        ("tucker", tucker, tk.tucker_reconstruct),
+        ("tt", train, tk.tt_reconstruct),
+        ("tr", ring, tk.tr_reconstruct),
+    ]
+    for name, model, kind_reconstruct in cases:
         path = tmp_path / name
         tk.write_model(path, model)
         back = tk.read_model(path)
@@ -604,6 +610,9 @@ def test_model_dir_round_trips(tmp_path):
             assert back.core == model.core and back.factors == model.factors
         else:
             assert back.cores == model.cores
+        assert tk.reconstruct(back) == kind_reconstruct(model)
+    with pytest.raises(ArgumentError):
+        tk.reconstruct(object())
 
 
 def test_model_dir_corrupt_manifest(tmp_path):

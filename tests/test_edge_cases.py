@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tenkit as tk
-from tenkit import ParseError, TenkitError
+from tenkit import ArgumentError, ParseError, TenkitError
 
 from helpers import rand_tensor
 
@@ -33,6 +33,21 @@ BAD_TEN = [
     "order 1\nshape 2\ndata\n1",
     "data\norder 1\nshape 1\n1",
 ]
+
+
+_X = tk.DenseTensor((2, 3, 4), range(24))
+
+# Each call passes a bool or a non-integer where an integer is required.
+BAD_INT_ARGS = {
+    "at_float_index": lambda: _X.at(1.5, 1, 1),
+    "linear_index_float": lambda: tk.linear_index((1, np.float64(2.0)), (2, 3)),
+    "bool_extent": lambda: tk.DenseTensor((True, 2), [1.0, 2.0]),
+    "float_extent": lambda: tk.zeros((2.5, 2)),
+    "mode_product_float_mode": lambda: tk.mode_product(_X, tk.identity(2), 1.0),
+    "mode_product_bool_mode": lambda: tk.mode_product(_X, tk.identity(2), True),
+}
+
+BAD_TOL = [float("nan"), -1.0, float("inf")]
 
 
 @pytest.mark.parametrize("text", BAD_TN)
@@ -81,3 +96,57 @@ def test_super_diagonal_composes_through_tt_product():
     # chaining two order-3 super-diagonals over one bond gives the order-4 one
     i3 = tk.super_diagonal(3, 4)
     assert tk.tensor_product(i3, i3, [(3, 1)]) == tk.super_diagonal(4, 4)
+
+
+@pytest.mark.parametrize("call", BAD_INT_ARGS.values(), ids=BAD_INT_ARGS.keys())
+def test_non_integer_arguments_raise_argument_error(call):
+    with pytest.raises(ArgumentError):
+        call()
+
+
+def test_numpy_integers_are_accepted():
+    assert _X.at(np.int64(2), np.int32(1), 1) == 1.0
+    assert tk.DenseTensor(np.array([2, 1]), [5.0, 6.0]).shape == (2, 1)
+
+
+def test_signed_zeros_hash_equal():
+    pos = tk.DenseTensor((2,), [0.0, 1.0])
+    neg = tk.DenseTensor((2,), [-0.0, 1.0])
+    assert pos == neg
+    assert hash(pos) == hash(neg)
+    assert len({pos, neg}) == 1
+
+
+@pytest.mark.parametrize("tol", BAD_TOL)
+def test_tt_svd_rejects_bad_tol(tol):
+    with pytest.raises(ArgumentError, match="tol"):
+        tk.tt_svd(_X, tol=tol)
+
+
+@pytest.mark.parametrize("tol", BAD_TOL)
+def test_cp_als_rejects_bad_tol(tol):
+    with pytest.raises(ArgumentError, match="tol"):
+        tk.cp_als(_X, 1, tol=tol, max_sweeps=2, restarts=1)
+
+
+def test_write_model_removes_parts_of_the_previous_model(tmp_path):
+    rng = np.random.default_rng(3)
+    tk.write_model(tmp_path, tk.hosvd(rand_tensor(rng, (2, 3, 4, 2))))
+    lower = tk.hosvd(rand_tensor(rng, (2, 3, 4)))
+    tk.write_model(tmp_path, lower)
+    assert not (tmp_path / "factor_4.ten").exists()
+    back = tk.read_model(tmp_path)
+    assert back.core == lower.core and back.factors == lower.factors
+
+
+def test_write_model_switching_kind_keeps_foreign_files(tmp_path):
+    rng = np.random.default_rng(4)
+    x = rand_tensor(rng, (2, 3, 4))
+    tk.write_model(tmp_path, tk.hosvd(x))
+    (tmp_path / "notes.txt").write_text("kept")
+    train = tk.tt_svd(x)
+    tk.write_model(tmp_path, train)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "core_1.ten", "core_2.ten", "core_3.ten", "model.json", "notes.txt",
+    ]
+    assert tk.read_model(tmp_path).cores == train.cores
