@@ -198,7 +198,7 @@ def multi_index(flat: int, shape: Sequence[int]) -> tuple[int, ...]:
 
 
 def _check_permutation(p: Sequence[int], order: int) -> tuple[int, ...]:
-    p = tuple(int(v) for v in p)
+    p = tuple(_as_int(v, "permutation entry") for v in p)
     if sorted(p) != list(range(1, order + 1)):
         raise ArgumentError(f"{list(p)} is not a permutation of 1..{order}")
     return p
@@ -232,6 +232,7 @@ def matricize(x: DenseTensor, n: int) -> DenseTensor:
     of the remaining modes. Implemented as permute-mode-to-front, then
     1-unfold.
     """
+    n = _as_int(n, "mode")
     if not 1 <= n <= x.order:
         raise ArgumentError(f"mode {n} out of range for order {x.order}")
     front = np.moveaxis(x._nd(), n - 1, 0)
@@ -241,6 +242,7 @@ def matricize(x: DenseTensor, n: int) -> DenseTensor:
 
 def k_unfold(x: DenseTensor, k: int) -> DenseTensor:
     """Split the modes after position k into columns; the buffer is unchanged."""
+    k = _as_int(k, "split point")
     if not 1 <= k <= x.order - 1:
         raise ArgumentError(f"split point {k} out of range for order {x.order} (need 1..{x.order - 1})")
     rows = element_count(x.shape[:k])
@@ -261,12 +263,12 @@ def subtensor(x: DenseTensor, sel: Sequence) -> DenseTensor:
         if s == ":" or s is None:
             indexer.append(slice(None))
         elif isinstance(s, tuple):
-            m, n = s
+            m, n = (_as_int(v, f"range bound for mode {mode}") for v in s)
             if not (1 <= m <= n <= extent):
                 raise BoundsError(f"range {m}:{n} out of bounds for mode {mode} (extent {extent})")
             indexer.append(slice(m - 1, n))
         else:
-            i = int(s)
+            i = _as_int(s, f"index for mode {mode}")
             if not 1 <= i <= extent:
                 raise BoundsError(f"index {i} out of bounds for mode {mode} (extent {extent})")
             indexer.append(i - 1)
@@ -285,6 +287,8 @@ def all_ones(shape: Sequence[int]) -> DenseTensor:
 
 def one_hot(i: int, length: int) -> DenseTensor:
     """Length-`length` vector with a single 1 at 1-based position i."""
+    i = _as_int(i, "index for mode 1")
+    length = _as_int(length, "one_hot length")
     if length < 1:
         raise ArgumentError(f"one_hot length must be positive, got {length}")
     if not 1 <= i <= length:

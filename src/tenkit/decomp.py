@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DenseTensor, _tensor_from_nd, fold, matricize, permute, vec
+from .core import DenseTensor, _as_int, _tensor_from_nd, fold, matricize, permute, vec
 from .elementwise import frobenius_norm
 from .errors import ArgumentError, ModelError, NumericError
 from .factor import _householder, _orthonormal_fill, default_rank_tol, pinv, qr, svd
@@ -188,6 +188,20 @@ def cp_reconstruct(m: CPModel) -> DenseTensor:
     return fold(DenseTensor((flat.size,), flat), m.shape)
 
 
+def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """rhs @ inv(gram) for a symmetric positive semidefinite gram.
+
+    Solves gram @ F.T = rhs.T by a Cholesky factorization gram = L @ L.T,
+    one solve with L and one with L.T. A rank-deficient gram (Cholesky
+    fails) falls back to the SVD pseudo-inverse.
+    """
+    try:
+        low = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return rhs @ pinv(_tensor_from_nd(gram))._nd()
+    return np.linalg.solve(low.T, np.linalg.solve(low, rhs.T)).T
+
+
 def cp_als(
     x: DenseTensor,
     rank: int,
@@ -200,14 +214,20 @@ def cp_als(
     """Fit a rank-`rank` CP model by alternating least squares.
 
     Each sweep solves the matricized least-squares subproblem for every
-    mode in turn (Khatri-Rao of the other factors against the
-    pseudo-inverse of the Hadamard product of their Gram matrices), then
-    renormalizes factor columns into the weights. Runs `restarts` seeded
-    standard-normal initializations and keeps the best final residual.
+    mode in turn: the normal matrix, the Hadamard product of the other
+    factors' Gram matrices, is Cholesky-factorized and solved against the
+    matricized tensor times their Khatri-Rao product (the SVD
+    pseudo-inverse stands in when the normal matrix is rank-deficient).
+    The sweep then renormalizes factor columns into the weights. Runs
+    `restarts` seeded standard-normal initializations and keeps the best
+    final residual.
     Stops a sweep loop early once the relative fit change drops below tol.
     """
     if x.order < 3:
         raise ArgumentError(f"cp_als needs an order >= 3 tensor, got order {x.order}")
+    rank = _as_int(rank, "rank")
+    restarts = _as_int(restarts, "restarts")
+    max_sweeps = _as_int(max_sweeps, "max_sweeps")
     if rank < 1:
         raise ArgumentError(f"rank must be positive, got {rank}")
     if rank > x.size:
@@ -234,7 +254,7 @@ def cp_als(
                 for m, f in enumerate(factors):
                     if m != n:
                         gram *= f.T @ f
-                factors[n] = mats[n] @ kr @ pinv(_tensor_from_nd(gram))._nd()
+                factors[n] = _solve_gram(gram, mats[n] @ kr)
             weights = np.ones(rank)
             for f in factors:
                 norms = np.sqrt((f * f).sum(axis=0))
@@ -361,7 +381,7 @@ def tt_svd(
         raise ArgumentError(f"tol must be finite and >= 0, got {tol!r}")
     n = x.order
     if max_ranks is not None:
-        max_ranks = [int(r) for r in max_ranks]
+        max_ranks = [_as_int(r, "bond cap") for r in max_ranks]
         if len(max_ranks) != n - 1:
             raise ArgumentError(f"need {n - 1} bond caps, got {len(max_ranks)}")
         for r in max_ranks:
@@ -404,6 +424,7 @@ def tt_orthogonalize(t: TTTrain, pivot: int) -> TTTrain:
     unchanged and the full norm concentrates in the pivot core.
     """
     n = len(t.cores)
+    pivot = _as_int(pivot, "pivot")
     if not 1 <= pivot <= n:
         raise ArgumentError(f"pivot {pivot} out of range 1..{n}")
     arrs = [c._nd() for c in t.cores]
@@ -423,6 +444,7 @@ def tt_orthogonalize(t: TTTrain, pivot: int) -> TTTrain:
 def tt_split(t: TTTrain, k: int) -> tuple[TTTrain, TTTrain]:
     """Split into sub-trains (cores 1..k-1) and (cores k..N) sharing bond R_{k-1}."""
     n = len(t.cores)
+    k = _as_int(k, "split point")
     if not 2 <= k <= n:
         raise ArgumentError(f"split point {k} out of range 2..{n}")
     return TTTrain(t.cores[: k - 1]), TTTrain(t.cores[k - 1 :])

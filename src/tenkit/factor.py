@@ -87,10 +87,16 @@ def _householder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
+def _check_finite(m: DenseTensor, what: str) -> None:
+    if not np.isfinite(m.data).all():
+        raise NumericError(f"{what} input has non-finite entries (nan or inf)")
+
+
 def qr(m: DenseTensor) -> QRResult:
     """QR of a tall (or square) matrix; wide inputs are rejected."""
     if m.order != 2:
         raise ShapeError(f"qr expects an order-2 tensor, got order {m.order}")
+    _check_finite(m, "qr")
     rows, cols = m.shape
     if rows < cols:
         raise ShapeError(f"qr needs a tall matrix, got ({rows},{cols}); transpose first")
@@ -123,9 +129,12 @@ def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if m < n:
         u, s, v = _jacobi_svd(a.T)
         return v, s, u
-    w = a.astype(np.float64, copy=True)
+    # Scale max|a| into [0.5, 1) by a power of two, which is exact, so the
+    # Gram sums cannot overflow; sigma is unscaled at the end.
+    exp = math.frexp(float(np.abs(a).max(initial=0.0)))[1]
+    w = np.ldexp(a.astype(np.float64), -exp)
     v = np.eye(n)
-    limit = _JACOBI_TOL * float((a * a).sum())
+    limit = _JACOBI_TOL * float((w * w).sum())
     converged = n < 2
     for _ in range(_JACOBI_SWEEPS):
         if converged:
@@ -159,7 +168,8 @@ def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if off > limit:
             raise NumericError(
                 f"jacobi svd did not converge in {_JACOBI_SWEEPS} sweeps "
-                f"(max off-diagonal gram entry {off:.3e}, limit {limit:.3e})"
+                f"(max off-diagonal gram entry {off:.3e}, limit {limit:.3e}, "
+                f"input scaled by 2**{-exp})"
             )
     norms = np.sqrt((w * w).sum(axis=0))
     order = np.argsort(-norms, kind="stable")
@@ -175,6 +185,7 @@ def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             dead.append(j)
     if dead:
         _orthonormal_fill(u, dead)
+    norms = np.ldexp(norms, exp)
     # Sign convention: largest-magnitude entry of each u column is positive.
     for j in range(n):
         k = int(np.argmax(np.abs(u[:, j])))
@@ -188,6 +199,7 @@ def svd(m: DenseTensor) -> SVDResult:
     """Economy SVD of any matrix: m = u @ diag(sigma) @ v.T, K = min(I, J)."""
     if m.order != 2:
         raise ShapeError(f"svd expects an order-2 tensor, got order {m.order}")
+    _check_finite(m, "svd")
     u, s, v = _jacobi_svd(m._nd())
     return SVDResult(_tensor_from_nd(u), DenseTensor((s.size,), s), _tensor_from_nd(v))
 

@@ -13,6 +13,7 @@ Writers emit 17 significant digits, which round-trips float64 exactly.
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 from .core import DenseTensor, element_count
@@ -111,5 +112,21 @@ def read_tensor(path: str | os.PathLike) -> DenseTensor:
 
 
 def write_tensor(path: str | os.PathLike, t: DenseTensor) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_tensor(t))
+    """Write t to path atomically.
+
+    The text goes to a fresh temporary file in the target's directory,
+    which then replaces the target in one rename; if writing fails the
+    temporary file is removed and an existing target is left as it was.
+    """
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(dumps_tensor(t))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise

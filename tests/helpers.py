@@ -161,6 +161,34 @@ def planted_cp_factors(rng, shape, rank, max_cond=5.0):
             return factors
 
 
+def numpy_cp_als_trace(x, rank, sweeps, seed):
+    """Residual trace of plain ALS on an ndarray: einsum MTTKRPs and
+    np.linalg.pinv of the Hadamard Gram product, with cp_als's seeding and
+    column normalization (restart 0, no early stop)."""
+    rng = np.random.default_rng([seed, 0])
+    factors = [rng.standard_normal((extent, rank)) for extent in x.shape]
+    modes = "abcdefgh"[: x.ndim]
+    trace = []
+    for _ in range(sweeps):
+        for n in range(x.ndim):
+            others = [m for m in range(x.ndim) if m != n]
+            spec = modes + "," + ",".join(modes[m] + "r" for m in others) + "->" + modes[n] + "r"
+            mttkrp = np.einsum(spec, x, *(factors[m] for m in others))
+            gram = np.ones((rank, rank))
+            for m in others:
+                gram *= factors[m].T @ factors[m]
+            factors[n] = mttkrp @ np.linalg.pinv(gram)
+        weights = np.ones(rank)
+        for f in factors:
+            norms = np.linalg.norm(f, axis=0)
+            f /= np.where(norms > 0.0, norms, 1.0)
+            weights = weights * norms
+        spec = "r," + ",".join(m + "r" for m in modes) + "->" + modes
+        approx = np.einsum(spec, weights, *factors)
+        trace.append(float(np.linalg.norm(x - approx)))
+    return trace
+
+
 def planted_tt_train(rng, extents, bonds):
     """Random train with the given bond ranks; rejects rank-deficient cores."""
     while True:

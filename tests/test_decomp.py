@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 import tenkit as tk
+from tenkit import decomp
 from tenkit import ArgumentError, ModelError, ShapeError
 
 from helpers import (
+    numpy_cp_als_trace,
     planted_cp_factors,
     planted_tt_train,
     rand_tensor,
@@ -125,6 +127,45 @@ def test_cp_als_nonfinite_objective_is_numeric_error():
     huge = tk.DenseTensor((2, 2, 2), [1e308] * 8)
     with np.errstate(all="ignore"), pytest.raises(tk.NumericError):
         tk.cp_als(huge, 2, max_sweeps=3, restarts=1)
+
+
+@pytest.mark.parametrize("shape,rank", [((4, 4, 4), 3), ((5, 4, 3), 2)])
+def test_cp_als_matches_numpy_pinv_als(shape, rank):
+    rng = np.random.default_rng(12)
+    truth = tk.CPModel(
+        tk.DenseTensor((rank,), np.ones(rank)),
+        tuple(tk.DenseTensor.from_array(f) for f in planted_cp_factors(rng, shape, rank)),
+    )
+    x = tk.cp_reconstruct(truth)
+    fit = tk.cp_als(x, rank, max_sweeps=20, tol=0.0, seed=3, restarts=1)
+    want = numpy_cp_als_trace(x.to_array(), rank, 20, seed=3)
+    scale = np.linalg.norm(x.to_array())
+    assert len(fit.trace) == 20
+    assert np.abs(np.array(fit.trace) - want).max() <= 1e-9 * scale
+
+
+def test_solve_gram_singular_falls_back_to_pinv(monkeypatch):
+    calls = []
+
+    def spy(m):
+        calls.append(m)
+        return tk.pinv(m)
+
+    monkeypatch.setattr(decomp, "pinv", spy)
+    gram = np.array([[1.0, 1.0], [1.0, 1.0]])
+    rhs = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]])
+    got = decomp._solve_gram(gram, rhs)
+    assert len(calls) == 1
+    assert np.array_equal(got, rhs @ tk.pinv(tk.DenseTensor.from_array(gram)).to_array())
+
+
+def test_solve_gram_positive_definite_matches_solve():
+    rng = np.random.default_rng(13)
+    a = rng.standard_normal((6, 3))
+    gram = a.T @ a
+    rhs = rng.standard_normal((4, 3))
+    want = np.linalg.solve(gram, rhs.T).T
+    assert np.abs(decomp._solve_gram(gram, rhs) - want).max() <= 1e-12 * np.abs(want).max()
 
 
 # --- Tucker ------------------------------------------------------------------

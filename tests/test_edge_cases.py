@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tenkit as tk
-from tenkit import ArgumentError, ParseError, TenkitError
+from tenkit import ArgumentError, NumericError, ParseError, TenkitError
 
 from helpers import rand_tensor
 
@@ -36,8 +36,11 @@ BAD_TEN = [
 
 
 _X = tk.DenseTensor((2, 3, 4), range(24))
+_TRAIN = tk.tt_svd(_X)
 
-# Each call passes a bool or a non-integer where an integer is required.
+# Each call passes a bool or a non-integer where an integer is required;
+# int() would truncate some of them silently, others would leak a raw
+# TypeError or IndexError.
 BAD_INT_ARGS = {
     "at_float_index": lambda: _X.at(1.5, 1, 1),
     "linear_index_float": lambda: tk.linear_index((1, np.float64(2.0)), (2, 3)),
@@ -45,9 +48,33 @@ BAD_INT_ARGS = {
     "float_extent": lambda: tk.zeros((2.5, 2)),
     "mode_product_float_mode": lambda: tk.mode_product(_X, tk.identity(2), 1.0),
     "mode_product_bool_mode": lambda: tk.mode_product(_X, tk.identity(2), True),
+    "permute": lambda: tk.permute(_X, [1.5, 2, 3]),
+    "subtensor_index": lambda: tk.subtensor(_X, [1.5, ":", ":"]),
+    "subtensor_range": lambda: tk.subtensor(_X, [(1, 1.5), ":", ":"]),
+    "tt_svd_caps": lambda: tk.tt_svd(_X, max_ranks=[1.7, 2.9]),
+    "matricize": lambda: tk.matricize(_X, 1.5),
+    "k_unfold": lambda: tk.k_unfold(_X, 1.5),
+    "tt_split": lambda: tk.tt_split(_TRAIN, 2.5),
+    "tt_orthogonalize": lambda: tk.tt_orthogonalize(_TRAIN, 1.5),
+    "cp_als_rank": lambda: tk.cp_als(_X, 1.5, max_sweeps=2, restarts=1),
+    "cp_als_sweeps": lambda: tk.cp_als(_X, 1, max_sweeps=2.5, restarts=1),
+    "cp_als_restarts": lambda: tk.cp_als(_X, 1, max_sweeps=2, restarts=1.5),
+    "one_hot": lambda: tk.one_hot(1.5, 3),
 }
 
 BAD_TOL = [float("nan"), -1.0, float("inf")]
+
+_NAN = tk.DenseTensor((2, 2, 2), [1.0, 2.0, 3.0, float("nan"), 5.0, 6.0, 7.0, 8.0])
+_INF = tk.DenseTensor((2, 2, 2), [1.0, 2.0, 3.0, float("inf"), 5.0, 6.0, 7.0, 8.0])
+NON_FINITE_CALLS = {
+    "tt_svd_nan": lambda: tk.tt_svd(_NAN),
+    "hosvd_inf": lambda: tk.hosvd(_INF),
+    "truncated_hosvd_nan": lambda: tk.truncated_hosvd(_NAN, (1, 1, 1)),
+    "svd_nan": lambda: tk.svd(tk.matricize(_NAN, 1)),
+    "qr_inf": lambda: tk.qr(tk.k_unfold(_INF, 2)),
+    "pinv_inf": lambda: tk.pinv(tk.matricize(_INF, 1)),
+    "numerical_rank_nan": lambda: tk.numerical_rank(tk.matricize(_NAN, 3)),
+}
 
 
 @pytest.mark.parametrize("text", BAD_TN)
@@ -150,3 +177,41 @@ def test_write_model_switching_kind_keeps_foreign_files(tmp_path):
         "core_1.ten", "core_2.ten", "core_3.ten", "model.json", "notes.txt",
     ]
     assert tk.read_model(tmp_path).cores == train.cores
+
+
+@pytest.mark.parametrize("call", NON_FINITE_CALLS.values(), ids=NON_FINITE_CALLS.keys())
+def test_non_finite_input_raises_numeric_error(call):
+    with pytest.raises(NumericError, match="non-finite"):
+        call()
+
+
+def test_svd_near_overflow_stays_finite():
+    a = np.array([[1e300, 3e300], [2e300, 4e300]])
+    with np.errstate(all="raise"):
+        res = tk.svd(tk.DenseTensor.from_array(a))
+    s = res.sigma.data
+    assert np.isfinite(s).all() and s[0] >= s[1] > 0.0
+    # Compare at unit scale: the Frobenius norm of a itself overflows.
+    rec = (res.u.to_array() * (s / 1e300)) @ res.v.to_array().T
+    assert np.linalg.norm(rec - a / 1e300) <= 1e-14 * np.linalg.norm(a / 1e300)
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 4)])
+def test_svd_power_of_two_scaling_is_exact(shape):
+    a = np.random.default_rng(9).standard_normal(shape)
+    res = tk.svd(tk.DenseTensor.from_array(a))
+    big = tk.svd(tk.DenseTensor.from_array(2.0**40 * a))
+    assert np.array_equal(big.sigma.data, 2.0**40 * res.sigma.data)
+    assert big.u == res.u and big.v == res.v
+
+
+def test_failed_write_tensor_keeps_the_old_file(tmp_path, monkeypatch):
+    target = tmp_path / "x.ten"
+    tk.write_tensor(target, _X)
+    before = target.read_bytes()
+    # A lone surrogate cannot be encoded, so the write fails part-way.
+    monkeypatch.setattr("tenkit.io.dumps_tensor", lambda t: "order 0\nshape\ndata\n\ud800\n")
+    with pytest.raises(UnicodeEncodeError):
+        tk.write_tensor(target, tk.DenseTensor((), [1.0]))
+    assert target.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["x.ten"]
