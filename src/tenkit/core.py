@@ -185,6 +185,7 @@ def linear_index(idx: Sequence[int], shape: Sequence[int]) -> int:
 
 def multi_index(flat: int, shape: Sequence[int]) -> tuple[int, ...]:
     """Inverse of linear_index: 1-based multi-index of a 1-based flat position."""
+    flat = _as_int(flat, "flat index")
     shape = tuple(shape)
     total = element_count(shape)
     if not 1 <= flat <= total:
@@ -299,6 +300,7 @@ def one_hot(i: int, length: int) -> DenseTensor:
 
 
 def identity(n: int) -> DenseTensor:
+    n = _as_int(n, "identity size")
     if n < 1:
         raise ArgumentError(f"identity size must be positive, got {n}")
     return DenseTensor.from_array(np.eye(n))
@@ -306,6 +308,10 @@ def identity(n: int) -> DenseTensor:
 
 def matrix_unit(i: int, j: int, rows: int, cols: int) -> DenseTensor:
     """(rows, cols) matrix with a single 1 at 1-based entry (i, j)."""
+    i = _as_int(i, "index for mode 1")
+    j = _as_int(j, "index for mode 2")
+    rows = _as_int(rows, "matrix_unit rows")
+    cols = _as_int(cols, "matrix_unit cols")
     if rows < 1 or cols < 1:
         raise ArgumentError(f"matrix_unit size must be positive, got ({rows},{cols})")
     if not 1 <= i <= rows:
@@ -322,6 +328,8 @@ def super_diagonal(order: int, size: int, weights: Sequence[float] | None = None
 
     Weights default to all ones.
     """
+    order = _as_int(order, "super_diagonal order")
+    size = _as_int(size, "super_diagonal size")
     if order < 1:
         raise ArgumentError(f"super_diagonal order must be positive, got {order}")
     if size < 1:

@@ -20,7 +20,7 @@ import numpy as np
 from .core import DenseTensor, _as_int, _tensor_from_nd, fold, matricize, permute, vec
 from .elementwise import frobenius_norm
 from .errors import ArgumentError, ModelError, NumericError
-from .factor import _householder, _orthonormal_fill, default_rank_tol, pinv, qr, svd
+from .factor import _check_finite, _householder, _orthonormal_fill, default_rank_tol, pinv, qr, svd
 from .io import read_tensor, write_tensor
 from .products import mode_product, multi_mode_product, tt_pair_product
 
@@ -228,6 +228,7 @@ def cp_als(
     rank = _as_int(rank, "rank")
     restarts = _as_int(restarts, "restarts")
     max_sweeps = _as_int(max_sweeps, "max_sweeps")
+    seed = _as_int(seed, "seed")
     if rank < 1:
         raise ArgumentError(f"rank must be positive, got {rank}")
     if rank > x.size:
@@ -236,6 +237,8 @@ def cp_als(
         raise ArgumentError(f"restarts must be positive, got {restarts}")
     if max_sweeps < 1:
         raise ArgumentError(f"max_sweeps must be positive, got {max_sweeps}")
+    if seed < 0:
+        raise ArgumentError(f"seed must be >= 0, got {seed}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ArgumentError(f"tol must be finite and >= 0, got {tol!r}")
     norm_x = frobenius_norm(x)
@@ -304,16 +307,14 @@ def hosvd(x: DenseTensor) -> TuckerModel:
 def _leading_columns(u: np.ndarray, p: int) -> np.ndarray:
     if u.shape[1] >= p:
         return np.array(u[:, :p])
-    padded = np.zeros((u.shape[0], p))
-    padded[:, : u.shape[1]] = u
-    _orthonormal_fill(padded, list(range(u.shape[1], p)))
-    return padded
+    return _orthonormal_fill(u, p)
 
 
 def truncated_hosvd(x: DenseTensor, ranks: Sequence[int]) -> TuckerModel:
     """Tucker model keeping the leading ranks[n] singular vectors per mode."""
     if x.order < 2:
         raise ArgumentError(f"truncated_hosvd needs an order >= 2 tensor, got order {x.order}")
+    ranks = [_as_int(p, "rank") for p in ranks]
     if len(ranks) != x.order:
         raise ArgumentError(f"need {x.order} ranks, got {len(ranks)}")
     for n, (p, extent) in enumerate(zip(ranks, x.shape), start=1):
@@ -427,6 +428,8 @@ def tt_orthogonalize(t: TTTrain, pivot: int) -> TTTrain:
     pivot = _as_int(pivot, "pivot")
     if not 1 <= pivot <= n:
         raise ArgumentError(f"pivot {pivot} out of range 1..{n}")
+    for core in t.cores:
+        _check_finite(core, "tt_orthogonalize")
     arrs = [c._nd() for c in t.cores]
     for k in range(pivot - 1):
         r0, i, r1 = arrs[k].shape

@@ -1,20 +1,23 @@
 """Dense QR and SVD kernels, built in-house for small matrices.
 
 QR uses Householder reflections with a post-hoc sign fix so diag(R) >= 0.
-SVD uses one-sided Jacobi rotations: cyclic sweeps orthogonalize the
-columns of a working copy, accumulating the rotations in V; singular
-values are the final column norms. Jacobi is slow for large matrices but
-very accurate at the desk scale this library targets.
+SVD uses one-sided Jacobi rotations: sweeps in the round-robin parallel
+ordering (Brent & Luk) orthogonalize the columns of a working copy,
+accumulating the rotations in V; singular values are the final column
+norms. Each round of a sweep pairs disjoint columns, so one numpy step
+rotates the whole round. Jacobi is slow for large matrices but very
+accurate at the desk scale this library targets.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseTensor, _tensor_from_nd
+from .core import DenseTensor, _as_int, _tensor_from_nd
 from .errors import ArgumentError, NumericError, ShapeError
 
 __all__ = ["QRResult", "SVDResult", "qr", "svd", "truncated_svd", "numerical_rank", "pinv"]
@@ -22,9 +25,10 @@ __all__ = ["QRResult", "SVDResult", "qr", "svd", "truncated_svd", "numerical_ran
 _EPS = float(np.finfo(np.float64).eps)
 
 # Jacobi convergence: off-diagonal Gram entries <= _JACOBI_TOL * ||M||_F^2,
-# at most _JACOBI_SWEEPS cyclic sweeps. Rotations also continue below that
-# absolute level while a pair is large relative to its own column norms;
-# otherwise normalizing a near-null column would wreck U's orthogonality.
+# at most _JACOBI_SWEEPS sweeps over all column pairs. Rotations also
+# continue below that absolute level while a pair is large relative to its
+# own column norms; otherwise normalizing a near-null column would wreck
+# U's orthogonality.
 _JACOBI_TOL = 1e-14
 _JACOBI_REL_TOL = 1e-15
 _JACOBI_SWEEPS = 60
@@ -104,24 +108,41 @@ def qr(m: DenseTensor) -> QRResult:
     return QRResult(_tensor_from_nd(q), _tensor_from_nd(r))
 
 
-def _orthonormal_fill(u: np.ndarray, cols: list[int]) -> None:
-    """Fill the given u columns with unit vectors orthogonal to all others."""
-    m = u.shape[0]
-    for j in cols:
-        best = None
-        for k in range(m):
-            cand = np.zeros(m)
-            cand[k] = 1.0
-            for jj in range(u.shape[1]):
-                if jj != j:
-                    cand -= (u[:, jj] @ cand) * u[:, jj]
-            norm = math.sqrt(float(cand @ cand))
-            if best is None or norm > best[0]:
-                best = (norm, cand)
-        norm, cand = best
-        if norm == 0.0:
-            raise NumericError("cannot complete an orthonormal basis")
-        u[:, j] = cand / norm
+def _orthonormal_fill(u: np.ndarray, width: int) -> np.ndarray:
+    """Extend the orthonormal columns of u (m, r) to width <= m columns.
+
+    The Householder Q of [u | leading columns of I] has orthonormal columns
+    and its first r span u, so the rest are orthogonal to u (even where an
+    identity column lies in the span of u); u itself is kept.
+    """
+    m, r = u.shape
+    q, _ = _householder(np.hstack((u, np.eye(m, width - r))))
+    return np.hstack((u, q[:, r:]))
+
+
+@functools.lru_cache(maxsize=64)
+def _round_robin(n: int) -> tuple[np.ndarray, ...]:
+    """Brent-Luk parallel ordering of the column pairs of an n-column matrix.
+
+    n is padded to an even count; each of the padded count - 1 rounds pairs
+    every column with one other, and pairs touching the pad are dropped.
+    Every pair (p, q), p < q, appears in exactly one round. The arrays are
+    read-only because the cache hands them to every caller.
+    """
+    players = list(range(n + n % 2))
+    half = len(players) // 2
+    rounds = []
+    for _ in range(len(players) - 1):
+        pairs = sorted(
+            (min(a, b), max(a, b))
+            for a, b in zip(players[:half], reversed(players[half:]))
+            if a < n and b < n
+        )
+        pq = np.array([p for p, _ in pairs] + [q for _, q in pairs], dtype=np.intp)
+        pq.flags.writeable = False
+        rounds.append(pq)
+        players.insert(1, players.pop())
+    return tuple(rounds)
 
 
 def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -132,38 +153,49 @@ def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Scale max|a| into [0.5, 1) by a power of two, which is exact, so the
     # Gram sums cannot overflow; sigma is unscaled at the end.
     exp = math.frexp(float(np.abs(a).max(initial=0.0)))[1]
-    w = np.ldexp(a.astype(np.float64), -exp)
-    v = np.eye(n)
+    # Row j of wv holds column j of W followed by column j of V, so one
+    # contiguous row rotation updates both.
+    wv = np.hstack((np.ldexp(a.T.astype(np.float64), -exp), np.eye(n)))
+    w = wv[:, :m]
     limit = _JACOBI_TOL * float((w * w).sum())
+    rel2 = _JACOBI_REL_TOL**2
+    rounds = _round_robin(n)
     converged = n < 2
     for _ in range(_JACOBI_SWEEPS):
         if converged:
             break
         converged = True
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                wp = w[:, p]
-                wq = w[:, q]
-                apq = float(wp @ wq)
-                app = float(wp @ wp)
-                aqq = float(wq @ wq)
-                if abs(apq) <= limit and apq * apq <= (_JACOBI_REL_TOL**2) * app * aqq:
+        # The pairs of a round are disjoint, so their rotations commute and
+        # one array step applies them all.
+        for pq in rounds:
+            k = pq.size // 2
+            rows = wv[pq]
+            wp = rows[:k, :m]
+            wq = rows[k:, :m]
+            apq = np.einsum("ij,ij->i", wp, wq)
+            sq = np.einsum("ij,ij->i", rows[:, :m], rows[:, :m])
+            app = sq[:k]
+            aqq = sq[k:]
+            rotate = (np.abs(apq) > limit) | (apq * apq > rel2 * app * aqq)
+            rotating = np.count_nonzero(rotate)
+            if rotating < k:
+                if not rotating:
                     continue
-                converged = False
-                tau = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                new_p = c * wp - s * wq
-                new_q = s * wp + c * wq
-                w[:, p] = new_p
-                w[:, q] = new_q
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
+                keep = np.concatenate((rotate, rotate))
+                pq, rows, sq = pq[keep], rows[keep], sq[keep]
+                k = rotating
+                apq, app, aqq = apq[rotate], sq[:k], sq[k:]
+            converged = False
+            tau = (aqq - app) / (2.0 * apq)
+            t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
+            c = (1.0 / np.hypot(1.0, t))[:, None]
+            s = t[:, None] * c
+            bp = rows[:k]
+            bq = rows[k:]
+            wv[pq] = np.concatenate((c * bp - s * bq, s * bp + c * bq))
     if not converged:
         # The last sweep still rotated; verify the Gram matrix directly.
-        gram = w.T @ w
+        gram = w @ w.T
         off = float(np.max(np.abs(gram - np.diag(np.diag(gram))))) if n > 1 else 0.0
         if off > limit:
             raise NumericError(
@@ -171,27 +203,21 @@ def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 f"(max off-diagonal gram entry {off:.3e}, limit {limit:.3e}, "
                 f"input scaled by 2**{-exp})"
             )
-    norms = np.sqrt((w * w).sum(axis=0))
+    norms = np.sqrt((w * w).sum(axis=1))
     order = np.argsort(-norms, kind="stable")
     norms = norms[order]
-    w = w[:, order]
-    v = v[:, order]
-    u = np.zeros((m, n))
-    dead = []
-    for j in range(n):
-        if norms[j] > 0.0:
-            u[:, j] = w[:, j] / norms[j]
-        else:
-            dead.append(j)
-    if dead:
-        _orthonormal_fill(u, dead)
+    w = wv[order, :m].T
+    v = wv[order, m:].T
+    # Sorted descending, so the zero-norm (dead) columns come last.
+    live = int(np.count_nonzero(norms))
+    u = w[:, :live] / norms[:live]
+    if live < n:
+        u = _orthonormal_fill(u, n)
     norms = np.ldexp(norms, exp)
     # Sign convention: largest-magnitude entry of each u column is positive.
-    for j in range(n):
-        k = int(np.argmax(np.abs(u[:, j])))
-        if u[k, j] < 0.0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
+    flip = u[np.argmax(np.abs(u), axis=0), np.arange(n)] < 0.0
+    u[:, flip] = -u[:, flip]
+    v[:, flip] = -v[:, flip]
     return u, norms, v
 
 
@@ -208,6 +234,7 @@ def truncated_svd(m: DenseTensor, k: int) -> SVDResult:
     """Leading-k SVD triples (the best rank-k approximation)."""
     if m.order != 2:
         raise ShapeError(f"truncated_svd expects an order-2 tensor, got order {m.order}")
+    k = _as_int(k, "target rank")
     width = min(m.shape)
     if not 1 <= k <= width:
         raise ArgumentError(f"target rank {k} out of range 1..{width} for shape ({m.shape[0]},{m.shape[1]})")

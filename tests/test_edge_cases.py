@@ -37,6 +37,7 @@ BAD_TEN = [
 
 _X = tk.DenseTensor((2, 3, 4), range(24))
 _TRAIN = tk.tt_svd(_X)
+_M = tk.matricize(_X, 1)
 
 # Each call passes a bool or a non-integer where an integer is required;
 # int() would truncate some of them silently, others would leak a raw
@@ -60,12 +61,23 @@ BAD_INT_ARGS = {
     "cp_als_sweeps": lambda: tk.cp_als(_X, 1, max_sweeps=2.5, restarts=1),
     "cp_als_restarts": lambda: tk.cp_als(_X, 1, max_sweeps=2, restarts=1.5),
     "one_hot": lambda: tk.one_hot(1.5, 3),
+    "multi_index": lambda: tk.multi_index(2.5, (2, 3)),
+    "identity": lambda: tk.identity(2.5),
+    "super_diagonal": lambda: tk.super_diagonal(3, 2.5),
+    "truncated_hosvd_ranks": lambda: tk.truncated_hosvd(_X, (1.5, 2, 2)),
+    "truncated_svd_rank": lambda: tk.truncated_svd(_M, 1.5),
+    "cp_als_seed": lambda: tk.cp_als(_X, 1, seed=1.5, max_sweeps=2, restarts=1),
+    "matrix_unit": lambda: tk.matrix_unit(1.5, 1, 2, 2),
 }
 
 BAD_TOL = [float("nan"), -1.0, float("inf")]
 
 _NAN = tk.DenseTensor((2, 2, 2), [1.0, 2.0, 3.0, float("nan"), 5.0, 6.0, 7.0, 8.0])
 _INF = tk.DenseTensor((2, 2, 2), [1.0, 2.0, 3.0, float("inf"), 5.0, 6.0, 7.0, 8.0])
+_NAN_TRAIN = tk.TTTrain((
+    tk.DenseTensor((1, 2, 2), [1.0, 2.0, 3.0, float("nan")]),
+    tk.DenseTensor((2, 2, 1), [1.0, 2.0, 3.0, 4.0]),
+))
 NON_FINITE_CALLS = {
     "tt_svd_nan": lambda: tk.tt_svd(_NAN),
     "hosvd_inf": lambda: tk.hosvd(_INF),
@@ -74,6 +86,7 @@ NON_FINITE_CALLS = {
     "qr_inf": lambda: tk.qr(tk.k_unfold(_INF, 2)),
     "pinv_inf": lambda: tk.pinv(tk.matricize(_INF, 1)),
     "numerical_rank_nan": lambda: tk.numerical_rank(tk.matricize(_NAN, 3)),
+    "tt_orthogonalize_nan": lambda: tk.tt_orthogonalize(_NAN_TRAIN, 2),
 }
 
 
@@ -148,6 +161,11 @@ def test_signed_zeros_hash_equal():
 def test_tt_svd_rejects_bad_tol(tol):
     with pytest.raises(ArgumentError, match="tol"):
         tk.tt_svd(_X, tol=tol)
+
+
+def test_cp_als_rejects_negative_seed():
+    with pytest.raises(ArgumentError, match="seed"):
+        tk.cp_als(_X, 1, seed=-1, max_sweeps=2, restarts=1)
 
 
 @pytest.mark.parametrize("tol", BAD_TOL)

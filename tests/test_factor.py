@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import tenkit as tk
-from tenkit import ArgumentError, ShapeError
+from tenkit import ArgumentError, NumericError, ShapeError
+from tenkit import factor
 
 from helpers import rand_tensor, sym3_eigvals
 
@@ -174,3 +175,78 @@ def test_qr_then_svd_of_r_matches_svd_of_m():
     s_direct = tk.svd(m).sigma.data
     s_via_r = tk.svd(res.r).sigma.data
     assert np.abs(s_direct - s_via_r).max() <= 1e-10 * max(1.0, s_direct[0])
+
+
+def _planted_rank4(rng):
+    return rng.standard_normal((576, 4)) @ rng.standard_normal((4, 24))
+
+
+# Odd and even column counts (the round-robin ordering pads odd ones),
+# n = 1 and 2, a wide input, and the unfolding shapes the decompositions use.
+ORACLE_MATRICES = {
+    "1x1": lambda rng: rng.standard_normal((1, 1)),
+    "5x1": lambda rng: rng.standard_normal((5, 1)),
+    "6x2": lambda rng: rng.standard_normal((6, 2)),
+    "7x3": lambda rng: rng.standard_normal((7, 3)),
+    "9x8": lambda rng: rng.standard_normal((9, 8)),
+    "13x13": lambda rng: rng.standard_normal((13, 13)),
+    "16x16": lambda rng: rng.standard_normal((16, 16)),
+    "wide 5x11": lambda rng: rng.standard_normal((5, 11)),
+    "4096x4": lambda rng: rng.standard_normal((4096, 4)),
+    "216x36": lambda rng: rng.standard_normal((216, 36)),
+    "planted rank 4 576x24": _planted_rank4,
+}
+
+
+@pytest.mark.parametrize("make", ORACLE_MATRICES.values(), ids=ORACLE_MATRICES.keys())
+def test_svd_matches_numpy_oracle(make):
+    a = make(np.random.default_rng(14))
+    res = tk.svd(tk.DenseTensor.from_array(a))
+    u, s, v = res.u.to_array(), res.sigma.data, res.v.to_array()
+    k = min(a.shape)
+    want = np.linalg.svd(a, compute_uv=False)
+    assert np.abs(s - want).max() <= 1e-13 * want[0]
+    assert np.abs(u.T @ u - np.eye(k)).max() <= 1e-14
+    assert np.abs(v.T @ v - np.eye(k)).max() <= 1e-14
+    assert np.linalg.norm(u * s @ v.T - a) <= 1e-13 * np.linalg.norm(a)
+
+
+def test_svd_of_zero_matrix_has_orthonormal_u():
+    res = tk.svd(tk.zeros((4, 3)))
+    u, s, v = res.u.to_array(), res.sigma.data, res.v.to_array()
+    assert np.abs(u.T @ u - np.eye(3)).max() <= 1e-15
+    assert np.array_equal(s, np.zeros(3))
+    assert np.array_equal(u * s @ v.T, np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (4096, 4)])
+def test_svd_with_a_zero_column_has_orthonormal_u(shape):
+    a = np.random.default_rng(15).standard_normal(shape)
+    a[:, 1] = 0.0
+    res = tk.svd(tk.DenseTensor.from_array(a))
+    u, s, v = res.u.to_array(), res.sigma.data, res.v.to_array()
+    k = shape[1]
+    assert s[-1] == 0.0
+    assert np.abs(u.T @ u - np.eye(k)).max() <= 1e-14
+    rec = u * s @ v.T
+    assert np.array_equal(rec[:, 1], np.zeros(shape[0]))
+    assert np.abs(rec - a).max() <= 1e-15 * np.linalg.norm(a)
+
+
+def test_jacobi_svd_reports_non_convergence(monkeypatch):
+    monkeypatch.setattr(factor, "_JACOBI_SWEEPS", 1)
+    m = tk.DenseTensor.from_array(np.random.default_rng(16).standard_normal((16, 16)))
+    with pytest.raises(NumericError, match="did not converge in 1 sweeps"):
+        tk.svd(m)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_round_robin_covers_every_pair_once_in_disjoint_rounds(n):
+    rounds = factor._round_robin(n)
+    assert len(rounds) == n - 1 + n % 2
+    seen = []
+    for pq in rounds:
+        k = pq.size // 2
+        assert len(set(pq.tolist())) == pq.size
+        seen += list(zip(pq[:k].tolist(), pq[k:].tolist()))
+    assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
