@@ -77,12 +77,8 @@ def _cmd_reshape(args) -> int:
         if len(args.args) != 1:
             raise ArgumentError("kunfold takes exactly one split point")
         out = k_unfold(t, _int_args(args.args, "the split point")[0])
-    elif action == "fold":
-        if t.order != 1:
-            raise ArgumentError(f"fold needs an order-1 input tensor, got order {t.order}")
+    else:  # fold
         out = fold(t, _int_args(args.args, "the target shape"))
-    else:
-        raise ArgumentError(f"unknown reshape action {action!r} (need permute|unfold|kunfold|fold)")
     write_tensor(args.out, out)
     print(f"wrote {args.out}")
     _mline("shape", *out.shape)
@@ -104,7 +100,7 @@ def _cmd_decompose(args) -> int:
         rank = _int_args(args.args, "the cp rank")[0]
         fit = decomp.cp_als(t, rank, seed=args.seed)
         model = fit.model
-    elif method == "tt":
+    else:  # tt
         if len(args.args) == 1 and not args.args[0].lstrip("+-").isdigit():
             try:
                 tol = float(args.args[0])
@@ -115,8 +111,6 @@ def _cmd_decompose(args) -> int:
             model = decomp.tt_svd(t, max_ranks=_int_args(args.args, "bond caps"))
         else:
             model = decomp.tt_svd(t)
-    else:
-        raise ArgumentError(f"unknown method {method!r} (need hosvd|thosvd|cp|tt)")
 
     decomp.write_model(args.outdir, model)
     rel = _rel_error(t, decomp.reconstruct(model))

@@ -10,6 +10,8 @@ private to this module.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from typing import Sequence
 
@@ -40,24 +42,68 @@ __all__ = [
 ]
 
 
-def _as_int(value, what: str) -> int:
-    """An integer argument as an int; bools and non-integers raise ArgumentError."""
+def _as_int(value, what: str, lo: int | None = None, hi: int | None = None, error=ArgumentError) -> int:
+    """An integer argument as an int.
+
+    Bools and non-integers raise ArgumentError; an int outside lo..hi (a
+    None bound is open) raises `error`.
+    """
     if not isinstance(value, (bool, np.bool_)):
         try:
-            return operator.index(value)
+            v = operator.index(value)
         except TypeError:
             pass
+        else:
+            if (lo is None or v >= lo) and (hi is None or v <= hi):
+                return v
+            allowed = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+            raise error(f"{what} must be {allowed}, got {v}")
     raise ArgumentError(f"{what} must be an integer, got {value!r}")
 
 
+def _as_seq(values, what: str, count: int | None = None) -> tuple:
+    """A sequence argument as a tuple; a scalar, a string or a length other
+    than count raises ArgumentError."""
+    if not isinstance(values, (str, bytes)):
+        try:
+            items = tuple(values)
+        except TypeError:
+            pass
+        else:
+            if count is None or len(items) == count:
+                return items
+            raise ArgumentError(f"{what} needs {count} entries, got {len(items)}")
+    raise ArgumentError(f"{what} must be a sequence, got {values!r}")
+
+
+def _as_ints(
+    values,
+    what: str,
+    count: int | None = None,
+    lo: int | None = None,
+    hi: int | tuple[int, ...] | None = None,
+    error=ArgumentError,
+) -> tuple[int, ...]:
+    """A sequence of integer arguments as a tuple of ints.
+
+    Entry n is named f"{what} {n}" and checked by _as_int against lo and hi;
+    hi is one bound for all entries or a tuple of one bound per entry.
+    """
+    items = _as_seq(values, f"{what} 1..{'N' if count is None else count}", count)
+    his = hi if isinstance(hi, tuple) else (hi,) * len(items)
+    return tuple(_as_int(v, f"{what} {n}", lo, h, error) for n, (v, h) in enumerate(zip(items, his), start=1))
+
+
+def _as_tol(tol) -> float:
+    """A tolerance as a float; anything but a finite real >= 0 raises ArgumentError."""
+    real = isinstance(tol, numbers.Real) and not isinstance(tol, (bool, np.bool_))
+    if real and math.isfinite(tol) and tol >= 0:
+        return float(tol)
+    raise ArgumentError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
 def _check_shape(shape: Sequence[int]) -> Shape:
-    out = []
-    for n, extent in enumerate(shape, start=1):
-        e = _as_int(extent, f"extent of mode {n}")
-        if e < 1:
-            raise ShapeError(f"extent of mode {n} must be a positive integer, got {extent!r}")
-        out.append(e)
-    return tuple(out)
+    return _as_ints(shape, "extent of mode", lo=1, error=ShapeError)
 
 
 def element_count(shape: Sequence[int]) -> int:
@@ -169,15 +215,11 @@ def _tensor_from_nd(array: np.ndarray) -> DenseTensor:
 
 def linear_index(idx: Sequence[int], shape: Sequence[int]) -> int:
     """1-based flat position of a 1-based multi-index (first index fastest)."""
-    shape = tuple(shape)
-    if len(idx) != len(shape):
-        raise ArgumentError(f"index has {len(idx)} entries for an order-{len(shape)} shape")
+    shape = _check_shape(shape)
+    idx = _as_ints(idx, "index for mode", len(shape), 1, shape, BoundsError)
     flat = 0
     stride = 1
-    for n, (i, extent) in enumerate(zip(idx, shape), start=1):
-        i = _as_int(i, f"index for mode {n}")
-        if not 1 <= i <= extent:
-            raise BoundsError(f"index {i} out of bounds for mode {n} (extent {extent})")
+    for i, extent in zip(idx, shape):
         flat += (i - 1) * stride
         stride *= extent
     return flat + 1
@@ -185,11 +227,8 @@ def linear_index(idx: Sequence[int], shape: Sequence[int]) -> int:
 
 def multi_index(flat: int, shape: Sequence[int]) -> tuple[int, ...]:
     """Inverse of linear_index: 1-based multi-index of a 1-based flat position."""
-    flat = _as_int(flat, "flat index")
-    shape = tuple(shape)
-    total = element_count(shape)
-    if not 1 <= flat <= total:
-        raise BoundsError(f"flat index {flat} out of bounds for shape {_fmt_shape(shape)} with {total} entries")
+    shape = _check_shape(shape)
+    flat = _as_int(flat, f"flat index for shape {_fmt_shape(shape)}", 1, element_count(shape), BoundsError)
     rem = flat - 1
     idx = []
     for extent in shape:
@@ -199,8 +238,8 @@ def multi_index(flat: int, shape: Sequence[int]) -> tuple[int, ...]:
 
 
 def _check_permutation(p: Sequence[int], order: int) -> tuple[int, ...]:
-    p = tuple(_as_int(v, "permutation entry") for v in p)
-    if sorted(p) != list(range(1, order + 1)):
+    p = _as_ints(p, "permutation entry", order, 1, order)
+    if len(set(p)) != order:
         raise ArgumentError(f"{list(p)} is not a permutation of 1..{order}")
     return p
 
@@ -233,9 +272,7 @@ def matricize(x: DenseTensor, n: int) -> DenseTensor:
     of the remaining modes. Implemented as permute-mode-to-front, then
     1-unfold.
     """
-    n = _as_int(n, "mode")
-    if not 1 <= n <= x.order:
-        raise ArgumentError(f"mode {n} out of range for order {x.order}")
+    n = _as_int(n, "mode", 1, x.order)
     front = np.moveaxis(x._nd(), n - 1, 0)
     rows = x.shape[n - 1]
     return _tensor_from_nd(front.reshape((rows, x.size // rows), order="F"))
@@ -243,9 +280,7 @@ def matricize(x: DenseTensor, n: int) -> DenseTensor:
 
 def k_unfold(x: DenseTensor, k: int) -> DenseTensor:
     """Split the modes after position k into columns; the buffer is unchanged."""
-    k = _as_int(k, "split point")
-    if not 1 <= k <= x.order - 1:
-        raise ArgumentError(f"split point {k} out of range for order {x.order} (need 1..{x.order - 1})")
+    k = _as_int(k, "split point", 1, x.order - 1)
     rows = element_count(x.shape[:k])
     return DenseTensor._wrap((rows, x.size // rows), x.data)
 
@@ -257,22 +292,16 @@ def subtensor(x: DenseTensor, sel: Sequence) -> DenseTensor:
     the closed 1-based range m..n, or ":" for the whole mode. A single fiber
     comes back as an order-1 tensor.
     """
-    if len(sel) != x.order:
-        raise ArgumentError(f"selection has {len(sel)} entries for an order-{x.order} tensor")
     indexer = []
-    for mode, (s, extent) in enumerate(zip(sel, x.shape), start=1):
+    for mode, (s, extent) in enumerate(zip(_as_seq(sel, "selection", x.order), x.shape), start=1):
         if s == ":" or s is None:
             indexer.append(slice(None))
         elif isinstance(s, tuple):
-            m, n = (_as_int(v, f"range bound for mode {mode}") for v in s)
-            if not (1 <= m <= n <= extent):
-                raise BoundsError(f"range {m}:{n} out of bounds for mode {mode} (extent {extent})")
-            indexer.append(slice(m - 1, n))
+            m, n = _as_ints(s, f"range bound for mode {mode}", 2)
+            m = _as_int(m, f"range start for mode {mode}", 1, extent, BoundsError)
+            indexer.append(slice(m - 1, _as_int(n, f"range end for mode {mode}", m, extent, BoundsError)))
         else:
-            i = _as_int(s, f"index for mode {mode}")
-            if not 1 <= i <= extent:
-                raise BoundsError(f"index {i} out of bounds for mode {mode} (extent {extent})")
-            indexer.append(i - 1)
+            indexer.append(_as_int(s, f"index for mode {mode}", 1, extent, BoundsError) - 1)
     return _tensor_from_nd(np.array(x._nd()[tuple(indexer)]))
 
 
@@ -288,36 +317,23 @@ def all_ones(shape: Sequence[int]) -> DenseTensor:
 
 def one_hot(i: int, length: int) -> DenseTensor:
     """Length-`length` vector with a single 1 at 1-based position i."""
-    i = _as_int(i, "index for mode 1")
-    length = _as_int(length, "one_hot length")
-    if length < 1:
-        raise ArgumentError(f"one_hot length must be positive, got {length}")
-    if not 1 <= i <= length:
-        raise BoundsError(f"index {i} out of bounds for mode 1 (extent {length})")
+    length = _as_int(length, "one_hot length", 1)
+    i = _as_int(i, "index for mode 1", 1, length, BoundsError)
     buf = np.zeros(length)
     buf[i - 1] = 1.0
     return DenseTensor((length,), buf)
 
 
 def identity(n: int) -> DenseTensor:
-    n = _as_int(n, "identity size")
-    if n < 1:
-        raise ArgumentError(f"identity size must be positive, got {n}")
+    n = _as_int(n, "identity size", 1)
     return DenseTensor.from_array(np.eye(n))
 
 
 def matrix_unit(i: int, j: int, rows: int, cols: int) -> DenseTensor:
     """(rows, cols) matrix with a single 1 at 1-based entry (i, j)."""
-    i = _as_int(i, "index for mode 1")
-    j = _as_int(j, "index for mode 2")
-    rows = _as_int(rows, "matrix_unit rows")
-    cols = _as_int(cols, "matrix_unit cols")
-    if rows < 1 or cols < 1:
-        raise ArgumentError(f"matrix_unit size must be positive, got ({rows},{cols})")
-    if not 1 <= i <= rows:
-        raise BoundsError(f"index {i} out of bounds for mode 1 (extent {rows})")
-    if not 1 <= j <= cols:
-        raise BoundsError(f"index {j} out of bounds for mode 2 (extent {cols})")
+    rows = _as_int(rows, "matrix_unit rows", 1)
+    cols = _as_int(cols, "matrix_unit cols", 1)
+    i, j = _as_ints((i, j), "index for mode", 2, 1, (rows, cols), BoundsError)
     buf = np.zeros((rows, cols))
     buf[i - 1, j - 1] = 1.0
     return DenseTensor.from_array(buf)
@@ -328,12 +344,8 @@ def super_diagonal(order: int, size: int, weights: Sequence[float] | None = None
 
     Weights default to all ones.
     """
-    order = _as_int(order, "super_diagonal order")
-    size = _as_int(size, "super_diagonal size")
-    if order < 1:
-        raise ArgumentError(f"super_diagonal order must be positive, got {order}")
-    if size < 1:
-        raise ArgumentError(f"super_diagonal size must be positive, got {size}")
+    order = _as_int(order, "super_diagonal order", 1)
+    size = _as_int(size, "super_diagonal size", 1)
     if weights is None:
         w = np.ones(size)
     else:

@@ -9,6 +9,7 @@ never through factor equality.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import re
@@ -17,12 +18,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DenseTensor, _as_int, _tensor_from_nd, fold, matricize, permute, vec
+from .core import DenseTensor, _as_int, _as_ints, _as_tol, _tensor_from_nd, fold, matricize, permute, vec
 from .elementwise import frobenius_norm
 from .errors import ArgumentError, ModelError, NumericError
 from .factor import _check_finite, _householder, _orthonormal_fill, default_rank_tol, pinv, qr, svd
-from .io import read_tensor, write_tensor
-from .products import mode_product, multi_mode_product, tt_pair_product
+from .io import _write_atomic, read_tensor, write_tensor
+from .products import _khatri_rao, mode_product, multi_mode_product, tt_pair_product
 
 __all__ = [
     "CPModel",
@@ -172,19 +173,9 @@ class TRRing(_CoreChain):
 # --- CP ---------------------------------------------------------------------
 
 
-def _kr_chain_desc(factors: Sequence[np.ndarray], skip: int | None = None) -> np.ndarray:
-    """Khatri-Rao product of the factors in descending mode order, skipping one."""
-    picked = [f for m, f in enumerate(factors) if m != skip]
-    acc = picked[-1]
-    for f in picked[-2::-1]:
-        acc = (acc[:, None, :] * f[None, :, :]).reshape(-1, acc.shape[1])
-    return acc
-
-
 def cp_reconstruct(m: CPModel) -> DenseTensor:
     """Dense tensor of a CP model: sum_r weights[r] * outer(columns r)."""
-    factors = [f._nd() for f in m.factors]
-    flat = _kr_chain_desc(factors) @ m.weights.data
+    flat = _khatri_rao([f._nd() for f in reversed(m.factors)]) @ m.weights.data
     return fold(DenseTensor((flat.size,), flat), m.shape)
 
 
@@ -225,22 +216,11 @@ def cp_als(
     """
     if x.order < 3:
         raise ArgumentError(f"cp_als needs an order >= 3 tensor, got order {x.order}")
-    rank = _as_int(rank, "rank")
-    restarts = _as_int(restarts, "restarts")
-    max_sweeps = _as_int(max_sweeps, "max_sweeps")
-    seed = _as_int(seed, "seed")
-    if rank < 1:
-        raise ArgumentError(f"rank must be positive, got {rank}")
-    if rank > x.size:
-        raise ArgumentError(f"rank {rank} exceeds the element count {x.size}")
-    if restarts < 1:
-        raise ArgumentError(f"restarts must be positive, got {restarts}")
-    if max_sweeps < 1:
-        raise ArgumentError(f"max_sweeps must be positive, got {max_sweeps}")
-    if seed < 0:
-        raise ArgumentError(f"seed must be >= 0, got {seed}")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ArgumentError(f"tol must be finite and >= 0, got {tol!r}")
+    rank = _as_int(rank, "rank", 1, x.size)
+    restarts = _as_int(restarts, "restarts", 1)
+    max_sweeps = _as_int(max_sweeps, "max_sweeps", 1)
+    seed = _as_int(seed, "seed", 0)
+    tol = _as_tol(tol)
     norm_x = frobenius_norm(x)
     mats = [matricize(x, n)._nd() for n in range(1, x.order + 1)]
     best: tuple[CPModel, tuple[float, ...], int] | None = None
@@ -252,7 +232,7 @@ def cp_als(
         prev_rel = None
         for _ in range(max_sweeps):
             for n in range(x.order):
-                kr = _kr_chain_desc(factors, skip=n)
+                kr = _khatri_rao((factors[:n] + factors[n + 1 :])[::-1])
                 gram = np.ones((rank, rank))
                 for m, f in enumerate(factors):
                     if m != n:
@@ -264,7 +244,7 @@ def cp_als(
                 safe = np.where(norms > 0.0, norms, 1.0)
                 f /= safe
                 weights = weights * norms
-            approx1 = (factors[0] * weights) @ _kr_chain_desc(factors, skip=0).T
+            approx1 = (factors[0] * weights) @ _khatri_rao(factors[:0:-1]).T
             resid = float(np.sqrt(((mats[0] - approx1) ** 2).sum()))
             if not math.isfinite(resid):
                 raise NumericError("cp_als objective became non-finite")
@@ -314,12 +294,7 @@ def truncated_hosvd(x: DenseTensor, ranks: Sequence[int]) -> TuckerModel:
     """Tucker model keeping the leading ranks[n] singular vectors per mode."""
     if x.order < 2:
         raise ArgumentError(f"truncated_hosvd needs an order >= 2 tensor, got order {x.order}")
-    ranks = [_as_int(p, "rank") for p in ranks]
-    if len(ranks) != x.order:
-        raise ArgumentError(f"need {x.order} ranks, got {len(ranks)}")
-    for n, (p, extent) in enumerate(zip(ranks, x.shape), start=1):
-        if not 1 <= p <= extent:
-            raise ArgumentError(f"rank {p} for mode {n} out of range 1..{extent}")
+    ranks = _as_ints(ranks, "rank for mode", x.order, 1, x.shape)
     factors = []
     for n, p in enumerate(ranks, start=1):
         u = svd(matricize(x, n)).u._nd()
@@ -346,8 +321,9 @@ def tucker_orthogonalize(m: TuckerModel) -> TuckerModel:
 # --- TT ---------------------------------------------------------------------
 
 
-def tt_chain(t: TTTrain) -> DenseTensor:
-    """Contract all cores, keeping the boundary bond modes: (R_0, I_1..I_N, R_N)."""
+def tt_chain(t: TTTrain | TRRing) -> DenseTensor:
+    """Contract all cores of a train or a ring, keeping the boundary bond
+    modes: (R_0, I_1..I_N, R_N)."""
     acc = t.cores[0]
     for core in t.cores[1:]:
         acc = tt_pair_product(acc, core)
@@ -378,16 +354,11 @@ def tt_svd(
     """
     if x.order < 2:
         raise ArgumentError(f"tt_svd needs an order >= 2 tensor, got order {x.order}")
-    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
-        raise ArgumentError(f"tol must be finite and >= 0, got {tol!r}")
+    if tol is not None:
+        tol = _as_tol(tol)
     n = x.order
     if max_ranks is not None:
-        max_ranks = [_as_int(r, "bond cap") for r in max_ranks]
-        if len(max_ranks) != n - 1:
-            raise ArgumentError(f"need {n - 1} bond caps, got {len(max_ranks)}")
-        for r in max_ranks:
-            if r < 1:
-                raise ArgumentError(f"bond caps must be positive, got {r}")
+        max_ranks = _as_ints(max_ranks, "bond cap", n - 1, 1)
     truncating = max_ranks is not None or tol is not None
     remainder = x.data
     bond = 1
@@ -425,9 +396,7 @@ def tt_orthogonalize(t: TTTrain, pivot: int) -> TTTrain:
     unchanged and the full norm concentrates in the pivot core.
     """
     n = len(t.cores)
-    pivot = _as_int(pivot, "pivot")
-    if not 1 <= pivot <= n:
-        raise ArgumentError(f"pivot {pivot} out of range 1..{n}")
+    pivot = _as_int(pivot, "pivot", 1, n)
     for core in t.cores:
         _check_finite(core, "tt_orthogonalize")
     arrs = [c._nd() for c in t.cores]
@@ -447,9 +416,7 @@ def tt_orthogonalize(t: TTTrain, pivot: int) -> TTTrain:
 def tt_split(t: TTTrain, k: int) -> tuple[TTTrain, TTTrain]:
     """Split into sub-trains (cores 1..k-1) and (cores k..N) sharing bond R_{k-1}."""
     n = len(t.cores)
-    k = _as_int(k, "split point")
-    if not 2 <= k <= n:
-        raise ArgumentError(f"split point {k} out of range 2..{n}")
+    k = _as_int(k, "split point", 2, n)
     return TTTrain(t.cores[: k - 1]), TTTrain(t.cores[k - 1 :])
 
 
@@ -458,9 +425,7 @@ def tt_split(t: TTTrain, k: int) -> tuple[TTTrain, TTTrain]:
 
 def tr_reconstruct(r: TRRing) -> DenseTensor:
     """Dense tensor of a ring: per-entry trace of the chained slice matrices."""
-    acc = r.cores[0]._nd()
-    for core in r.cores[1:]:
-        acc = np.tensordot(acc, core._nd(), axes=([acc.ndim - 1], [0]))
+    acc = tt_chain(r)._nd()
     return _tensor_from_nd(np.trace(acc, axis1=0, axis2=acc.ndim - 1))
 
 
@@ -518,14 +483,16 @@ def write_model(dirpath: str | os.PathLike, model) -> None:
     """Write a model directory: a key-value manifest plus one .ten per part.
 
     Part files of any kind that this model does not write are removed, so a
-    directory never mixes the parts of two models.
+    directory never mixes the parts of two models. The old manifest goes
+    first and the new one is written last, atomically, so a write that
+    fails part-way leaves a directory read_model rejects.
     """
     kind = _kind_of(model)
     path = os.fspath(dirpath)
+    manifest = os.path.join(path, _MANIFEST)
     os.makedirs(path, exist_ok=True)
-    with open(os.path.join(path, _MANIFEST), "w", encoding="utf-8") as fh:
-        fh.write(f"kind={kind.name}\n")
-        fh.write("ranks=" + " ".join(str(r) for r in kind.ranks(model)) + "\n")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(manifest)
     parts = {f"{kind.head}.ten": getattr(model, kind.head)} if kind.head else {}
     for n, t in enumerate(getattr(model, kind.series + "s"), start=1):
         parts[f"{kind.series}_{n}.ten"] = t
@@ -534,6 +501,8 @@ def write_model(dirpath: str | os.PathLike, model) -> None:
     for fname in os.listdir(path):
         if fname not in parts and _PART_RE.fullmatch(fname):
             os.remove(os.path.join(path, fname))
+    ranks = " ".join(str(r) for r in kind.ranks(model))
+    _write_atomic(manifest, f"kind={kind.name}\nranks={ranks}\n")
 
 
 def _read_series(path: str, prefix: str) -> list[DenseTensor]:

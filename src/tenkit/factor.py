@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseTensor, _as_int, _tensor_from_nd
-from .errors import ArgumentError, NumericError, ShapeError
+from .core import DenseTensor, _as_int, _as_tol, _tensor_from_nd
+from .errors import NumericError, ShapeError
 
 __all__ = ["QRResult", "SVDResult", "qr", "svd", "truncated_svd", "numerical_rank", "pinv"]
 
@@ -234,10 +234,7 @@ def truncated_svd(m: DenseTensor, k: int) -> SVDResult:
     """Leading-k SVD triples (the best rank-k approximation)."""
     if m.order != 2:
         raise ShapeError(f"truncated_svd expects an order-2 tensor, got order {m.order}")
-    k = _as_int(k, "target rank")
-    width = min(m.shape)
-    if not 1 <= k <= width:
-        raise ArgumentError(f"target rank {k} out of range 1..{width} for shape ({m.shape[0]},{m.shape[1]})")
+    k = _as_int(k, f"target rank for shape ({m.shape[0]},{m.shape[1]})", 1, min(m.shape))
     full = svd(m)
     u = full.u._nd()[:, :k]
     s = full.sigma.data[:k]
@@ -254,8 +251,9 @@ def default_rank_tol(sigma: np.ndarray, rows: int, cols: int) -> float:
 
 def numerical_rank(m: DenseTensor, tol: float | None = None) -> int:
     """Count of singular values above tol (default sigma_1 * max(I,J) * eps)."""
-    res = svd(m)
-    s = res.sigma.data
+    if tol is not None:
+        tol = _as_tol(tol)
+    s = svd(m).sigma.data
     if tol is None:
         tol = default_rank_tol(s, m.shape[0], m.shape[1])
     return int((s > tol).sum())

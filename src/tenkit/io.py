@@ -111,8 +111,8 @@ def read_tensor(path: str | os.PathLike) -> DenseTensor:
     return loads_tensor(text)
 
 
-def write_tensor(path: str | os.PathLike, t: DenseTensor) -> None:
-    """Write t to path atomically.
+def _write_atomic(path: str | os.PathLike, text: str) -> None:
+    """Write text to path atomically.
 
     The text goes to a fresh temporary file in the target's directory,
     which then replaces the target in one rename; if writing fails the
@@ -124,9 +124,14 @@ def write_tensor(path: str | os.PathLike, t: DenseTensor) -> None:
     fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:
-            fh.write(dumps_tensor(t))
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+
+
+def write_tensor(path: str | os.PathLike, t: DenseTensor) -> None:
+    """Write t to path atomically (see _write_atomic)."""
+    _write_atomic(path, dumps_tensor(t))

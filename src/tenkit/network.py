@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import DenseTensor, permute
+from .core import DenseTensor, _as_seq, permute
 from .errors import ArgumentError, NumericError, ParseError, PlanError
 from .io import format_float, read_tensor
 from .products import tensor_product
@@ -297,7 +297,10 @@ def plan(net: TensorNetwork, strategy="exhaustive") -> ContractionPlan:
         return _make_plan(net, _plan_greedy(net))
     if isinstance(strategy, str):
         raise ArgumentError(f"unknown strategy {strategy!r} (need exhaustive, greedy, or a step list)")
-    return _make_plan(net, [(str(a), str(b)) for a, b in strategy])
+    steps = [
+        _as_seq(step, f"strategy step {k}", 2) for k, step in enumerate(_as_seq(strategy, "strategy"), start=1)
+    ]
+    return _make_plan(net, [(str(a), str(b)) for a, b in steps])
 
 
 def evaluate(net: TensorNetwork, contraction: ContractionPlan) -> DenseTensor:

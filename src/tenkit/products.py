@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DenseTensor, _as_int, _tensor_from_nd
+from .core import DenseTensor, _as_int, _as_ints, _as_seq, _tensor_from_nd
 from .errors import ArgumentError, ShapeError
 
 __all__ = [
@@ -54,22 +54,27 @@ def kronecker(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     return _tensor_from_nd(np.kron(a._nd(), b._nd()))
 
 
+def _khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Khatri-Rao product of (I_k, R) arrays, left to right: the row index
+    of the last array varies fastest."""
+    acc = mats[0]
+    for m in mats[1:]:
+        acc = (acc[:, None, :] * m[None, :, :]).reshape(-1, acc.shape[1])
+    return acc
+
+
 def khatri_rao(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     """Column-wise Kronecker product of (I,R) and (J,R) matrices, giving (JI, R)."""
     _need_order2(a, "khatri_rao")
     _need_order2(b, "khatri_rao")
     if a.shape[1] != b.shape[1]:
         raise ShapeError(f"khatri_rao needs equal column counts, got {a.shape[1]} and {b.shape[1]}")
-    an, bn = a._nd(), b._nd()
-    out = (an[:, None, :] * bn[None, :, :]).reshape(a.shape[0] * b.shape[0], a.shape[1])
-    return _tensor_from_nd(out)
+    return _tensor_from_nd(_khatri_rao([a._nd(), b._nd()]))
 
 
 def mode_product(x: DenseTensor, a: DenseTensor, n: int) -> DenseTensor:
     """Multiply matrix a into mode n of x: matricize(result, n) = a @ matricize(x, n)."""
-    n = _as_int(n, "mode")
-    if not 1 <= n <= x.order:
-        raise ArgumentError(f"mode {n} out of range for order {x.order}")
+    n = _as_int(n, "mode", 1, x.order)
     _need_order2(a, "mode_product")
     if a.shape[1] != x.shape[n - 1]:
         raise ShapeError(
@@ -86,10 +91,8 @@ def multi_mode_product(g: DenseTensor, mats: Sequence[DenseTensor | None]) -> De
     A None slot leaves that mode untouched (the all-but-one-mode product is
     the case with exactly one None).
     """
-    if len(mats) != g.order:
-        raise ArgumentError(f"need one matrix slot per mode: got {len(mats)} for order {g.order}")
     out = g
-    for n, a in enumerate(mats, start=1):
+    for n, a in enumerate(_as_seq(mats, "matrix slots", g.order), start=1):
         if a is not None:
             out = mode_product(out, a, n)
     return out
@@ -101,16 +104,14 @@ def tensor_product(a: DenseTensor, b: DenseTensor, pairing: Sequence[tuple[int, 
     Free modes of a (in their original order) come first, then free modes
     of b. Each (n, m) pair contracts mode n of a against mode m of b.
     """
-    ns, ms = [], []
-    for n, m in pairing:
-        if not 1 <= n <= a.order:
-            raise ArgumentError(f"pair ({n},{m}): mode {n} out of range for left order {a.order}")
-        if not 1 <= m <= b.order:
-            raise ArgumentError(f"pair ({n},{m}): mode {m} out of range for right order {b.order}")
-        ns.append(n)
-        ms.append(m)
+    pairing = [
+        _as_ints(pair, f"pair {k} entry", 2, 1, (a.order, b.order))
+        for k, pair in enumerate(_as_seq(pairing, "pairing"), start=1)
+    ]
+    ns = [n for n, _ in pairing]
+    ms = [m for _, m in pairing]
     if len(set(ns)) != len(ns) or len(set(ms)) != len(ms):
-        raise ArgumentError(f"paired modes must be distinct on each side, got {list(pairing)}")
+        raise ArgumentError(f"paired modes must be distinct on each side, got {pairing}")
     for n, m in pairing:
         if a.shape[n - 1] != b.shape[m - 1]:
             raise ShapeError(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tenkit as tk
-from tenkit import ArgumentError, NumericError, ParseError, TenkitError
+from tenkit import ArgumentError, ModelError, NumericError, ParseError, TenkitError
 
 from helpers import rand_tensor
 
@@ -68,9 +68,34 @@ BAD_INT_ARGS = {
     "truncated_svd_rank": lambda: tk.truncated_svd(_M, 1.5),
     "cp_als_seed": lambda: tk.cp_als(_X, 1, seed=1.5, max_sweeps=2, restarts=1),
     "matrix_unit": lambda: tk.matrix_unit(1.5, 1, 2, 2),
+    "tensor_product_float_pair": lambda: tk.tensor_product(_X, _X, [(1.5, 1)]),
+    "tensor_product_bool_pair": lambda: tk.tensor_product(_X, _X, [(True, True)]),
+    "linear_index_float_extent": lambda: tk.linear_index((2, 1), (2.5, 3)),
+    "multi_index_float_extent": lambda: tk.multi_index(5, (2.5, 3)),
 }
 
-BAD_TOL = [float("nan"), -1.0, float("inf")]
+_NET = tk.parse_network("node A [i=2] = 1 2; node B [i=2] = 3 4; output []")
+
+# Each call passes a scalar, a string or a sequence of the wrong length
+# where a sequence is required.
+BAD_SEQUENCE_ARGS = {
+    "tensor_product_triple": lambda: tk.tensor_product(_X, _X, [(1, 1, 1)]),
+    "subtensor_range_triple": lambda: tk.subtensor(_X, [(1, 2, 3), ":", ":"]),
+    "linear_index_scalar": lambda: tk.linear_index(5, (2, 3)),
+    "tensor_scalar_shape": lambda: tk.DenseTensor(6, range(6)),
+    "zeros_scalar_shape": lambda: tk.zeros(3),
+    "permute_scalar": lambda: tk.permute(_X, 2),
+    "fold_scalar_shape": lambda: tk.fold(tk.vec(_X), 24),
+    "truncated_hosvd_scalar_ranks": lambda: tk.truncated_hosvd(_X, 2),
+    "truncated_hosvd_no_ranks": lambda: tk.truncated_hosvd(_X, None),
+    "tt_svd_scalar_caps": lambda: tk.tt_svd(_X, max_ranks=2),
+    "plan_int_strategy": lambda: tk.plan(_NET, 5),
+    "plan_none_strategy": lambda: tk.plan(_NET, None),
+    "plan_triple_step": lambda: tk.plan(_NET, [("A", "B", "C")]),
+    "plan_string_step": lambda: tk.plan(_NET, ["AB"]),
+}
+
+BAD_TOL = [float("nan"), -1.0, float("inf"), "a"]
 
 _NAN = tk.DenseTensor((2, 2, 2), [1.0, 2.0, 3.0, float("nan"), 5.0, 6.0, 7.0, 8.0])
 _INF = tk.DenseTensor((2, 2, 2), [1.0, 2.0, 3.0, float("inf"), 5.0, 6.0, 7.0, 8.0])
@@ -144,6 +169,12 @@ def test_non_integer_arguments_raise_argument_error(call):
         call()
 
 
+@pytest.mark.parametrize("call", BAD_SEQUENCE_ARGS.values(), ids=BAD_SEQUENCE_ARGS.keys())
+def test_non_sequence_arguments_raise_argument_error(call):
+    with pytest.raises(ArgumentError):
+        call()
+
+
 def test_numpy_integers_are_accepted():
     assert _X.at(np.int64(2), np.int32(1), 1) == 1.0
     assert tk.DenseTensor(np.array([2, 1]), [5.0, 6.0]).shape == (2, 1)
@@ -174,6 +205,12 @@ def test_cp_als_rejects_bad_tol(tol):
         tk.cp_als(_X, 1, tol=tol, max_sweeps=2, restarts=1)
 
 
+@pytest.mark.parametrize("tol", BAD_TOL)
+def test_numerical_rank_rejects_bad_tol(tol):
+    with pytest.raises(ArgumentError, match="tol"):
+        tk.numerical_rank(_M, tol=tol)
+
+
 def test_write_model_removes_parts_of_the_previous_model(tmp_path):
     rng = np.random.default_rng(3)
     tk.write_model(tmp_path, tk.hosvd(rand_tensor(rng, (2, 3, 4, 2))))
@@ -195,6 +232,25 @@ def test_write_model_switching_kind_keeps_foreign_files(tmp_path):
         "core_1.ten", "core_2.ten", "core_3.ten", "model.json", "notes.txt",
     ]
     assert tk.read_model(tmp_path).cores == train.cores
+
+
+def test_failed_write_model_leaves_no_readable_model(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    tk.write_model(tmp_path, tk.hosvd(rand_tensor(rng, (2, 3, 4))))
+    written = []
+
+    def fail_third(path, t):
+        written.append(path)
+        if len(written) == 3:
+            raise OSError("disk full")
+        tk.write_tensor(path, t)
+
+    monkeypatch.setattr("tenkit.decomp.write_tensor", fail_third)
+    with pytest.raises(OSError):
+        tk.write_model(tmp_path, tk.hosvd(rand_tensor(rng, (2, 3, 4))))
+    # Two parts of the new model sit beside two of the old one.
+    with pytest.raises(ModelError):
+        tk.read_model(tmp_path)
 
 
 @pytest.mark.parametrize("call", NON_FINITE_CALLS.values(), ids=NON_FINITE_CALLS.keys())
