@@ -94,10 +94,14 @@ def _as_ints(
     return tuple(_as_int(v, f"{what} {n}", lo, h, error) for n, (v, h) in enumerate(zip(items, his), start=1))
 
 
+def _is_finite_real(value) -> bool:
+    real = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
+    return real and math.isfinite(value)
+
+
 def _as_tol(tol) -> float:
     """A tolerance as a float; anything but a finite real >= 0 raises ArgumentError."""
-    real = isinstance(tol, numbers.Real) and not isinstance(tol, (bool, np.bool_))
-    if real and math.isfinite(tol) and tol >= 0:
+    if _is_finite_real(tol) and tol >= 0:
         return float(tol)
     raise ArgumentError(f"tol must be a finite number >= 0, got {tol!r}")
 
@@ -349,9 +353,10 @@ def super_diagonal(order: int, size: int, weights: Sequence[float] | None = None
     if weights is None:
         w = np.ones(size)
     else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (size,):
-            raise ArgumentError(f"super_diagonal needs {size} weights, got {w.size}")
+        weights = _as_seq(weights, "super_diagonal weights", size)
+        if not all(_is_finite_real(v) for v in weights):
+            raise ArgumentError(f"super_diagonal weights must be finite numbers, got {weights!r}")
+        w = np.array(weights, dtype=np.float64)
     shape = (size,) * order
     buf = np.zeros(element_count(shape))
     stride = (size**order - 1) // (size - 1) if size > 1 else 0

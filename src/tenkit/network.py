@@ -28,6 +28,8 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .core import DenseTensor, _as_seq, permute
 from .errors import ArgumentError, NumericError, ParseError, PlanError
 from .io import format_float, read_tensor
@@ -47,6 +49,10 @@ _I64_MAX = 2**63 - 1
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
+def _is_ident(value) -> bool:
+    return isinstance(value, str) and _IDENT_RE.match(value) is not None
+
+
 def _checked_product(extents) -> int:
     out = 1
     for e in extents:
@@ -63,21 +69,28 @@ class TensorNetwork:
         self._nodes: dict[str, tuple[tuple[str, ...], DenseTensor]] = {}
         extents: dict[str, int] = {}
         arity: dict[str, int] = {}
-        for name, labels, tensor in nodes:
-            if not _IDENT_RE.match(name):
+        nodes = _as_seq(nodes, "nodes")
+        if not nodes:
+            raise ArgumentError("a network needs at least one node")
+        for k, node in enumerate(nodes, start=1):
+            name, labels, tensor = _as_seq(node, f"node {k} (name, labels, tensor)", 3)
+            if not _is_ident(name):
                 raise ArgumentError(f"node name {name!r} is not an identifier")
             if name in self._nodes:
                 raise ArgumentError(f"duplicate node name '{name}'")
-            labels = tuple(labels)
+            labels = _as_seq(labels, f"labels of node '{name}'")
+            for label in labels:
+                if not _is_ident(label):
+                    raise ArgumentError(f"label {label!r} is not an identifier")
             if len(set(labels)) != len(labels):
                 raise ArgumentError(f"node '{name}' repeats a label; self-traces are not supported")
+            if not isinstance(tensor, DenseTensor):
+                raise ArgumentError(f"node '{name}' needs a DenseTensor, got {type(tensor).__name__}")
             if tensor.order != len(labels):
                 raise ArgumentError(
                     f"node '{name}' has {len(labels)} labels but an order-{tensor.order} tensor"
                 )
             for label, extent in zip(labels, tensor.shape):
-                if not _IDENT_RE.match(label):
-                    raise ArgumentError(f"label {label!r} is not an identifier")
                 if label in extents and extents[label] != extent:
                     raise ArgumentError(
                         f"label '{label}' has extent {extents[label]} elsewhere but {extent} in node '{name}'"
@@ -88,7 +101,10 @@ class TensorNetwork:
         for label, count in arity.items():
             if count > 2:
                 raise ArgumentError(f"label '{label}' appears in {count} nodes; each label may appear in at most two")
-        output = tuple(output)
+        output = _as_seq(output, "output")
+        for label in output:
+            if not _is_ident(label):
+                raise ArgumentError(f"output label {label!r} is not an identifier")
         if len(set(output)) != len(output):
             raise ArgumentError("output repeats a label")
         once = {label for label, count in arity.items() if count == 1}
@@ -204,54 +220,123 @@ def _make_plan(net: TensorNetwork, steps: Sequence[tuple[str, str]]) -> Contract
     )
 
 
+def _times(a: np.ndarray, b) -> np.ndarray:
+    """Elementwise a * b of int64 values, where -1 stands for a value above
+    2**63 - 1 and every product above 2**63 - 1 becomes -1."""
+    over = (a < 0) | (b < 0) | (a > _I64_MAX // np.maximum(b, 1))
+    return np.where(over, -1, a * b)
+
+
+def _product_table(extents: Sequence[int]) -> np.ndarray:
+    """Product of every subset of the extents, indexed by the subset's bit
+    mask, in _times' int64 form."""
+    table = np.ones(1, dtype=np.int64)
+    for e in extents:
+        table = np.concatenate([table, _times(table, np.int64(e if e <= _I64_MAX else -1))])
+    return table
+
+
+def _shadow(exact: np.ndarray) -> np.ndarray:
+    return np.where(exact < 0, np.inf, exact.astype(np.float64))
+
+
+def _split_tables(net: TensorNetwork):
+    """The subset DP's cost tables: (size, bond_free, bond_tables).
+
+    Splitting mask into (sub, rest) costs size[mask], the element count of
+    the node that mask merges into, times the product of the bonds between
+    sub and rest. Bonds joining the same two nodes always enter together, so
+    each such pair is one bit, carrying the product of its extents, in a
+    12-bit word. bond_free[c, mask] is word c of the bonds with exactly one
+    end in mask, so bond_free[c, sub] & bond_free[c, rest] are the bonds
+    between sub and rest, and bond_tables[c] maps word c to its product."""
+    names = net.node_names
+    n = len(names)
+    holders: dict[str, int] = {}
+    for i, name in enumerate(names):
+        for label in net.labels(name):
+            holders[label] = holders.get(label, 0) | 1 << i
+    own = [1] * n  # each node's free labels
+    pairs: dict[int, int] = {}
+    for label, nodes in holders.items():
+        if nodes & (nodes - 1):
+            pairs[nodes] = pairs.get(nodes, 1) * net.extent(label)
+        else:
+            own[nodes.bit_length() - 1] *= net.extent(label)
+    words = -(-len(pairs) // 12)
+    node_words = np.zeros((words, n), dtype=np.int64)
+    for g, nodes in enumerate(pairs):
+        for i in range(n):
+            if nodes >> i & 1:
+                node_words[g // 12, i] |= 1 << g % 12
+    bond_free = np.zeros((words, 1 << n), dtype=np.int64)
+    for i in range(n):
+        bond_free[:, 1 << i : 2 << i] = bond_free[:, : 1 << i] ^ node_words[:, i, None]
+    extents = list(pairs.values())
+    bond_tables = [_product_table(extents[12 * c : 12 * c + 12]) for c in range(words)]
+    size = _product_table(own)
+    for word, table in zip(bond_free, bond_tables):
+        size = _times(size, table[word])
+    return size, bond_free, bond_tables
+
+
+def _plan_level(masks, k, best, best_split, size, bond_free, bond_tables) -> np.ndarray:
+    """Best split of every mask in `masks`, all of popcount k.
+
+    Fills best_split and best, and returns best, which becomes an object
+    array of Python ints once a cost sum could exceed 2**63 - 1. The splits
+    of a mask keep its top bit in `sub`: they are the bit-deposits of
+    t = 2**k - 2 down to 2**(k-1) onto the mask's bits. Column j of `sub`
+    holds mask j's splits in descending order, so argmin's first minimum
+    is the largest `sub`, as in a loop over submasks from the top."""
+    half = 1 << (k - 1)
+    lower = np.zeros((half, len(masks)), dtype=np.int64)  # subsets of the k-1 low bits
+    top = masks.copy()
+    for j in range(k - 1):
+        bit = top & -top
+        top ^= bit
+        lower[1 << j : 2 << j] = lower[: 1 << j] + bit
+    sub = top + lower[-2::-1]
+    rest = masks ^ sub
+    crossing = [free.take(sub) & free.take(rest) for free in bond_free]
+    sizes = np.broadcast_to(size[masks], sub.shape)
+    product, shadow = sizes, np.broadcast_to(_shadow(size)[masks], sub.shape)
+    for word, table in zip(crossing, bond_tables):
+        product = product * table.take(word)
+        shadow = shadow * _shadow(table).take(word)
+    # The float shadow is within a few ulps of the exact product, so every
+    # product above 2**63 - 1 is flagged; the rest were multiplied exactly.
+    flagged = shadow >= 2.0**62
+    if flagged.any():
+        factors = [sizes[flagged]]
+        factors += [table.take(word[flagged]) for word, table in zip(crossing, bond_tables)]
+        factors = np.array(factors).astype(object)
+        if (factors < 0).any() or (factors.prod(axis=0) > _I64_MAX).any():
+            raise NumericError("contraction cost overflows 64-bit integers")
+    if best.dtype != object and 2 * int(best.max()) + int(product.max()) > _I64_MAX:
+        best = best.astype(object)
+    cost = best.take(sub) + best.take(rest) + product.astype(best.dtype, copy=False)
+    pick = np.argmin(cost, axis=0)
+    cols = np.arange(len(masks))
+    best[masks] = cost[pick, cols]
+    best_split[masks] = sub[pick, cols]
+    return best
+
+
 def _plan_exhaustive(net: TensorNetwork) -> list[tuple[str, str]]:
     names = net.node_names
     n = len(names)
     if n > 12:
         raise ArgumentError(f"exhaustive planning supports at most 12 nodes, got {n}")
-    if n == 1:
-        return []
-    labels = sorted({l for name in names for l in net.labels(name)})
-    bit = {label: 1 << i for i, label in enumerate(labels)}
-    ext = {bit[label]: net.extent(label) for label in labels}
-
-    def mask_product(mask: int) -> int:
-        out = 1
-        while mask:
-            low = mask & -mask
-            out *= ext[low]
-            if out > _I64_MAX:
-                raise NumericError("contraction cost overflows 64-bit integers")
-            mask ^= low
-        return out
-
-    node_mask = [0] * n
-    for i, name in enumerate(names):
-        for label in net.labels(name):
-            node_mask[i] |= bit[label]
-
-    size = 1 << n
-    free = [0] * size
-    for mask in range(1, size):
-        low_index = (mask & -mask).bit_length() - 1
-        free[mask] = free[mask & (mask - 1)] ^ node_mask[low_index]
-
-    best_cost = [0] * size
-    best_split = [0] * size
-    for mask in range(1, size):
-        if mask & (mask - 1) == 0:
-            continue
-        best = None
-        sub = (mask - 1) & mask
-        while sub:
-            rest = mask ^ sub
-            if sub > rest:  # each unordered split once
-                cost = best_cost[sub] + best_cost[rest] + mask_product(free[sub] | free[rest])
-                if best is None or cost < best:
-                    best = cost
-                    best_split[mask] = sub
-            sub = (sub - 1) & mask
-        best_cost[mask] = best
+    tables = _split_tables(net)
+    popcount = np.zeros(1 << n, dtype=np.int64)
+    for i in range(n):
+        popcount[1 << i : 2 << i] = popcount[: 1 << i] + 1
+    best = np.zeros(1 << n, dtype=np.int64)
+    splits = np.zeros(1 << n, dtype=np.int64)
+    for k in range(2, n + 1):
+        best = _plan_level(np.flatnonzero(popcount == k), k, best, splits, *tables)
+    best_split = splits.tolist()
 
     def build(mask: int) -> tuple[list[tuple[str, str]], str]:
         if mask & (mask - 1) == 0:
@@ -263,7 +348,7 @@ def _plan_exhaustive(net: TensorNetwork) -> list[tuple[str, str]]:
         steps2, rep2 = build(second)
         return steps1 + steps2 + [(rep1, rep2)], rep1
 
-    steps, _ = build(size - 1)
+    steps, _ = build((1 << n) - 1)
     return steps
 
 
@@ -286,10 +371,19 @@ def _plan_greedy(net: TensorNetwork) -> list[tuple[str, str]]:
 def plan(net: TensorNetwork, strategy="exhaustive") -> ContractionPlan:
     """Build a contraction plan.
 
-    strategy is "exhaustive" (minimum total cost via dynamic programming
-    over node subsets, <= 12 nodes), "greedy" (repeatedly contract the
-    cheapest pair, ties broken by lexicographically smallest name pair),
-    or an explicit sequence of (a, b) node-name pairs to validate.
+    strategy is "exhaustive", "greedy", or an explicit sequence of (a, b)
+    node-name pairs to validate.
+
+    "exhaustive" finds a plan of minimum total cost by dynamic programming
+    over node subsets (Pfeifer, Haegeman & Verstraete, PRE 90, 033315,
+    2014), with node k of net.node_names as bit k of a subset's mask. Every
+    split of every subset is costed in exact integers, and of two splits of
+    equal cost the one whose part holding the highest bit has the larger
+    mask wins. It takes at most 12 nodes and does 3**n work in numpy, one
+    subset size at a time, so memory holds the splits of one size only. It
+    raises NumericError if any split costs more than 2**63 - 1.
+    "greedy" repeatedly contracts the cheapest pair, ties broken by the
+    lexicographically smallest name pair.
     """
     if strategy == "exhaustive":
         return _make_plan(net, _plan_exhaustive(net))

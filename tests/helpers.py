@@ -205,3 +205,63 @@ def planted_tt_train(rng, extents, bonds):
                 break
         if ok:
             return train, x
+
+
+def exhaustive_plan_oracle(net):
+    """Steps of the minimum-total-cost plan by the subset DP written as plain
+    Python loops over every (mask, submask) pair; ties go to the largest
+    submask, and a split whose cost exceeds 2**63 - 1 raises NumericError."""
+    names = net.node_names
+    n = len(names)
+    labels = sorted({l for name in names for l in net.labels(name)})
+    bit = {label: 1 << i for i, label in enumerate(labels)}
+    ext = {bit[label]: net.extent(label) for label in labels}
+
+    def mask_product(mask):
+        out = 1
+        while mask:
+            low = mask & -mask
+            out *= ext[low]
+            if out > 2**63 - 1:
+                raise tk.NumericError("contraction cost overflows 64-bit integers")
+            mask ^= low
+        return out
+
+    node_mask = [0] * n
+    for i, name in enumerate(names):
+        for label in net.labels(name):
+            node_mask[i] |= bit[label]
+    size = 1 << n
+    free = [0] * size
+    for mask in range(1, size):
+        low_index = (mask & -mask).bit_length() - 1
+        free[mask] = free[mask & (mask - 1)] ^ node_mask[low_index]
+
+    best_cost = [0] * size
+    best_split = [0] * size
+    for mask in range(1, size):
+        if mask & (mask - 1) == 0:
+            continue
+        best = None
+        sub = (mask - 1) & mask
+        while sub:
+            rest = mask ^ sub
+            if sub > rest:
+                cost = best_cost[sub] + best_cost[rest] + mask_product(free[sub] | free[rest])
+                if best is None or cost < best:
+                    best = cost
+                    best_split[mask] = sub
+            sub = (sub - 1) & mask
+        best_cost[mask] = best
+
+    def build(mask):
+        if mask & (mask - 1) == 0:
+            return [], names[mask.bit_length() - 1]
+        sub = best_split[mask]
+        rest = mask ^ sub
+        first, second = (sub, rest) if sub & (mask & -mask) else (rest, sub)
+        steps1, rep1 = build(first)
+        steps2, rep2 = build(second)
+        return steps1 + steps2 + [(rep1, rep2)], rep1
+
+    return build(size - 1)[0]

@@ -77,7 +77,8 @@ BAD_INT_ARGS = {
 _NET = tk.parse_network("node A [i=2] = 1 2; node B [i=2] = 3 4; output []")
 
 # Each call passes a scalar, a string or a sequence of the wrong length
-# where a sequence is required.
+# where a sequence is required, or a sequence whose entries are of the
+# wrong kind.
 BAD_SEQUENCE_ARGS = {
     "tensor_product_triple": lambda: tk.tensor_product(_X, _X, [(1, 1, 1)]),
     "subtensor_range_triple": lambda: tk.subtensor(_X, [(1, 2, 3), ":", ":"]),
@@ -93,6 +94,12 @@ BAD_SEQUENCE_ARGS = {
     "plan_none_strategy": lambda: tk.plan(_NET, None),
     "plan_triple_step": lambda: tk.plan(_NET, [("A", "B", "C")]),
     "plan_string_step": lambda: tk.plan(_NET, ["AB"]),
+    "network_list_tensor": lambda: tk.TensorNetwork([("A", ("i",), [1.0, 2.0])], ("i",)),
+    "network_int_name": lambda: tk.TensorNetwork([(5, ("i",), tk.zeros((2,)))], ("i",)),
+    "network_int_nodes": lambda: tk.TensorNetwork(5, ["i"]),
+    "network_no_nodes": lambda: tk.TensorNetwork([], ()),
+    "super_diagonal_string_weights": lambda: tk.super_diagonal(2, 2, "ab"),
+    "super_diagonal_nan_weight": lambda: tk.super_diagonal(2, 2, [float("nan"), 1.0]),
 }
 
 BAD_TOL = [float("nan"), -1.0, float("inf"), "a"]

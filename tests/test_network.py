@@ -4,7 +4,13 @@ import pytest
 import tenkit as tk
 from tenkit import ArgumentError, NumericError, ParseError, PlanError
 
-from helpers import network_loop_oracle, rand_tensor, random_network, random_plan_steps
+from helpers import (
+    exhaustive_plan_oracle,
+    network_loop_oracle,
+    rand_tensor,
+    random_network,
+    random_plan_steps,
+)
 
 
 def abv_network(rng, extent=8):
@@ -253,8 +259,8 @@ def test_exhaustive_never_worse_than_greedy_or_random():
 
 
 def test_cost_overflow_is_an_error():
-    # Dense tensors with extents multiplying past 2**63 cannot be built, so
-    # exercise the checked product the cost model uses directly.
+    # The checked product behind every step cost; networks whose planned
+    # costs pass 2**63 - 1 are built from small tensors in the tests below.
     from tenkit.network import _checked_product
 
     with pytest.raises(NumericError):
@@ -265,3 +271,119 @@ def test_cost_overflow_is_an_error():
     t = rand_tensor(rng, (2, 2))
     net = tk.TensorNetwork([("A", ("i", "j"), t), ("B", ("j", "k"), t)], output=("i", "k"))
     assert tk.pair_cost(net, "A", "B") == 8
+
+
+def ring_network(rng, n, bonds, free):
+    """n nodes in a cycle; bond k has extent bonds[k % len(bonds)]."""
+    ext = {f"b{k}": bonds[k % len(bonds)] for k in range(n)}
+    ext.update({f"f{k}": free for k in range(n)})
+    nodes = []
+    for k in range(n):
+        labels = (f"b{k}", f"b{(k + 1) % n}", f"f{k}")
+        nodes.append((f"n{k}", labels, rand_tensor(rng, tuple(ext[l] for l in labels))))
+    return tk.TensorNetwork(nodes, tuple(f"f{k}" for k in range(n)))
+
+
+def ladder_network(rng, length, bonds, free):
+    """2 x length grid: two rails joined by a rung at every column."""
+    ext, node_labels = {}, []
+    for k in range(length):
+        ext[f"r{k}"] = bonds[(k + 1) % len(bonds)]
+        for rail in "ac":
+            labels = [f"r{k}"]
+            if k > 0:
+                labels.append(f"{rail}{k - 1}")
+            if k < length - 1:
+                labels.append(f"{rail}{k}")
+                ext[f"{rail}{k}"] = bonds[k % len(bonds)]
+            labels.append(f"f{rail}{k}")
+            ext[f"f{rail}{k}"] = free
+            node_labels.append((f"{rail}{k}", tuple(labels)))
+    nodes = [(name, labels, rand_tensor(rng, tuple(ext[l] for l in labels))) for name, labels in node_labels]
+    return tk.TensorNetwork(nodes, tuple(f"f{rail}{k}" for k in range(length) for rail in "ac"))
+
+
+def assert_plan_matches_oracle(net):
+    want = exhaustive_plan_oracle(net)
+    got = tk.plan(net, "exhaustive")
+    assert list(got.steps) == want
+    assert got.total_cost == tk.plan(net, want).total_cost
+
+
+def test_exhaustive_matches_python_dp_on_random_networks():
+    rng = np.random.default_rng(15)
+    for _ in range(200):
+        assert_plan_matches_oracle(random_network(rng, max_nodes=10))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda rng: ring_network(rng, 10, (2, 3), 2),
+        lambda rng: ring_network(rng, 11, (3, 2), 2),
+        lambda rng: ring_network(rng, 12, (2, 3), 3),
+        lambda rng: ladder_network(rng, 5, (2, 3), 3),
+        lambda rng: ladder_network(rng, 6, (3, 2), 2),
+    ],
+    ids=["ring10", "ring11", "ring12", "ladder2x5", "ladder2x6"],
+)
+def test_exhaustive_matches_python_dp_on_rings_and_ladders(build):
+    assert_plan_matches_oracle(build(np.random.default_rng(16)))
+
+
+def test_exhaustive_with_more_than_64_labels_matches_python_dp():
+    # Extent-1 labels are free to create; 9 nodes share 80 of them, so no
+    # single 64-bit word can hold the label set.
+    rng = np.random.default_rng(17)
+    n = 9
+    node_labels = [[f"f{k}"] for k in range(n)]
+    ext = {f"f{k}": int(rng.integers(2, 4)) for k in range(n)}
+    for k in range(1, n):
+        j = int(rng.integers(0, k))
+        node_labels[k].append(f"t{k}")
+        node_labels[j].append(f"t{k}")
+        ext[f"t{k}"] = int(rng.integers(2, 4))
+    for m in range(80):
+        i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
+        node_labels[i].append(f"u{m}")
+        node_labels[j].append(f"u{m}")
+        ext[f"u{m}"] = 1
+    nodes = [
+        (f"n{k}", tuple(labels), rand_tensor(rng, tuple(ext[l] for l in labels)))
+        for k, labels in enumerate(node_labels)
+    ]
+    net = tk.TensorNetwork(nodes, tuple(f"f{k}" for k in range(n)))
+    assert len(ext) >= 64
+    assert_plan_matches_oracle(net)
+
+
+def test_exhaustive_cost_overflow_bound():
+    # In a 12-ring with bond 2, splitting the even nodes from the odd ones
+    # costs free**12 * 2**12: at most 2**63 - 1 for free 19, above it for 20.
+    rng = np.random.default_rng(18)
+    assert_plan_matches_oracle(ring_network(rng, 12, (2,), 19))
+    for free in (20, 32):
+        with pytest.raises(NumericError, match="overflows"):
+            tk.plan(ring_network(rng, 12, (2,), free), "exhaustive")
+    # With bonds 2 and 3 and free 17 only that split overflows, and its cost
+    # wrapped to 64 bits would be positive and far from the minimum: the
+    # plan must still fail, as the Python DP does.
+    net = ring_network(rng, 12, (2, 3), 17)
+    with pytest.raises(NumericError, match="overflows"):
+        exhaustive_plan_oracle(net)
+    with pytest.raises(NumericError, match="overflows"):
+        tk.plan(net, "exhaustive")
+
+
+def test_exhaustive_cost_sums_past_int64_are_exact():
+    # Twelve vectors: every split of the full set costs 37**11 * 51, just
+    # under 2**63 - 1, and the split that leaves the 51-vector alone adds
+    # the cost of contracting the other eleven, which takes the sum past it.
+    rng = np.random.default_rng(19)
+    extents = [37] * 11 + [51]
+    net = tk.TensorNetwork(
+        [(f"v{k}", (f"i{k}",), rand_tensor(rng, (e,))) for k, e in enumerate(extents)],
+        tuple(f"i{k}" for k in range(12)),
+    )
+    assert 37**11 * 51 <= 2**63 - 1 < 37**11 * 51 + 37**11
+    assert_plan_matches_oracle(net)
