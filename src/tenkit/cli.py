@@ -121,6 +121,7 @@ def _cmd_decompose(args) -> int:
         norm = frobenius_norm(t)
         for sweep, resid in enumerate(fit.trace, start=1):
             _mline("fit_trace", sweep, resid / norm if norm > 0.0 else resid)
+        _mline("converged", int(fit.converged[fit.restart]))
     if method == "tt":
         _mline("discarded_energy", model.discarded_energy)
     return 0

@@ -135,7 +135,13 @@ class DenseTensor:
 
     def __init__(self, shape: Sequence[int], data):
         shape = _check_shape(shape)
-        arr = np.array(data, dtype=np.float64).reshape(-1)
+        try:
+            arr = np.asarray(data)
+        except ValueError:
+            raise ArgumentError("tensor data must be a flat or nested sequence of numbers") from None
+        if arr.dtype.kind not in "biuf":
+            raise ArgumentError(f"tensor data must be real numbers, got {arr.dtype} data")
+        arr = arr.astype(np.float64).reshape(-1)
         need = element_count(shape)
         if arr.size != need:
             raise ShapeError(

@@ -10,7 +10,6 @@ never through factor equality.
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -80,11 +79,17 @@ class CPModel:
 
 @dataclass(frozen=True)
 class CPFit:
-    """cp_als outcome: the best model, its residual-norm trace, winning restart."""
+    """cp_als outcome: the best model, its residual-norm trace, winning restart.
+
+    sweeps and converged hold one entry per restart: the sweeps it ran and
+    whether it stopped on tol (False when it ran out of max_sweeps).
+    """
 
     model: CPModel
     trace: tuple[float, ...]
     restart: int
+    sweeps: tuple[int, ...] = ()
+    converged: tuple[bool, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -180,17 +185,22 @@ def cp_reconstruct(m: CPModel) -> DenseTensor:
 
 
 def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """rhs @ inv(gram) for a symmetric positive semidefinite gram.
+    """rhs @ inv(gram) for a symmetric positive semidefinite gram, or for
+    each slice of a stack: gram (..., R, R) and rhs (..., I, R).
 
     Solves gram @ F.T = rhs.T by a Cholesky factorization gram = L @ L.T,
-    one solve with L and one with L.T. A rank-deficient gram (Cholesky
-    fails) falls back to the SVD pseudo-inverse.
+    one solve with L and one with L.T. When some gram of a stack is
+    rank-deficient (Cholesky fails), every slice is solved on its own, so
+    only the failing ones fall back to the SVD pseudo-inverse.
     """
     try:
         low = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
+        if gram.ndim > 2:
+            return np.stack([_solve_gram(g, b) for g, b in zip(gram, rhs)])
         return rhs @ pinv(_tensor_from_nd(gram))._nd()
-    return np.linalg.solve(low.T, np.linalg.solve(low, rhs.T)).T
+    rhs_t = rhs.swapaxes(-1, -2)
+    return np.linalg.solve(low.swapaxes(-1, -2), np.linalg.solve(low, rhs_t)).swapaxes(-1, -2)
 
 
 def cp_als(
@@ -209,10 +219,16 @@ def cp_als(
     factors' Gram matrices, is Cholesky-factorized and solved against the
     matricized tensor times their Khatri-Rao product (the SVD
     pseudo-inverse stands in when the normal matrix is rank-deficient).
-    The sweep then renormalizes factor columns into the weights. Runs
-    `restarts` seeded standard-normal initializations and keeps the best
-    final residual.
-    Stops a sweep loop early once the relative fit change drops below tol.
+    The sweep then renormalizes factor columns into the weights.
+
+    Restart r starts from standard-normal factors drawn from
+    default_rng([seed, r]). The restarts run as one stacked fit: factors
+    are held as (restarts, I_n, R) stacks, so every numpy and LAPACK call
+    of a sweep serves all restarts still running. Each restart stops on
+    its own once its relative fit change drops below tol, or after
+    max_sweeps. The lowest final residual wins (ties go to the lowest
+    restart); the fit's trace is the winner's, and its sweeps and
+    converged fields report every restart.
     """
     if x.order < 3:
         raise ArgumentError(f"cp_als needs an order >= 3 tensor, got order {x.order}")
@@ -223,43 +239,71 @@ def cp_als(
     tol = _as_tol(tol)
     norm_x = frobenius_norm(x)
     mats = [matricize(x, n)._nd() for n in range(1, x.order + 1)]
-    best: tuple[CPModel, tuple[float, ...], int] | None = None
-    for restart in range(restarts):
-        rng = np.random.default_rng([seed, restart])
-        factors = [rng.standard_normal((extent, rank)) for extent in x.shape]
-        weights = np.ones(rank)
-        trace: list[float] = []
-        prev_rel = None
-        for _ in range(max_sweeps):
-            for n in range(x.order):
-                kr = _khatri_rao((factors[:n] + factors[n + 1 :])[::-1])
-                gram = np.ones((rank, rank))
-                for m, f in enumerate(factors):
-                    if m != n:
-                        gram *= f.T @ f
-                factors[n] = _solve_gram(gram, mats[n] @ kr)
-            weights = np.ones(rank)
-            for f in factors:
-                norms = np.sqrt((f * f).sum(axis=0))
-                safe = np.where(norms > 0.0, norms, 1.0)
-                f /= safe
-                weights = weights * norms
-            approx1 = (factors[0] * weights) @ _khatri_rao(factors[:0:-1]).T
-            resid = float(np.sqrt(((mats[0] - approx1) ** 2).sum()))
-            if not math.isfinite(resid):
-                raise NumericError("cp_als objective became non-finite")
-            trace.append(resid)
-            rel = resid / norm_x if norm_x > 0.0 else resid
-            if prev_rel is not None and abs(prev_rel - rel) < tol:
+    starts = []
+    for r in range(restarts):
+        rng = np.random.default_rng([seed, r])
+        starts.append([rng.standard_normal((extent, rank)) for extent in x.shape])
+    # Working stacks of the running restarts; ids maps each slice to its restart.
+    factors = [np.stack(fs) for fs in zip(*starts)]
+    ids = np.arange(restarts)
+    # Final state of every restart, filled in as each one stops.
+    done_factors = [np.empty_like(f) for f in factors]
+    done_weights = np.empty((restarts, rank))
+    sweeps = np.zeros(restarts, dtype=int)
+    converged = np.zeros(restarts, dtype=bool)
+    history = []  # per sweep, every restart's residual (NaN once stopped)
+    prev_rel = None
+    for sweep in range(1, max_sweeps + 1):
+        for n in range(x.order):
+            others = factors[:n] + factors[n + 1 :]
+            kr = _khatri_rao(others[::-1])
+            gram = np.ones((ids.size, rank, rank))
+            for f in others:
+                gram *= f.swapaxes(1, 2) @ f
+            factors[n] = _solve_gram(gram, mats[n] @ kr)
+        weights = np.ones((ids.size, rank))
+        for f in factors:
+            norms = np.sqrt((f * f).sum(axis=1))
+            safe = np.where(norms > 0.0, norms, 1.0)
+            f /= safe[:, None, :]
+            weights = weights * norms
+        approx1 = (factors[0] * weights[:, None, :]) @ _khatri_rao(factors[:0:-1]).swapaxes(1, 2)
+        resid = np.sqrt(((mats[0] - approx1) ** 2).sum(axis=(1, 2)))
+        if not np.isfinite(resid).all():
+            raise NumericError("cp_als objective became non-finite")
+        history.append(np.full(restarts, np.nan))
+        history[-1][ids] = resid
+        rel = resid / norm_x if norm_x > 0.0 else resid
+        stop = np.zeros(ids.size, dtype=bool) if prev_rel is None else np.abs(prev_rel - rel) < tol
+        converged[ids[stop]] = True
+        if sweep == max_sweeps:
+            stop[:] = True
+        if stop.any():
+            gone = ids[stop]
+            for done, f in zip(done_factors, factors):
+                done[gone] = f[stop]
+            done_weights[gone] = weights[stop]
+            sweeps[gone] = sweep
+            keep = ~stop
+            factors = [f[keep] for f in factors]
+            ids, rel = ids[keep], rel[keep]
+            if not ids.size:
                 break
-            prev_rel = rel
-        model = CPModel(
-            DenseTensor((rank,), weights),
-            tuple(_tensor_from_nd(f) for f in factors),
-        )
-        if best is None or trace[-1] < best[1][-1]:
-            best = (model, tuple(trace), restart)
-    return CPFit(model=best[0], trace=best[1], restart=best[2])
+        prev_rel = rel
+    history = np.array(history)
+    best = int(np.argmin(history[sweeps - 1, np.arange(restarts)]))
+    model = CPModel(
+        DenseTensor((rank,), done_weights[best]),
+        tuple(_tensor_from_nd(f[best]) for f in done_factors),
+    )
+    trace = tuple(history[: sweeps[best], best].tolist())
+    return CPFit(
+        model=model,
+        trace=trace,
+        restart=best,
+        sweeps=tuple(int(s) for s in sweeps),
+        converged=tuple(bool(c) for c in converged),
+    )
 
 
 # --- Tucker -----------------------------------------------------------------

@@ -55,11 +55,13 @@ def kronecker(a: DenseTensor, b: DenseTensor) -> DenseTensor:
 
 
 def _khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Khatri-Rao product of (I_k, R) arrays, left to right: the row index
-    of the last array varies fastest."""
+    """Khatri-Rao product of (..., I_k, R) arrays, left to right: the row
+    index of the last array varies fastest. Leading axes are batch axes,
+    broadcast together, so one call serves a stack of factor sets."""
     acc = mats[0]
     for m in mats[1:]:
-        acc = (acc[:, None, :] * m[None, :, :]).reshape(-1, acc.shape[1])
+        acc = acc[..., :, None, :] * m[..., None, :, :]
+        acc = acc.reshape(*acc.shape[:-3], -1, acc.shape[-1])
     return acc
 
 

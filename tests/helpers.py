@@ -161,13 +161,15 @@ def planted_cp_factors(rng, shape, rank, max_cond=5.0):
             return factors
 
 
-def numpy_cp_als_trace(x, rank, sweeps, seed):
+def numpy_cp_als_trace(x, rank, sweeps, seed, restart=0, tol=0.0):
     """Residual trace of plain ALS on an ndarray: einsum MTTKRPs and
     np.linalg.pinv of the Hadamard Gram product, with cp_als's seeding and
-    column normalization (restart 0, no early stop)."""
-    rng = np.random.default_rng([seed, 0])
+    column normalization for one restart, stopping early once the relative
+    fit change drops below tol."""
+    rng = np.random.default_rng([seed, restart])
     factors = [rng.standard_normal((extent, rank)) for extent in x.shape]
     modes = "abcdefgh"[: x.ndim]
+    norm = float(np.linalg.norm(x))
     trace = []
     for _ in range(sweeps):
         for n in range(x.ndim):
@@ -186,6 +188,8 @@ def numpy_cp_als_trace(x, rank, sweeps, seed):
         spec = "r," + ",".join(m + "r" for m in modes) + "->" + modes
         approx = np.einsum(spec, weights, *factors)
         trace.append(float(np.linalg.norm(x - approx)))
+        if len(trace) > 1 and abs(trace[-2] - trace[-1]) / norm < tol:
+            break
     return trace
 
 

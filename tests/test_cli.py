@@ -162,6 +162,11 @@ def test_decompose_cp_seeded(tmp_path):
     got = machine_lines(res.stdout)
     assert float(got["rel_error"][0]) <= 1e-5
     assert "fit_trace" in got
+    # one ::converged line, after the last ::fit_trace line
+    block = machine_block(res.stdout)
+    assert block[-1] == "::converged 1"
+    assert block[-2].startswith("::fit_trace ")
+    assert got["converged"] == ["1"]
 
 
 def test_decompose_rank_out_of_range_exits_one(tmp_path, ramp_file):

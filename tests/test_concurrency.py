@@ -3,6 +3,7 @@
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import pytest
 
 import tenkit as tk
 
@@ -26,13 +27,14 @@ def test_shared_tensors_across_threads_give_identical_results():
     assert x == rand_tensor(np.random.default_rng(0), (4, 3, 4))
 
 
-def test_cp_als_deterministic_across_threads():
+@pytest.mark.parametrize("restarts", [1, 3])
+def test_cp_als_deterministic_across_threads(restarts):
     rng = np.random.default_rng(1)
     x = rand_tensor(rng, (3, 3, 3))
 
     def fit(_):
-        result = tk.cp_als(x, 2, max_sweeps=20, seed=3, restarts=1)
-        return result.trace
+        result = tk.cp_als(x, 2, max_sweeps=20, seed=3, restarts=restarts)
+        return result.trace, result.restart, result.sweeps
 
     with ThreadPoolExecutor(max_workers=4) as pool:
         traces = list(pool.map(fit, range(8)))

@@ -144,6 +144,39 @@ def test_cp_als_matches_numpy_pinv_als(shape, rank):
     assert np.abs(np.array(fit.trace) - want).max() <= 1e-9 * scale
 
 
+def test_cp_als_stacked_restarts_match_numpy_oracle():
+    # Planted instance whose three oracle restarts stop at different sweeps
+    # (one runs out of max_sweeps) and whose winner is not restart 0.
+    rng = np.random.default_rng(18)
+    truth = tk.CPModel(
+        tk.DenseTensor((3,), np.ones(3)),
+        tuple(tk.DenseTensor.from_array(f) for f in planted_cp_factors(rng, (4, 4, 4), 3)),
+    )
+    x = tk.cp_reconstruct(truth)
+    xa = x.to_array()
+    scale = np.linalg.norm(xa)
+    tol, max_sweeps = 1e-8, 200
+    want = [
+        numpy_cp_als_trace(xa, 3, max_sweeps, seed=5, restart=r, tol=tol) for r in range(3)
+    ]
+    lengths = tuple(len(t) for t in want)
+    assert len(set(lengths)) == 3
+    fit = tk.cp_als(x, 3, max_sweeps=max_sweeps, tol=tol, seed=5, restarts=3)
+    assert fit.restart == int(np.argmin([t[-1] for t in want]))
+    assert fit.sweeps == lengths
+    assert fit.converged == tuple(abs(t[-2] - t[-1]) / scale < tol for t in want)
+    assert False in fit.converged and True in fit.converged
+    winner = want[fit.restart]
+    assert len(fit.trace) == len(winner)
+    assert np.abs(np.array(fit.trace) - winner).max() <= 1e-9 * scale
+
+
+def test_cp_fit_constructs_without_restart_fields():
+    model = tk.CPModel(tk.DenseTensor((1,), [1.0]), (tk.DenseTensor((2, 1), [1.0, 0.0]),))
+    fit = tk.CPFit(model, (0.5,), 0)
+    assert fit.sweeps == () and fit.converged == ()
+
+
 def test_solve_gram_singular_falls_back_to_pinv(monkeypatch):
     calls = []
 
@@ -166,6 +199,27 @@ def test_solve_gram_positive_definite_matches_solve():
     rhs = rng.standard_normal((4, 3))
     want = np.linalg.solve(gram, rhs.T).T
     assert np.abs(decomp._solve_gram(gram, rhs) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_solve_gram_stack_solves_each_slice_as_one_matrix(monkeypatch):
+    calls = []
+
+    def spy(m):
+        calls.append(m)
+        return tk.pinv(m)
+
+    monkeypatch.setattr(decomp, "pinv", spy)
+    rng = np.random.default_rng(14)
+    a = rng.standard_normal((6, 3))
+    singular = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    grams = np.stack([singular, a.T @ a])
+    rhs = rng.standard_normal((2, 4, 3))
+    got = decomp._solve_gram(grams, rhs)
+    assert got.shape == (2, 4, 3)
+    assert len(calls) == 1
+    for k in range(2):
+        assert np.array_equal(got[k], decomp._solve_gram(grams[k], rhs[k]))
+    assert len(calls) == 2
 
 
 # --- Tucker ------------------------------------------------------------------

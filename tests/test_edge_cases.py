@@ -100,6 +100,9 @@ BAD_SEQUENCE_ARGS = {
     "network_no_nodes": lambda: tk.TensorNetwork([], ()),
     "super_diagonal_string_weights": lambda: tk.super_diagonal(2, 2, "ab"),
     "super_diagonal_nan_weight": lambda: tk.super_diagonal(2, 2, [float("nan"), 1.0]),
+    "tensor_string_data": lambda: tk.DenseTensor((2,), "ab"),
+    "tensor_dict_data": lambda: tk.DenseTensor((2,), {"a": 1}),
+    "tensor_none_entry": lambda: tk.DenseTensor((2,), [None, 1]),
 }
 
 BAD_TOL = [float("nan"), -1.0, float("inf"), "a"]
