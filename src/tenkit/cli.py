@@ -17,7 +17,7 @@ from . import decomp
 from .core import DenseTensor, fold, k_unfold, matricize, permute
 from .elementwise import frobenius_norm, subtract
 from .errors import ArgumentError, NumericError, TenkitError
-from .io import format_float, read_tensor, write_tensor
+from .io import _read_text, format_float, read_tensor, write_tensor
 from .network import evaluate, parse_network, plan
 
 __all__ = ["main"]
@@ -144,8 +144,7 @@ def _parse_strategy(text: str):
 
 
 def _cmd_contract(args) -> int:
-    with open(args.netfile, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = _read_text(args.netfile, "network file")
     net = parse_network(text, base_dir=os.path.dirname(os.path.abspath(args.netfile)))
     p = plan(net, _parse_strategy(args.strategy))
     print(f"{args.netfile}: {len(net.node_names)} nodes, {len(p.steps)} contraction steps")

@@ -9,12 +9,19 @@ tokens:
     v1 v2 ...           (prod I_n decimal floats, vectorization order)
 
 Writers emit 17 significant digits, which round-trips float64 exactly.
+Both directions work in bulk: the writer fills a "%.17g" row template from
+one tolist(); the reader splits the text once, parses the data with one
+map(float) and counts lines only to report a ParseError.
 """
 
 from __future__ import annotations
 
+import bisect
 import contextlib
+import itertools
 import os
+
+import numpy as np
 
 from .core import DenseTensor, element_count
 from .errors import ParseError
@@ -27,97 +34,89 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    toks = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0]
-        for tok in body.split():
-            toks.append((tok, lineno))
-    return toks
+def _format_rows(values: list[float], per_row: int) -> str:
+    """Values as format_float renders them, per_row to a line, through one row template."""
+    full, rest = divmod(len(values), per_row)
+    rows = [" ".join(["%.17g"] * per_row)] * full + [" ".join(["%.17g"] * rest)] * (rest > 0)
+    return "\n".join(rows) % tuple(values)
+
+
+def _parse_floats(tokens: list[str], not_float: str, fail) -> np.ndarray:
+    """float() of every token in one map pass. fail(i, message), which must raise, gets the first
+    token float() rejects, else the first it takes to +-inf that does not spell inf."""
+    try:
+        values = np.array(list(map(float, tokens)), dtype=np.float64)
+    except ValueError:
+        for i, tok in enumerate(tokens):
+            try:
+                float(tok)
+            except ValueError:
+                fail(i, not_float.format(tok))
+    for i in np.flatnonzero(np.isinf(values)).tolist():
+        if tokens[i].lstrip("+-").lower() not in ("inf", "infinity"):
+            fail(i, f"value {tokens[i]!r} overflows float64")
+    return values
 
 
 def loads_tensor(text: str) -> DenseTensor:
     """Parse .ten text into a tensor."""
-    toks = _tokenize(text)
-    pos = 0
+    toks = ("\n".join(ln.split("#", 1)[0] for ln in text.splitlines()) if "#" in text else text).split()
 
-    def take(what: str) -> tuple[str, int]:
-        nonlocal pos
-        if pos >= len(toks):
-            last = toks[-1][1] if toks else 1
-            raise ParseError(f"unexpected end of file, expected {what}", last)
-        tok = toks[pos]
-        pos += 1
-        return tok
-
-    tok, line = take("'order'")
-    if tok != "order":
-        raise ParseError(f"expected 'order', got {tok!r}", line)
-    tok, line = take("the order")
-    try:
-        order = int(tok)
-    except ValueError:
-        raise ParseError(f"order must be an integer, got {tok!r}", line) from None
-    if order < 0:
-        raise ParseError(f"order must be nonnegative, got {order}", line)
-
-    tok, line = take("'shape'")
-    if tok != "shape":
-        raise ParseError(f"expected 'shape', got {tok!r}", line)
-    shape = []
-    for _ in range(order):
-        tok, line = take("a shape extent")
+    def fail(message: str, index: int):
+        # Token `index` (or the last one) is on the first line whose running token count passes it.
+        ends = [0, *itertools.accumulate(len(ln.split("#", 1)[0].split()) for ln in text.splitlines())]
+        raise ParseError(message, max(1, bisect.bisect_left(ends, min(index + 1, ends[-1])))) from None
+    def take(index: int, what: str, word: str | None = None) -> str:
+        if index >= len(toks):
+            fail(f"unexpected end of file, expected {what}", index)
+        if word not in (None, toks[index]):
+            fail(f"expected {what}, got {toks[index]!r}", index)
+        return toks[index]
+    def integer(index: int, what: str, name: str, lo: int) -> int:
         try:
-            extent = int(tok)
+            value = int(take(index, what))
         except ValueError:
-            raise ParseError(f"shape extent must be an integer, got {tok!r}", line) from None
-        if extent < 1:
-            raise ParseError(f"shape extent must be positive, got {extent}", line)
-        shape.append(extent)
+            fail(f"{name} must be an integer, got {toks[index]!r}", index)
+        if value < lo:
+            fail(f"{name} must be {'positive' if lo else 'nonnegative'}, got {value}", index)
+        return value
 
-    tok, line = take("'data'")
-    if tok != "data":
-        raise ParseError(f"expected 'data', got {tok!r}", line)
-
-    need = element_count(shape)
-    values = []
-    for _ in range(need):
-        tok, line = take("a data value")
-        try:
-            values.append(float(tok))
-        except ValueError:
-            raise ParseError(f"data value must be a float, got {tok!r}", line) from None
-    if pos != len(toks):
-        tok, line = toks[pos]
-        raise ParseError(f"trailing content {tok!r} after {need} data values", line)
+    take(0, "'order'", "order")
+    order = integer(1, "the order", "order", 0)
+    take(2, "'shape'", "shape")
+    shape = [integer(k, "a shape extent", "shape extent", 1) for k in range(3, 3 + order)]
+    take(3 + order, "'data'", "data")
+    start, need = 4 + order, element_count(shape)
+    data = toks[start : start + need]
+    values = _parse_floats(data, "data value must be a float, got {!r}", lambda i, msg: fail(msg, start + i))
+    if len(data) < need:
+        fail("unexpected end of file, expected a data value", len(toks))
+    if len(toks) > start + need:
+        fail(f"trailing content {toks[start + need]!r} after {need} data values", start + need)
     return DenseTensor(shape, values)
 
 
 def dumps_tensor(t: DenseTensor) -> str:
     """Render a tensor as .ten text."""
-    lines = [f"order {t.order}", "shape" + "".join(f" {e}" for e in t.shape), "data"]
-    flat = t.data
-    for start in range(0, flat.size, 6):
-        lines.append(" ".join(format_float(v) for v in flat[start : start + 6]))
-    return "\n".join(lines) + "\n"
+    head = f"order {t.order}\nshape" + "".join(f" {e}" for e in t.shape) + "\ndata\n"
+    return head + _format_rows(t.data.tolist(), 6) + "\n"
+
+
+def _read_text(path: str | os.PathLike, what: str) -> str:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {what} '{path}': {getattr(exc, 'strerror', None) or exc}") from None
 
 
 def read_tensor(path: str | os.PathLike) -> DenseTensor:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read tensor file '{path}': {exc.strerror or exc}") from None
-    return loads_tensor(text)
+    return loads_tensor(_read_text(path, "tensor file"))
 
 
 def _write_atomic(path: str | os.PathLike, text: str) -> None:
-    """Write text to path atomically.
-
-    The text goes to a fresh temporary file in the target's directory,
-    which then replaces the target in one rename; if writing fails the
-    temporary file is removed and an existing target is left as it was.
-    """
+    """Write text to a fresh temporary file beside path, then rename it over
+    path; if writing fails, remove it and leave an existing path as it was."""
     path = os.fspath(path)
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")

@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import DenseTensor, _as_seq, permute
 from .errors import ArgumentError, NumericError, ParseError, PlanError
-from .io import format_float, read_tensor
+from .io import _format_rows, _parse_floats, read_tensor
 from .products import tensor_product
 
 __all__ = [
@@ -520,12 +520,12 @@ def parse_network(text: str, base_dir: str | os.PathLike = ".") -> TensorNetwork
                     raise ParseError(f"trailing content {extra!r} after file reference", eline, ecol)
                 raw_nodes.append((name, labels, ("file", text[1:]), line, col))
             elif text == "=":
-                values = []
-                for vkind, vtext, vline, vcol in stmt[pos + 1 :]:
-                    try:
-                        values.append(float(vtext))
-                    except ValueError:
-                        raise ParseError(f"inline value {vtext!r} is not a number", vline, vcol) from None
+                vals = stmt[pos + 1 :]
+
+                def bad_value(i, message):
+                    raise ParseError(message, vals[i][2], vals[i][3]) from None
+
+                values = _parse_floats([v[1] for v in vals], "inline value {!r} is not a number", bad_value)
                 raw_nodes.append((name, labels, ("inline", values), line, col))
             else:
                 raise ParseError(f"expected '@file' or '=', got {text!r}", tline, tcol)
@@ -620,7 +620,7 @@ def format_network(net: TensorNetwork) -> str:
         labels = net.labels(name)
         t = net.tensor(name)
         labels_text = ",".join(f"{l}={e}" for l, e in zip(labels, t.shape))
-        values = " ".join(format_float(v) for v in t.data)
+        values = _format_rows(t.data.tolist(), t.size)
         lines.append(f"node {name} [{labels_text}] = {values}".rstrip())
     lines.append("output [" + ",".join(net.output) + "]")
     return "\n".join(lines) + "\n"

@@ -269,3 +269,69 @@ def exhaustive_plan_oracle(net):
         return steps1 + steps2 + [(rep1, rep2)], rep1
 
     return build(size - 1)[0]
+
+
+def loads_tensor_oracle(text):
+    """.ten parser written token by token: a (token, line) tuple per token
+    and one float() per value; the bulk reader must agree with it."""
+    toks = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for tok in line.split("#", 1)[0].split():
+            toks.append((tok, lineno))
+    pos = 0
+
+    def take(what):
+        nonlocal pos
+        if pos >= len(toks):
+            last = toks[-1][1] if toks else 1
+            raise tk.ParseError(f"unexpected end of file, expected {what}", last)
+        pos += 1
+        return toks[pos - 1]
+
+    tok, line = take("'order'")
+    if tok != "order":
+        raise tk.ParseError(f"expected 'order', got {tok!r}", line)
+    tok, line = take("the order")
+    try:
+        order = int(tok)
+    except ValueError:
+        raise tk.ParseError(f"order must be an integer, got {tok!r}", line) from None
+    if order < 0:
+        raise tk.ParseError(f"order must be nonnegative, got {order}", line)
+    tok, line = take("'shape'")
+    if tok != "shape":
+        raise tk.ParseError(f"expected 'shape', got {tok!r}", line)
+    shape = []
+    for _ in range(order):
+        tok, line = take("a shape extent")
+        try:
+            extent = int(tok)
+        except ValueError:
+            raise tk.ParseError(f"shape extent must be an integer, got {tok!r}", line) from None
+        if extent < 1:
+            raise tk.ParseError(f"shape extent must be positive, got {extent}", line)
+        shape.append(extent)
+    tok, line = take("'data'")
+    if tok != "data":
+        raise tk.ParseError(f"expected 'data', got {tok!r}", line)
+    need = math.prod(shape)
+    values = []
+    for _ in range(need):
+        tok, line = take("a data value")
+        try:
+            values.append(float(tok))
+        except ValueError:
+            raise tk.ParseError(f"data value must be a float, got {tok!r}", line) from None
+    if pos != len(toks):
+        tok, line = toks[pos]
+        raise tk.ParseError(f"trailing content {tok!r} after {need} data values", line)
+    return tk.DenseTensor(shape, values)
+
+
+def dumps_tensor_oracle(t):
+    """.ten writer that formats one value at a time, six to a line."""
+    lines = [f"order {t.order}", "shape" + "".join(f" {e}" for e in t.shape), "data"]
+    flat = t.data
+    for start in range(0, flat.size, 6):
+        lines.append(" ".join(format(float(v), ".17g") for v in flat[start : start + 6]))
+    return "\n".join(lines) + "\n"

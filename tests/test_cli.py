@@ -77,6 +77,16 @@ def test_info_missing_file(tmp_path):
     assert res.returncode == 1
 
 
+def test_undecodable_input_is_a_user_error(tmp_path):
+    ten = tmp_path / "bad.ten"
+    ten.write_bytes(b"order 1\nshape 2\ndata\n1 \xff\n")
+    tn = tmp_path / "bad.tn"
+    tn.write_bytes(b"node A [i=2] = 1 2 \xff\noutput [i]\n")
+    for res in (run_cli("info", ten), run_cli("contract", tn)):
+        assert res.returncode == 1
+        assert res.stderr.startswith("tenkit: error: cannot read") and "Traceback" not in res.stderr
+
+
 def test_reshape_unfold(tmp_path, ramp_file):
     out = tmp_path / "unf.ten"
     res = run_cli("reshape", ramp_file, "unfold", "2", "--out", out)

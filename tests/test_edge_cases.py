@@ -299,3 +299,20 @@ def test_failed_write_tensor_keeps_the_old_file(tmp_path, monkeypatch):
         tk.write_tensor(target, tk.DenseTensor((), [1.0]))
     assert target.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["x.ten"]
+
+
+def test_read_tensor_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "bad.ten"
+    path.write_bytes(b"order 1\nshape 2\ndata\n1 \xff\n")
+    with pytest.raises(ParseError, match="bad.ten"):
+        tk.read_tensor(path)
+
+
+def test_contract_rejects_a_network_file_that_is_not_utf8(tmp_path):
+    from tenkit import cli
+
+    path = tmp_path / "bad.tn"
+    path.write_bytes(b"node A [i=2] = 1 2 \xff\noutput [i]\n")
+    args = cli._build_parser().parse_args(["contract", str(path)])
+    with pytest.raises(ParseError, match="bad.tn"):
+        args.handler(args)

@@ -110,6 +110,42 @@ def test_format_parse_round_trip():
         assert tk.parse_network(tk.format_network(net)) == net
 
 
+def test_format_network_matches_value_by_value_oracle():
+    rng = np.random.default_rng(3)
+    special = tk.DenseTensor((7,), [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1.7976931348623157e308, 0.1])
+    nets = [random_network(rng, max_nodes=4) for _ in range(10)]
+    nets.append(tk.TensorNetwork([("S", ["i"], special), ("T", [], tk.DenseTensor((), [1 / 3]))], ["i"]))
+    for net in nets:
+        lines = []
+        for name in net.node_names:
+            t = net.tensor(name)
+            labels = ",".join(f"{l}={e}" for l, e in zip(net.labels(name), t.shape))
+            values = " ".join(format(float(v), ".17g") for v in t.data)
+            lines.append(f"node {name} [{labels}] = {values}")
+        lines.append("output [" + ",".join(net.output) + "]")
+        assert tk.format_network(net) == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, message, line, col",
+    [
+        ("node A [i=3] = 1 2 3\n  node B [i=3] = 4\t5 six # c\noutput []", "inline value 'six' is not a number", 2, 22),
+        ("node A [i=2] = 1 2; node B [i=2] = 0x1 2; output []", "inline value '0x1' is not a number", 1, 36),
+        ("node A [i=2] = 1\n  node B [i=2] = 2 -1e400; output []", "value '-1e400' overflows float64", 2, 20),
+    ],
+)
+def test_inline_value_errors_carry_line_and_col(text, message, line, col):
+    with pytest.raises(ParseError) as err:
+        tk.parse_network(text)
+    assert (str(err.value), err.value.line, err.value.col) == (f"{message} (line {line}, col {col})", line, col)
+
+
+def test_inline_spelled_out_non_finite_values_parse():
+    net = tk.parse_network("node A [i=3] = -Infinity inf nan; output [i]")
+    assert np.isneginf(net.tensor("A").data[0]) and np.isposinf(net.tensor("A").data[1])
+    assert np.isnan(net.tensor("A").data[2])
+
+
 def test_network_invariant_validation():
     rng = np.random.default_rng(2)
     t = rand_tensor(rng, (2, 2))
