@@ -223,6 +223,20 @@ def _tensor_from_nd(array: np.ndarray) -> DenseTensor:
     return DenseTensor._wrap(tuple(int(e) for e in array.shape), flat)
 
 
+def _rev(t: DenseTensor) -> np.ndarray:
+    # The buffer as the C-order array of reversed shape (I_N, ..., I_1):
+    # axis k is mode N - k. Read-only, no copy.
+    return t._data.reshape(t._shape[::-1])
+
+
+def _from_rev(array: np.ndarray) -> DenseTensor:
+    # Inverse of _rev: a C-order array of shape (I_N, ..., I_1) as the tensor
+    # of shape (I_1, ..., I_N). No copy when the array is contiguous float64.
+    flat = np.ascontiguousarray(array, dtype=np.float64).reshape(-1)
+    flat.flags.writeable = False
+    return DenseTensor._wrap(tuple(int(e) for e in array.shape[::-1]), flat)
+
+
 def linear_index(idx: Sequence[int], shape: Sequence[int]) -> int:
     """1-based flat position of a 1-based multi-index (first index fastest)."""
     shape = _check_shape(shape)

@@ -19,9 +19,9 @@ import numpy as np
 
 from .core import DenseTensor, _as_int, _as_ints, _as_tol, _tensor_from_nd, fold, matricize, permute, vec
 from .elementwise import frobenius_norm
-from .errors import ArgumentError, ModelError, NumericError
+from .errors import ArgumentError, ModelError, NumericError, ParseError
 from .factor import _check_finite, _householder, _orthonormal_fill, default_rank_tol, pinv, qr, svd
-from .io import _write_atomic, read_tensor, write_tensor
+from .io import _read_text, _write_atomic, read_tensor, write_tensor
 from .products import _khatri_rao, mode_product, multi_mode_product, tt_pair_product
 
 __all__ = [
@@ -568,10 +568,9 @@ def read_model(dirpath: str | os.PathLike):
     path = os.fspath(dirpath)
     manifest = os.path.join(path, _MANIFEST)
     try:
-        with open(manifest, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ModelError(f"cannot read manifest '{manifest}': {exc.strerror or exc}") from None
+        text = _read_text(manifest, "manifest")
+    except ParseError as exc:
+        raise ModelError(str(exc)) from None
     entries = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()

@@ -417,8 +417,17 @@ _TN_TOKEN_RE = re.compile(
 )
 
 
+_TN_CUT_RE = re.compile(r"[\[\],=;@]")
+_TN_VALUE_RE = re.compile(r"[^ \t]+")
+
+
 def _tn_tokens(text: str):
-    """Token stream of (kind, text, line, col) split into statements."""
+    """Token stream of (kind, text, line, col) split into statements.
+
+    The values after a "] =" are split in bulk: the line up to the next
+    character of "[],=;@" becomes one ("run", (values, segment), line, col)
+    item when space and tab are its only whitespace, and _expand_runs
+    gives back the word tokens it stands for."""
     statements = []
     current = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -436,12 +445,32 @@ def _tn_tokens(text: str):
                 if current:
                     statements.append(current)
                     current = []
-            else:
-                current.append(tok)
+                continue
+            current.append(tok)
+            if tok[1] == "=" and len(current) > 1 and current[-2][1] == "]":
+                cut = _TN_CUT_RE.search(line, pos)
+                end = cut.start() if cut else len(line)
+                segment = line[pos:end]
+                values = segment.split()
+                if values and len("".join(values)) + segment.count(" ") + segment.count("\t") == len(segment):
+                    current.append(("run", (values, segment), lineno, pos + 1))
+                    pos = end
         if current:
             statements.append(current)
             current = []
     return statements
+
+
+def _expand_runs(tokens):
+    """tokens with every run replaced by the (word, text, line, col) tokens it stands for."""
+    out = []
+    for tok in tokens:
+        kind, text, line, col = tok
+        if kind == "run":
+            out += [("word", m.group(), line, col + m.start()) for m in _TN_VALUE_RE.finditer(text[1])]
+        else:
+            out.append(tok)
+    return out
 
 
 def _expect(stmt, pos, want_text=None, what=None):
@@ -521,11 +550,18 @@ def parse_network(text: str, base_dir: str | os.PathLike = ".") -> TensorNetwork
                 raw_nodes.append((name, labels, ("file", text[1:]), line, col))
             elif text == "=":
                 vals = stmt[pos + 1 :]
+                texts = []
+                for vkind, vtext, _, _ in vals:
+                    if vkind == "run":
+                        texts += vtext[0]
+                    else:
+                        texts.append(vtext)
 
                 def bad_value(i, message):
-                    raise ParseError(message, vals[i][2], vals[i][3]) from None
+                    _, _, vline, vcol = _expand_runs(vals)[i]
+                    raise ParseError(message, vline, vcol) from None
 
-                values = _parse_floats([v[1] for v in vals], "inline value {!r} is not a number", bad_value)
+                values = _parse_floats(texts, "inline value {!r} is not a number", bad_value)
                 raw_nodes.append((name, labels, ("inline", values), line, col))
             else:
                 raise ParseError(f"expected '@file' or '=', got {text!r}", tline, tcol)

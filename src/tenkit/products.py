@@ -4,6 +4,15 @@ Index composition follows the overline convention of the storage order:
 in a combined index like (i-bar, p-bar) the second factor varies fastest,
 so kronecker(A, B) of an (I,J) and a (P,Q) matrix is the (PI, QJ) block
 matrix whose (p-bar-i, q-bar-j) entry is A[i,j] * B[p,q].
+
+The same storage order read backwards is numpy's C order: the buffer of a
+tensor of shape (I_1, ..., I_N) is the C-contiguous array of the reversed
+shape (I_N, ..., I_1), whose axis k is mode N - k. matmul, mode_product and
+tensor_product contract these reversed-shape views (core._rev) as plain
+GEMMs: contracting the reversed views of b and a in that order gives the
+C-order array of the reversed result, which is already the result's
+buffer (core._from_rev). No result is transposed, and an operand is
+copied only when its paired modes are not adjacent in pairing order.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DenseTensor, _as_int, _as_ints, _as_seq, _tensor_from_nd
+from .core import DenseTensor, _as_int, _as_ints, _as_seq, _from_rev, _rev, _tensor_from_nd, element_count
 from .errors import ArgumentError, ShapeError
 
 __all__ = [
@@ -37,7 +46,7 @@ def matmul(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     _need_order2(b, "matmul")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul mismatch: ({a.shape[0]},{a.shape[1]}) times ({b.shape[0]},{b.shape[1]})")
-    return _tensor_from_nd(a._nd() @ b._nd())
+    return _from_rev(_rev(b) @ _rev(a))
 
 
 def trace(s: DenseTensor) -> float:
@@ -83,8 +92,15 @@ def mode_product(x: DenseTensor, a: DenseTensor, n: int) -> DenseTensor:
             f"mode_product mismatch on mode {n}: matrix has {a.shape[1]} columns, "
             f"mode extent is {x.shape[n - 1]}"
         )
-    moved = np.tensordot(a._nd(), x._nd(), axes=([1], [n - 1]))
-    return _tensor_from_nd(np.moveaxis(moved, 0, n - 1))
+    # The buffer is the C-order (right, I_n, left) array, left and right the
+    # extent products of the modes before and after n.
+    shape = x.shape[: n - 1] + (a.shape[0],) + x.shape[n:]
+    rows, left = x.shape[n - 1], element_count(x.shape[: n - 1])
+    if left == 1:  # one GEMM: (right, I_n) times a^T
+        out = x.data.reshape(-1, rows) @ _rev(a)
+    else:  # a times each (I_n, left) slice; one GEMM when n is the last mode
+        out = _rev(a).T @ x.data.reshape(-1, rows, left)
+    return _from_rev(out.reshape(shape[::-1]))
 
 
 def multi_mode_product(g: DenseTensor, mats: Sequence[DenseTensor | None]) -> DenseTensor:
@@ -120,8 +136,11 @@ def tensor_product(a: DenseTensor, b: DenseTensor, pairing: Sequence[tuple[int, 
                 f"pair ({n},{m}): extent {a.shape[n - 1]} of left mode {n} "
                 f"!= extent {b.shape[m - 1]} of right mode {m}"
             )
-    out = np.tensordot(a._nd(), b._nd(), axes=([n - 1 for n in ns], [m - 1 for m in ms]))
-    return _tensor_from_nd(out)
+    # Mode k of a is axis a.order - k of _rev(a); the C-order result of
+    # (free axes of _rev(b), free axes of _rev(a)) is the storage order of
+    # (free modes of a, free modes of b).
+    axes = ([b.order - m for m in ms], [a.order - n for n in ns])
+    return _from_rev(np.tensordot(_rev(b), _rev(a), axes=axes))
 
 
 def tt_pair_product(x: DenseTensor, y: DenseTensor) -> DenseTensor:

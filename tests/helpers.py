@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 
@@ -335,3 +336,42 @@ def dumps_tensor_oracle(t):
     for start in range(0, flat.size, 6):
         lines.append(" ".join(format(float(v), ".17g") for v in flat[start : start + 6]))
     return "\n".join(lines) + "\n"
+
+
+_TN_TOKEN_RE = re.compile(
+    r"""[ \t]+
+      | (?P<punct>[\[\],=;])
+      | (?P<at>@[^\s;,\]]+)
+      | (?P<word>[^\s\[\],=;@#]+)
+    """,
+    re.X,
+)
+
+
+def tn_tokens_oracle(text):
+    """.tn tokenizer written one regex match per token: a (kind, text, line,
+    col) tuple for every token, values included; the bulk tokenizer must give
+    the same tokens once its value runs are expanded."""
+    statements = []
+    current = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        pos = 0
+        while pos < len(line):
+            m = _TN_TOKEN_RE.match(line, pos)
+            if m is None:
+                raise tk.ParseError(f"unexpected character {line[pos]!r}", lineno, pos + 1)
+            pos = m.end()
+            if m.lastgroup is None:
+                continue
+            tok = (m.lastgroup, m.group(), lineno, m.start() + 1)
+            if m.lastgroup == "punct" and m.group() == ";":
+                if current:
+                    statements.append(current)
+                    current = []
+            else:
+                current.append(tok)
+        if current:
+            statements.append(current)
+            current = []
+    return statements

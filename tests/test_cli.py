@@ -279,6 +279,18 @@ def test_verify_corrupt_manifest_exits_one(tmp_path):
     assert res.returncode == 1
 
 
+def test_verify_undecodable_manifest_exits_one(tmp_path):
+    x = tk.DenseTensor((2, 2), [1, 2, 3, 4])
+    tk.write_tensor(tmp_path / "x.ten", x)
+    tk.write_model(tmp_path / "model", tk.hosvd(x))
+    manifest = tmp_path / "model" / "model.json"
+    manifest.write_bytes(manifest.read_bytes() + b"\xff\n")
+    res = run_cli("verify", tmp_path / "x.ten", tmp_path / "model", "--tol", "1e-8")
+    assert res.returncode == 1
+    assert res.stderr.startswith(f"tenkit: error: cannot read manifest '{manifest}': 'utf-8' codec")
+    assert "Traceback" not in res.stderr
+
+
 def test_verify_shape_mismatch_exits_one(tmp_path):
     rng = np.random.default_rng(7)
     tk.write_tensor(tmp_path / "x.ten", rand_tensor(rng, (3, 3, 3)))

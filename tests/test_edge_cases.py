@@ -316,3 +316,18 @@ def test_contract_rejects_a_network_file_that_is_not_utf8(tmp_path):
     args = cli._build_parser().parse_args(["contract", str(path)])
     with pytest.raises(ParseError, match="bad.tn"):
         args.handler(args)
+
+
+def test_read_model_rejects_a_manifest_that_is_not_utf8(tmp_path):
+    tk.write_model(tmp_path, tk.hosvd(tk.DenseTensor((2, 2), [1, 2, 3, 4])))
+    manifest = tmp_path / "model.json"
+    manifest.write_bytes(manifest.read_bytes() + b"\xff\n")
+    with pytest.raises(ModelError) as err:
+        tk.read_model(tmp_path)
+    assert str(err.value).startswith(f"cannot read manifest '{manifest}': 'utf-8' codec can't decode byte 0xff")
+
+
+def test_read_model_missing_manifest_names_it(tmp_path):
+    with pytest.raises(ModelError) as err:
+        tk.read_model(tmp_path)
+    assert str(err.value) == f"cannot read manifest '{tmp_path / 'model.json'}': No such file or directory"

@@ -3,6 +3,7 @@ import pytest
 
 import tenkit as tk
 from tenkit import ArgumentError, NumericError, ParseError, PlanError
+from tenkit import network as tn
 
 from helpers import (
     exhaustive_plan_oracle,
@@ -10,6 +11,7 @@ from helpers import (
     rand_tensor,
     random_network,
     random_plan_steps,
+    tn_tokens_oracle,
 )
 
 
@@ -138,6 +140,99 @@ def test_inline_value_errors_carry_line_and_col(text, message, line, col):
     with pytest.raises(ParseError) as err:
         tk.parse_network(text)
     assert (str(err.value), err.value.line, err.value.col) == (f"{message} (line {line}, col {col})", line, col)
+
+
+TN_CORPUS = [
+    "node A [i=3] = 1 2 3\noutput [i]",
+    "node A [i=3]=1\t2\t\t3 # tail\noutput [i]",
+    "node A [i=2] = 1 2; node B [i=2] = 3 4; output []",
+    "node A [i=2] = 1 2\r\nnode B [i=2] = 3 4\r\noutput []\r\n",
+    "node A [i=2] = 1 2\routput [i]",
+    "node A [] = 5\noutput []",
+    "node A [i=2,j=1] = 1 2 ; output [i,j]",
+    "node A [i,j] = 1 2\nnode B [j=1] = 3\noutput [i]",
+    # a bad value first, in the middle, last
+    "node A [i=3] = x 2 3\noutput [i]",
+    "node A [i=3] = 1 x 3\noutput [i]",
+    "node A [i=3] = 1 2 x\noutput [i]",
+    "node A [i=3] = 1\t 2 \t1e999\noutput [i]",
+    "node A [i=3]\t=\t1\t\t2\tx\t\noutput [i]",
+    # a value run that continues over lines
+    "node A [i=4] = 1 2\n  3 4\noutput [i]",
+    "node A [i=4] = 1 2 \\\n 3 4\noutput [i]",
+    # ';' and comments inside a run
+    "node A [i=4] = 1 2; 3 4\noutput [i]",
+    "node A [i=4] = 1 2 # 3 4\noutput [i]",
+    "node A [i=2] = 1#2\n2\noutput [i]",
+    "node A [i=2] = 1 2 #\r\noutput [i] # x",
+    # '@', '[' and other punctuation right after a value
+    "node A [i=2] = 1 2@f.ten\noutput [i]",
+    "node A [i=2] = 1 @f.ten\noutput [i]",
+    "node A [i=2] = 1 2[\noutput [i]",
+    "node A [i=2] = 1 2 [i]\noutput [i]",
+    "node A [i=2] = 1, 2\noutput [i]",
+    "node A [i=2] = 1 2 = 3\noutput [i]",
+    "node A [i=2] = 1 ] = 2\noutput [i]",
+    "node A [i=2] = ] = 1 2\noutput [i]",
+    # whitespace other than space and tab inside a run
+    "node A [i=2] = 1\xa02\noutput [i]",
+    "node A [i=2] = 1 2\x0c3\noutput [i]",
+    "node A [i=2] = 1 2\u2003\noutput [i]",
+    "foo\nnode A [i=2] = 1\xa02\noutput [i]",
+    # empty runs and statements that fail before their values
+    "node A [i=2] =\noutput [i]",
+    "node A [i=2] = \t \noutput [i]",
+    "node A [i=2]] = 1 2\noutput [i]",
+    "node A [i=] = 1 2\noutput [i]",
+    "node [i=2] = 1 2\noutput [i]",
+    "output [] = 1 2\nnode A [] = 1",
+    "] = 1 2",
+]
+
+
+def _outcome(fn, text):
+    try:
+        return ("ok", fn(text))
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.col)
+
+
+def _expanded_tokens(text):
+    return [tn._expand_runs(stmt) for stmt in tn._tn_tokens(text)]
+
+
+def _tn_fuzz_texts(count):
+    rng = np.random.default_rng(11)
+    pieces = ["node", "output", " ", " ", "\t", "A", "i", "[", "]", "=", "=", ",", ";", "\n", "\r\n",
+              "1", "-2.5", "3e2", "x", "#", "@f", "\xa0", "] = ", "node A [i=2] = ", "1 2 3 "]
+    return ["".join(rng.choice(pieces, size=int(rng.integers(1, 30)))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("text", TN_CORPUS)
+def test_tn_tokens_match_token_by_token_oracle(text):
+    assert _outcome(_expanded_tokens, text) == _outcome(tn_tokens_oracle, text)
+
+
+def test_tn_tokens_match_oracle_on_random_texts():
+    for text in _tn_fuzz_texts(300):
+        assert _outcome(_expanded_tokens, text) == _outcome(tn_tokens_oracle, text), text
+
+
+@pytest.mark.parametrize("text", TN_CORPUS)
+def test_parse_network_errors_match_oracle_tokenizer(text, monkeypatch):
+    got = _outcome(tk.parse_network, text)
+    monkeypatch.setattr(tn, "_tn_tokens", tn_tokens_oracle)
+    assert got == _outcome(tk.parse_network, text)
+
+
+def test_tn_tokens_split_each_formatted_node_in_one_run():
+    rng = np.random.default_rng(4)
+    net = random_network(rng, max_nodes=5)
+    statements = tn._tn_tokens(tk.format_network(net))
+    for name, stmt in zip(net.node_names, statements):
+        kinds = [tok[0] for tok in stmt]
+        assert kinds.count("run") == 1 and kinds[-1] == "run"
+        assert len(stmt[-1][1][0]) == net.tensor(name).size
 
 
 def test_inline_spelled_out_non_finite_values_parse():

@@ -4,7 +4,7 @@ import pytest
 import tenkit as tk
 from tenkit import ArgumentError, ShapeError
 
-from helpers import enumerate_indices, rand_tensor
+from helpers import enumerate_indices, rand_shape, rand_tensor, rel_err
 
 
 def test_matmul_examples():
@@ -324,3 +324,88 @@ def test_entry_as_inner_product_with_one_hot_outer():
     for idx in enumerate_indices(a.shape):
         probe = tk.outer([tk.one_hot(i, e) for i, e in zip(idx, a.shape)])
         assert tk.inner(a, probe) == a.at(*idx)
+
+
+# --- storage-order products against einsum on reshape(order="F") arrays ------
+
+
+def _f_array(t):
+    return np.asarray(t.data).reshape(t.shape, order="F")
+
+
+def _check_against(got, want, *inputs):
+    assert got.shape == want.shape
+    assert rel_err(_f_array(got), want) <= 1e-12
+    assert not got.data.flags.writeable and got.data.flags.c_contiguous
+    for t in inputs:
+        assert not np.shares_memory(got.data, t.data)
+
+
+def _tensor_product_oracle(a, b, pairing):
+    sa = list(range(a.order))
+    sb = list(range(a.order, a.order + b.order))
+    for n, m in pairing:
+        sb[m - 1] = sa[n - 1]
+    paired_a = {n for n, _ in pairing}
+    paired_b = {m for _, m in pairing}
+    out = [s for n, s in enumerate(sa, start=1) if n not in paired_a]
+    out += [s for m, s in enumerate(sb, start=1) if m not in paired_b]
+    return np.einsum(_f_array(a), sa, _f_array(b), sb, out)
+
+
+def test_tensor_product_matches_einsum_oracle_on_random_pairings():
+    rng = np.random.default_rng(40)
+    for _ in range(300):
+        a_shape = rand_shape(rng, max_order=5, max_extent=3, min_order=0)
+        b_shape = list(rand_shape(rng, max_order=5, max_extent=3, min_order=0))
+        k = int(rng.integers(0, min(len(a_shape), len(b_shape)) + 1))
+        pairing = list(zip(rng.permutation(len(a_shape))[:k] + 1, rng.permutation(len(b_shape))[:k] + 1))
+        pairing = [(int(n), int(m)) for n, m in pairing]
+        for n, m in pairing:
+            b_shape[m - 1] = a_shape[n - 1]
+        a, b = rand_tensor(rng, a_shape), rand_tensor(rng, tuple(b_shape))
+        _check_against(tk.tensor_product(a, b, pairing), _tensor_product_oracle(a, b, pairing), a, b)
+
+
+@pytest.mark.parametrize(
+    "a_shape, b_shape, pairing",
+    [
+        ((2, 3, 4), (4, 2, 3), [(3, 1), (1, 2), (2, 3)]),  # full contraction, pairs out of mode order
+        ((3, 1, 2), (2, 1, 3), [(2, 2), (3, 1), (1, 3)]),
+        ((2, 1, 4, 3), (3, 5, 1, 4), [(4, 1), (3, 4)]),
+        ((1, 3, 1), (1, 3), [(3, 1)]),
+        ((3,), (2, 4), []),  # outer products with order-1 operands
+        ((2, 4), (3,), []),
+        ((3,), (1,), []),
+        ((), (2, 3), []),
+        ((2, 3), (), []),
+        ((4,), (4,), [(1, 1)]),
+    ],
+)
+def test_tensor_product_matches_einsum_oracle_on_edge_cases(a_shape, b_shape, pairing):
+    rng = np.random.default_rng(41)
+    a, b = rand_tensor(rng, a_shape), rand_tensor(rng, b_shape)
+    _check_against(tk.tensor_product(a, b, pairing), _tensor_product_oracle(a, b, pairing), a, b)
+
+
+@pytest.mark.parametrize("order", range(1, 6))
+def test_mode_product_matches_einsum_oracle_on_every_mode(order):
+    rng = np.random.default_rng(50 + order)
+    shapes = [rand_shape(rng, order, 4, order) for _ in range(4)]
+    shapes += [(1,) * order, (1,) * (order - 1) + (3,), (3,) + (1,) * (order - 1)]
+    for shape in shapes:
+        x = rand_tensor(rng, shape)
+        for n in range(1, order + 1):
+            for rows in (1, 3):
+                a = rand_tensor(rng, (rows, shape[n - 1]))
+                out = list(range(order))
+                out[n - 1] = order
+                want = np.einsum(_f_array(a), [order, n - 1], _f_array(x), list(range(order)), out)
+                _check_against(tk.mode_product(x, a, n), want, x, a)
+
+
+def test_matmul_matches_einsum_oracle():
+    rng = np.random.default_rng(42)
+    for shape_a, cols in (((3, 4), 2), ((1, 4), 1), ((3, 1), 5), ((1, 1), 1)):
+        a, b = rand_tensor(rng, shape_a), rand_tensor(rng, (shape_a[1], cols))
+        _check_against(tk.matmul(a, b), np.einsum("ij,jk->ik", _f_array(a), _f_array(b)), a, b)
