@@ -1,5 +1,7 @@
 """Degenerate inputs: malformed files, scalars, zero tensors, deep orders."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -278,6 +280,32 @@ def test_svd_near_overflow_stays_finite():
     # Compare at unit scale: the Frobenius norm of a itself overflows.
     rec = (res.u.to_array() * (s / 1e300)) @ res.v.to_array().T
     assert np.linalg.norm(rec - a / 1e300) <= 1e-14 * np.linalg.norm(a / 1e300)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-310])
+def test_qr_far_from_unit_scale_matches_numpy(scale):
+    a = scale * np.random.default_rng(10).standard_normal((6, 2))
+    res = tk.qr(tk.DenseTensor.from_array(a))
+    # numpy's QR of a rescaled by a power of two into [0.5, 1), with the
+    # signs fixed so that diag(R) >= 0.
+    exp = math.frexp(np.abs(a).max())[1]
+    want_q, want_r = np.linalg.qr(np.ldexp(a, -exp))
+    signs = np.sign(np.diag(want_r))
+    want_q, want_r = want_q * signs, want_r * signs[:, None]
+    assert np.abs(res.q.to_array() - want_q).max() <= 1e-14
+    assert np.abs(np.ldexp(res.r.to_array(), -exp) - want_r).max() <= 1e-14
+
+
+def test_tt_orthogonalize_far_above_unit_scale():
+    x = rand_tensor(np.random.default_rng(11), (3, 4, 5))
+    train = tk.tt_orthogonalize(tk.tt_svd(tk.DenseTensor(x.shape, 1e200 * x.data)), 2)
+    first, _, last = (c.to_array() for c in train.cores)
+    left = first.reshape(3, -1, order="F")
+    right = last.reshape(last.shape[0], -1, order="F")
+    assert np.abs(left.T @ left - np.eye(left.shape[1])).max() <= 1e-14
+    assert np.abs(right @ right.T - np.eye(right.shape[0])).max() <= 1e-14
+    rec = tk.tt_reconstruct(train).data / 1e200
+    assert np.abs(rec - x.data).max() <= 1e-13 * np.abs(x.data).max()
 
 
 @pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 4)])

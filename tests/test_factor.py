@@ -177,12 +177,20 @@ def test_qr_then_svd_of_r_matches_svd_of_m():
     assert np.abs(s_direct - s_via_r).max() <= 1e-10 * max(1.0, s_direct[0])
 
 
-def _planted_rank4(rng):
-    return rng.standard_normal((576, 4)) @ rng.standard_normal((4, 24))
+def _planted(rng, m, n, rank):
+    return rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
 
+
+# Shapes on either side of the QR gate: m >= _QR_ASPECT * n rows and
+# n >= _QR_MIN_COLS columns, after a wide input is transposed.
+_GATE_N = factor._QR_MIN_COLS
+_GATE_M = factor._QR_ASPECT * _GATE_N
+BELOW_GATE = [(_GATE_M - 1, _GATE_N), (factor._QR_ASPECT * (_GATE_N - 1), _GATE_N - 1)]
+AT_GATE = [(_GATE_M, _GATE_N), (_GATE_N, _GATE_M), (576, 24)]
 
 # Odd and even column counts (the round-robin ordering pads odd ones),
-# n = 1 and 2, a wide input, and the unfolding shapes the decompositions use.
+# n = 1 and 2, a wide input, the unfolding shapes the decompositions use,
+# and tall inputs on both sides of the QR gate, also far from unit scale.
 ORACLE_MATRICES = {
     "1x1": lambda rng: rng.standard_normal((1, 1)),
     "5x1": lambda rng: rng.standard_normal((5, 1)),
@@ -194,7 +202,14 @@ ORACLE_MATRICES = {
     "wide 5x11": lambda rng: rng.standard_normal((5, 11)),
     "4096x4": lambda rng: rng.standard_normal((4096, 4)),
     "216x36": lambda rng: rng.standard_normal((216, 36)),
-    "planted rank 4 576x24": _planted_rank4,
+    "planted rank 4 576x24": lambda rng: _planted(rng, 576, 24, 4),
+    "just below the gate in m": lambda rng: rng.standard_normal(BELOW_GATE[0]),
+    "just below the gate in n": lambda rng: rng.standard_normal(BELOW_GATE[1]),
+    "at the gate": lambda rng: rng.standard_normal(AT_GATE[0]),
+    "wide 24x576": lambda rng: rng.standard_normal((24, 576)),
+    "planted rank 2 400x20": lambda rng: _planted(rng, 400, 20, 2),
+    "576x24 near 1e300": lambda rng: 1e300 * rng.standard_normal((576, 24)),
+    "576x24 near 1e-300": lambda rng: 1e-300 * rng.standard_normal((576, 24)),
 }
 
 
@@ -204,11 +219,40 @@ def test_svd_matches_numpy_oracle(make):
     res = tk.svd(tk.DenseTensor.from_array(a))
     u, s, v = res.u.to_array(), res.sigma.data, res.v.to_array()
     k = min(a.shape)
+    # Compare at unit scale, where norms neither overflow nor underflow;
+    # dividing by a power of two is exact.
+    scale = 2.0 ** math.frexp(np.abs(a).max())[1]
+    a, s = a / scale, s / scale
     want = np.linalg.svd(a, compute_uv=False)
     assert np.abs(s - want).max() <= 1e-13 * want[0]
     assert np.abs(u.T @ u - np.eye(k)).max() <= 1e-14
     assert np.abs(v.T @ v - np.eye(k)).max() <= 1e-14
     assert np.linalg.norm(u * s @ v.T - a) <= 1e-13 * np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("shape", AT_GATE + BELOW_GATE, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_svd_rotates_r_only_at_or_past_the_gate(shape, monkeypatch):
+    calls = []
+    householder = factor._householder
+
+    def spy(a):
+        calls.append(a.shape)
+        return householder(a)
+
+    monkeypatch.setattr(factor, "_householder", spy)
+    tk.svd(tk.DenseTensor.from_array(np.random.default_rng(17).standard_normal(shape)))
+    assert calls == ([(max(shape), min(shape))] if shape in AT_GATE else [])
+
+
+def test_householder_power_of_two_scaling_is_exact():
+    rng = np.random.default_rng(18)
+    for _ in range(200):
+        a = rng.standard_normal((int(rng.integers(1, 30)), int(rng.integers(1, 30))))
+        e = int(rng.integers(-900, 900))
+        q, r = factor._householder(a)
+        q_scaled, r_scaled = factor._householder(np.ldexp(a, e))
+        assert np.array_equal(q_scaled, q)
+        assert np.array_equal(r_scaled, np.ldexp(r, e))
 
 
 def test_svd_of_zero_matrix_has_orthonormal_u():
@@ -219,7 +263,7 @@ def test_svd_of_zero_matrix_has_orthonormal_u():
     assert np.array_equal(u * s @ v.T, np.zeros((4, 3)))
 
 
-@pytest.mark.parametrize("shape", [(4, 3), (4096, 4)])
+@pytest.mark.parametrize("shape", [(4, 3), (4096, 4), (576, 24)])
 def test_svd_with_a_zero_column_has_orthonormal_u(shape):
     a = np.random.default_rng(15).standard_normal(shape)
     a[:, 1] = 0.0
@@ -238,6 +282,18 @@ def test_jacobi_svd_reports_non_convergence(monkeypatch):
     m = tk.DenseTensor.from_array(np.random.default_rng(16).standard_normal((16, 16)))
     with pytest.raises(NumericError, match="did not converge in 1 sweeps"):
         tk.svd(m)
+
+
+def test_jacobi_svd_on_r_reports_non_convergence(monkeypatch):
+    monkeypatch.setattr(factor, "_JACOBI_SWEEPS", 1)
+    m = tk.DenseTensor.from_array(np.random.default_rng(16).standard_normal((400, 20)))
+    with pytest.raises(NumericError) as err:
+        tk.svd(m)
+    assert str(err.value).startswith(
+        "jacobi svd did not converge in 1 sweeps (on the 20x20 R of a 400x20 input) "
+        "(max off-diagonal gram entry "
+    )
+    assert "limit" in str(err.value) and "input scaled by 2**" in str(err.value)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
