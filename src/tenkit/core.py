@@ -223,6 +223,13 @@ def _tensor_from_nd(array: np.ndarray) -> DenseTensor:
     return DenseTensor._wrap(tuple(int(e) for e in array.shape), flat)
 
 
+def _as_tensor(value, what: str) -> DenseTensor:
+    """A tensor argument; anything but a DenseTensor raises ArgumentError."""
+    if isinstance(value, DenseTensor):
+        return value
+    raise ArgumentError(f"{what} must be a DenseTensor, got {type(value).__name__}")
+
+
 def _rev(t: DenseTensor) -> np.ndarray:
     # The buffer as the C-order array of reversed shape (I_N, ..., I_1):
     # axis k is mode N - k. Read-only, no copy.

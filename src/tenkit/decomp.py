@@ -17,10 +17,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DenseTensor, _as_int, _as_ints, _as_tol, _tensor_from_nd, fold, matricize, permute, vec
+from .core import DenseTensor, _as_int, _as_ints, _as_tensor, _as_tol, _tensor_from_nd, fold, matricize, permute, vec
 from .elementwise import frobenius_norm
 from .errors import ArgumentError, ModelError, NumericError, ParseError
-from .factor import _check_finite, _householder, _orthonormal_fill, default_rank_tol, pinv, qr, svd
+from .factor import _check_finite, _householder, _jacobi_svd, _orthonormal_fill, default_rank_tol, pinv, qr, svd
 from .io import _read_text, _write_atomic, read_tensor, write_tensor
 from .products import _khatri_rao, mode_product, multi_mode_product, tt_pair_product
 
@@ -318,12 +318,31 @@ def _transpose(t: DenseTensor) -> DenseTensor:
     return permute(t, [2, 1])
 
 
+def _mode_bases(x: DenseTensor) -> list[np.ndarray]:
+    """Left singular basis (the svd u) of every mode's unfolding of x.
+
+    Unfoldings of one shape are factored together, as one stacked Jacobi
+    SVD; each gets the u that svd alone would give it.
+    """
+    _check_finite(x, "svd")
+    groups: dict[tuple[int, int], list[int]] = {}
+    for n, extent in enumerate(x.shape, start=1):
+        groups.setdefault((extent, x.size // extent), []).append(n)
+    bases = [None] * x.order
+    for modes in groups.values():
+        u, _, _ = _jacobi_svd(np.stack([matricize(x, n)._nd() for n in modes]))
+        for n, un in zip(modes, u):
+            bases[n - 1] = un
+    return bases
+
+
 def hosvd(x: DenseTensor) -> TuckerModel:
     """Tucker model whose mode-n factor is the left singular basis of
     matricize(x, n); the core is all-orthogonal and reconstruction is exact."""
+    x = _as_tensor(x, "hosvd input")
     if x.order < 2:
         raise ArgumentError(f"hosvd needs an order >= 2 tensor, got order {x.order}")
-    factors = [svd(matricize(x, n)).u for n in range(1, x.order + 1)]
+    factors = [_tensor_from_nd(u) for u in _mode_bases(x)]
     core = multi_mode_product(x, [_transpose(u) for u in factors])
     return TuckerModel(core, tuple(factors))
 
@@ -336,13 +355,11 @@ def _leading_columns(u: np.ndarray, p: int) -> np.ndarray:
 
 def truncated_hosvd(x: DenseTensor, ranks: Sequence[int]) -> TuckerModel:
     """Tucker model keeping the leading ranks[n] singular vectors per mode."""
+    x = _as_tensor(x, "truncated_hosvd input")
     if x.order < 2:
         raise ArgumentError(f"truncated_hosvd needs an order >= 2 tensor, got order {x.order}")
     ranks = _as_ints(ranks, "rank for mode", x.order, 1, x.shape)
-    factors = []
-    for n, p in enumerate(ranks, start=1):
-        u = svd(matricize(x, n)).u._nd()
-        factors.append(_tensor_from_nd(_leading_columns(u, p)))
+    factors = [_tensor_from_nd(_leading_columns(u, p)) for u, p in zip(_mode_bases(x), ranks)]
     core = multi_mode_product(x, [_transpose(u) for u in factors])
     return TuckerModel(core, tuple(factors))
 
@@ -396,6 +413,7 @@ def tt_svd(
     The squared mass of everything dropped accumulates in the returned
     train's discarded_energy.
     """
+    x = _as_tensor(x, "tt_svd input")
     if x.order < 2:
         raise ArgumentError(f"tt_svd needs an order >= 2 tensor, got order {x.order}")
     if tol is not None:

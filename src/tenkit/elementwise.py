@@ -103,7 +103,19 @@ def inner(x: DenseTensor, y: DenseTensor) -> float:
 
 
 def frobenius_norm(x: DenseTensor) -> float:
-    return math.sqrt(inner(x, x))
+    """Square root of the sum of squared entries.
+
+    The entries are scaled by the power of two that brings max|x| into
+    [0.5, 1), which is exact, so no square overflows and only squares far
+    below the largest can underflow; the result is inf only when the norm
+    itself is beyond float range.
+    """
+    exp = math.frexp(float(np.abs(x.data).max()))[1]
+    y = np.ldexp(x.data, -exp)
+    try:
+        return math.ldexp(math.sqrt(float(y @ y)), exp)
+    except OverflowError:
+        return math.inf
 
 
 def sum_all(x: DenseTensor) -> float:

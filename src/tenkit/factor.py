@@ -5,10 +5,15 @@ SVD uses one-sided Jacobi rotations: sweeps in the round-robin parallel
 ordering (Brent & Luk) orthogonalize the columns of a working copy,
 accumulating the rotations in V; singular values are the final column
 norms. Each round of a sweep pairs disjoint columns, so one numpy step
-rotates the whole round. A tall input (at least _QR_ASPECT times as many
-rows as columns, and at least _QR_MIN_COLS columns) is first factored by
-QR, and the sweeps rotate its small square R. Jacobi is slow for large
-matrices but very accurate at the desk scale this library targets.
+rotates the whole round. The kernel factors a stack of same-shape matrices
+at once (HOSVD passes the unfoldings that share a shape) and svd is its
+one-matrix call: each matrix keeps its own scaling, convergence test and
+results, bit for bit, and a pair that needs no rotation, or a matrix that
+has converged, gets the identity rotation until the whole stack is done. A
+tall input (at least _QR_ASPECT times as many rows as columns, and at least
+_QR_MIN_COLS columns) is first factored by QR, and the sweeps rotate its
+small square R. Jacobi is slow for large matrices but very accurate at the
+desk scale this library targets.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseTensor, _as_int, _as_tol, _tensor_from_nd
+from .core import DenseTensor, _as_int, _as_tensor, _as_tol, _tensor_from_nd
 from .errors import NumericError, ShapeError
 
 __all__ = ["QRResult", "SVDResult", "qr", "svd", "truncated_svd", "numerical_rank", "pinv"]
@@ -113,6 +118,7 @@ def _check_finite(m: DenseTensor, what: str) -> None:
 
 def qr(m: DenseTensor) -> QRResult:
     """QR of a tall (or square) matrix; wide inputs are rejected."""
+    m = _as_tensor(m, "qr input")
     if m.order != 2:
         raise ShapeError(f"qr expects an order-2 tensor, got order {m.order}")
     _check_finite(m, "qr")
@@ -136,13 +142,16 @@ def _orthonormal_fill(u: np.ndarray, width: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _round_robin(n: int) -> tuple[np.ndarray, ...]:
+def _round_robin(n: int, stack: int = 1) -> tuple[np.ndarray, ...]:
     """Brent-Luk parallel ordering of the column pairs of an n-column matrix.
 
     n is padded to an even count; each of the padded count - 1 rounds pairs
     every column with one other, and pairs touching the pad are dropped.
-    Every pair (p, q), p < q, appears in exactly one round. The arrays are
-    read-only because the cache hands them to every caller.
+    Every pair (p, q), p < q, appears in exactly one round, which lists the
+    p of its pairs, then their q. For a stack of matrices kept with column j
+    of matrix i at row j * stack + i, a round lists those rows instead, each
+    column's rows together. The arrays are read-only because the cache hands
+    them to every caller.
     """
     players = list(range(n + n % 2))
     half = len(players) // 2
@@ -154,6 +163,7 @@ def _round_robin(n: int) -> tuple[np.ndarray, ...]:
             if a < n and b < n
         )
         pq = np.array([p for p, _ in pairs] + [q for _, q in pairs], dtype=np.intp)
+        pq = (pq[:, None] * stack + np.arange(stack)).ravel()
         pq.flags.writeable = False
         rounds.append(pq)
         players.insert(1, players.pop())
@@ -161,103 +171,136 @@ def _round_robin(n: int) -> tuple[np.ndarray, ...]:
 
 
 def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    m, n = a.shape
-    if m < n:
-        u, s, v = _jacobi_svd(a.T)
-        return v, s, u
-    # Scale max|a| into [0.5, 1) by a power of two, which is exact, so the
-    # Gram sums cannot overflow; sigma is unscaled at the end.
-    exp = math.frexp(float(np.abs(a).max(initial=0.0)))[1]
-    a = np.ldexp(a, -exp)
+    """Economy SVD of every slice of a stack a (B, m, n): u (B, m, k),
+    sigma (B, k) and v (B, n, k), k = min(m, n).
+
+    Each slice gets exactly the numbers it would get alone (B = 1): its own
+    scaling, QR step, limit, convergence, dead-column fill and signs.
+    """
+    # Lay each slice out column-major, as DenseTensor._nd() does, so that its
+    # numbers (the BLAS calls of _householder) do not depend on how the stack
+    # was built. A wide stack is factored as its transpose.
+    a = np.ascontiguousarray(a.transpose(0, 2, 1)).transpose(0, 2, 1)
+    b, m, n = a.shape
+    wide = m < n
+    if wide:
+        a = a.transpose(0, 2, 1)
+        m, n = n, m
+    # Scale max|a| of each slice into [0.5, 1) by a power of two, which is
+    # exact, so the Gram sums cannot overflow; sigma is unscaled at the end.
+    exp = np.frexp(np.abs(a).max(axis=(1, 2), initial=0.0))[1]
+    a = np.ldexp(a, -exp[:, None, None])
     # A tall a = q @ r is rotated as its n x n r, whose Jacobi rotations
     # give the same sigma and V; U is q times the rotated r's columns.
     q = None
     if m >= _QR_ASPECT * n and n >= _QR_MIN_COLS:
-        q, a = _householder(a)
-    rows_a = a.shape[0]
-    # Row j of wv holds column j of W followed by column j of V, so one
-    # contiguous row rotation updates both.
-    wv = np.hstack((a.T, np.eye(n)))
-    w = wv[:, :rows_a]
-    limit = _JACOBI_TOL * float((w * w).sum())
+        q, r = zip(*map(_householder, a))
+        a = np.stack(r)
+    rows_a = a.shape[1]
+    # wv[j, i] holds column j of slice i's W followed by column j of its V,
+    # so one contiguous row rotation updates both; as rows j * b + i of
+    # stacked, the whole stack is one matrix of rows and a round one gather.
+    # Adding 0.0 turns -0.0 into +0.0; without -0.0 entries, the identity
+    # rotation (c = 1, s = 0) leaves a row bit-identical.
+    wv = np.empty((n, b, rows_a + n))
+    np.add(a.transpose(2, 0, 1), 0.0, out=wv[:, :, :rows_a])
+    wv[:, :, rows_a:] = np.eye(n)[:, None, :]
+    stacked = wv.reshape(n * b, rows_a + n)
+    limit = np.array([_JACOBI_TOL * float((w * w).sum()) for w in wv[:, :, :rows_a].transpose(1, 0, 2)])
     rel2 = _JACOBI_REL_TOL**2
-    rounds = _round_robin(n)
-    converged = n < 2
+    # Every round has n // 2 pairs in each slice, so k rows on either side;
+    # the rows of one side cycle through the slices.
+    k = n // 2 * b
+    row_limit = np.tile(limit, n // 2)
+    # hit marks the pairs that rotated in the current sweep. A slice with no
+    # rotation in a sweep has converged: its rows no longer change, so it
+    # sees only identity rotations until every slice has converged.
+    hit = np.zeros(k, dtype=bool)
+    rotated = n > 1
     for _ in range(_JACOBI_SWEEPS):
-        if converged:
+        if not rotated:
             break
-        converged = True
+        rotated = False
+        hit[:] = False
         # The pairs of a round are disjoint, so their rotations commute and
-        # one array step applies them all.
-        for pq in rounds:
-            k = pq.size // 2
-            rows = wv[pq]
+        # one array step applies them all, in every slice.
+        for pq in _round_robin(n, b):
+            rows = stacked.take(pq, axis=0)
             wp = rows[:k, :rows_a]
             wq = rows[k:, :rows_a]
             apq = np.einsum("ij,ij->i", wp, wq)
             sq = np.einsum("ij,ij->i", rows[:, :rows_a], rows[:, :rows_a])
             app = sq[:k]
             aqq = sq[k:]
-            rotate = (np.abs(apq) > limit) | (apq * apq > rel2 * app * aqq)
-            rotating = np.count_nonzero(rotate)
-            if rotating < k:
-                if not rotating:
-                    continue
-                keep = np.concatenate((rotate, rotate))
-                pq, rows, sq = pq[keep], rows[keep], sq[keep]
-                k = rotating
-                apq, app, aqq = apq[rotate], sq[:k], sq[k:]
-            converged = False
-            tau = (aqq - app) / (2.0 * apq)
+            rotate = (np.abs(apq) > row_limit) | (apq * apq > rel2 * app * aqq)
+            if not np.count_nonzero(rotate):
+                continue
+            rotated = True
+            hit |= rotate
+            # A pair that does not rotate gets tau = +-inf, so t = 0, c = 1 and
+            # s = 0 (inf / 0 raises no division-by-zero flag).
+            tau = np.where(rotate, aqq - app, np.inf) / (2.0 * apq)
             t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
             c = (1.0 / np.hypot(1.0, t))[:, None]
             s = t[:, None] * c
             bp = rows[:k]
             bq = rows[k:]
-            wv[pq] = np.concatenate((c * bp - s * bq, s * bp + c * bq))
-    if not converged:
-        # The last sweep still rotated; verify the Gram matrix directly. q has
-        # orthonormal columns, so q @ W has the Gram matrix of W.
-        gram = w @ w.T
-        off = float(np.max(np.abs(gram - np.diag(np.diag(gram))))) if n > 1 else 0.0
-        if off > limit:
-            on_r = "" if q is None else f" (on the {n}x{n} R of a {m}x{n} input)"
-            raise NumericError(
-                f"jacobi svd did not converge in {_JACOBI_SWEEPS} sweeps{on_r} "
-                f"(max off-diagonal gram entry {off:.3e}, limit {limit:.3e}, "
-                f"input scaled by 2**{-exp})"
-            )
-    norms = np.sqrt((w * w).sum(axis=1))
-    order = np.argsort(-norms, kind="stable")
-    norms = norms[order]
-    w = wv[order, :rows_a].T
-    if q is not None:
-        w = q @ w
-    v = wv[order, rows_a:].T
-    # Sorted descending, so the zero-norm (dead) columns come last.
-    live = int(np.count_nonzero(norms))
-    u = w[:, :live] / norms[:live]
-    if live < n:
-        u = _orthonormal_fill(u, n)
-    norms = np.ldexp(norms, exp)
-    # Sign convention: largest-magnitude entry of each u column is positive.
-    flip = u[np.argmax(np.abs(u), axis=0), np.arange(n)] < 0.0
-    u[:, flip] = -u[:, flip]
-    v[:, flip] = -v[:, flip]
-    return u, norms, v
+            stacked[pq] = np.concatenate((c * bp - s * bq, s * bp + c * bq))
+    # hit is all False unless the sweeps ran out; then moved marks the
+    # slices that still rotated in the last one.
+    moved = hit.reshape(-1, b).any(axis=0)
+    us, sigmas, vs = [], [], []
+    for i in range(b):
+        w = wv[:, i, :rows_a]
+        if moved[i]:
+            # The last sweep still rotated; verify the Gram matrix directly.
+            # q has orthonormal columns, so q @ W has the Gram matrix of W.
+            gram = w @ w.T
+            off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
+            if off > limit[i]:
+                on_slice = f" on slice {i + 1} of {b}" if b > 1 else ""
+                on_r = "" if q is None else f" (on the {n}x{n} R of a {m}x{n} input)"
+                raise NumericError(
+                    f"jacobi svd did not converge in {_JACOBI_SWEEPS} sweeps{on_slice}{on_r} "
+                    f"(max off-diagonal gram entry {off:.3e}, limit {limit[i]:.3e}, "
+                    f"input scaled by 2**{-exp[i]})"
+                )
+        norms = np.sqrt((w * w).sum(axis=1))
+        order = np.argsort(-norms, kind="stable")
+        norms = norms[order]
+        w = wv[order, i, :rows_a].T
+        if q is not None:
+            w = q[i] @ w
+        v = wv[order, i, rows_a:].T
+        # Sorted descending, so the zero-norm (dead) columns come last.
+        live = int(np.count_nonzero(norms))
+        u = w[:, :live] / norms[:live]
+        if live < n:
+            u = _orthonormal_fill(u, n)
+        # Sign convention: largest-magnitude entry of each u column is positive.
+        flip = u[np.argmax(np.abs(u), axis=0), np.arange(n)] < 0.0
+        u[:, flip] = -u[:, flip]
+        v[:, flip] = -v[:, flip]
+        us.append(u)
+        sigmas.append(np.ldexp(norms, exp[i]))
+        vs.append(v)
+    u, sigma, v = np.stack(us), np.stack(sigmas), np.stack(vs)
+    return (v, sigma, u) if wide else (u, sigma, v)
 
 
 def svd(m: DenseTensor) -> SVDResult:
     """Economy SVD of any matrix: m = u @ diag(sigma) @ v.T, K = min(I, J)."""
+    m = _as_tensor(m, "svd input")
     if m.order != 2:
         raise ShapeError(f"svd expects an order-2 tensor, got order {m.order}")
     _check_finite(m, "svd")
-    u, s, v = _jacobi_svd(m._nd())
-    return SVDResult(_tensor_from_nd(u), DenseTensor((s.size,), s), _tensor_from_nd(v))
+    u, s, v = _jacobi_svd(m._nd()[None])
+    return SVDResult(_tensor_from_nd(u[0]), DenseTensor((s.shape[1],), s[0]), _tensor_from_nd(v[0]))
 
 
 def truncated_svd(m: DenseTensor, k: int) -> SVDResult:
     """Leading-k SVD triples (the best rank-k approximation)."""
+    m = _as_tensor(m, "truncated_svd input")
     if m.order != 2:
         raise ShapeError(f"truncated_svd expects an order-2 tensor, got order {m.order}")
     k = _as_int(k, f"target rank for shape ({m.shape[0]},{m.shape[1]})", 1, min(m.shape))
@@ -277,6 +320,7 @@ def default_rank_tol(sigma: np.ndarray, rows: int, cols: int) -> float:
 
 def numerical_rank(m: DenseTensor, tol: float | None = None) -> int:
     """Count of singular values above tol (default sigma_1 * max(I,J) * eps)."""
+    m = _as_tensor(m, "numerical_rank input")
     if tol is not None:
         tol = _as_tol(tol)
     s = svd(m).sigma.data
@@ -287,6 +331,7 @@ def numerical_rank(m: DenseTensor, tol: float | None = None) -> int:
 
 def pinv(m: DenseTensor) -> DenseTensor:
     """Moore-Penrose pseudo-inverse via the SVD, zeroing sub-threshold sigmas."""
+    m = _as_tensor(m, "pinv input")
     res = svd(m)
     s = res.sigma.data
     tol = default_rank_tol(s, m.shape[0], m.shape[1])

@@ -267,6 +267,25 @@ def test_verify_pass_and_fail(tmp_path):
     assert "rel_error" in machine_lines(fail.stdout)
 
 
+def test_verify_far_below_unit_scale(tmp_path):
+    # Near 1e-170 every squared entry underflows, so norms that square the
+    # entries directly read 0 for the residual and for the tensor alike.
+    rng = np.random.default_rng(8)
+    for name in ("x", "other"):
+        tk.write_tensor(tmp_path / f"{name}.ten", tk.DenseTensor.from_array(1e-170 * rng.standard_normal((3, 4, 5))))
+        res = run_cli("decompose", tmp_path / f"{name}.ten", "hosvd", "--outdir", tmp_path / name)
+        assert res.returncode == 0
+        assert float(machine_lines(res.stdout)["rel_error"][0]) <= 1e-14
+
+    right = run_cli("verify", tmp_path / "x.ten", tmp_path / "x", "--tol", "1e-10")
+    assert right.returncode == 0
+    assert float(machine_lines(right.stdout)["rel_error"][0]) <= 1e-14
+
+    wrong = run_cli("verify", tmp_path / "x.ten", tmp_path / "other", "--tol", "1e-10")
+    assert wrong.returncode == 1
+    assert float(machine_lines(wrong.stdout)["rel_error"][0]) > 0.5
+
+
 def test_verify_corrupt_manifest_exits_one(tmp_path):
     rng = np.random.default_rng(6)
     x = rand_tensor(rng, (3, 3, 3))

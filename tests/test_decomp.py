@@ -338,6 +338,24 @@ def test_truncated_hosvd_rank_errors():
         tk.truncated_hosvd(x, (1, 1))
 
 
+# Tensors whose unfoldings share shapes, so hosvd factors them as stacks:
+# cubes (all three modes) and order-4 tensors with repeated extents.
+GROUPED_UNFOLDING_SHAPES = [(12, 12, 12), (16, 16, 16), (20, 20, 20), (24, 24, 24), (8, 8, 8, 8), (16, 16, 16, 4)]
+
+
+@pytest.mark.parametrize("shape", GROUPED_UNFOLDING_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_hosvd_factors_are_the_svd_bases_of_the_unfoldings(shape):
+    rng = np.random.default_rng(21)
+    x = rand_tensor(rng, shape)
+    ranks = tuple(max(1, e // 3) for e in shape)
+    full = tk.hosvd(x)
+    trunc = tk.truncated_hosvd(x, ranks)
+    for n, p in enumerate(ranks):
+        u = tk.svd(tk.matricize(x, n + 1)).u.to_array()
+        assert full.factors[n].to_array().tobytes() == u.tobytes()
+        assert trunc.factors[n].to_array().tobytes() == u[:, :p].tobytes()
+
+
 def test_tucker_orthogonalize_preserves_reconstruction():
     rng = np.random.default_rng(20)
     model = tk.TuckerModel(

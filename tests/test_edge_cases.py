@@ -107,6 +107,19 @@ BAD_SEQUENCE_ARGS = {
     "tensor_none_entry": lambda: tk.DenseTensor((2,), [None, 1]),
 }
 
+# Each call passes something other than a DenseTensor where a tensor is
+# required.
+NOT_A_TENSOR_ARGS = {
+    "svd_int": lambda: tk.svd(0),
+    "hosvd_int": lambda: tk.hosvd(0),
+    "tt_svd_none": lambda: tk.tt_svd(None),
+    "qr_list": lambda: tk.qr([1, 2]),
+    "pinv_float": lambda: tk.pinv(1.0),
+    "truncated_svd_string": lambda: tk.truncated_svd("ab", 1),
+    "numerical_rank_ndarray": lambda: tk.numerical_rank(np.eye(2)),
+    "truncated_hosvd_none": lambda: tk.truncated_hosvd(None, (1, 1)),
+}
+
 BAD_TOL = [float("nan"), -1.0, float("inf"), "a"]
 
 _NAN = tk.DenseTensor((2, 2, 2), [1.0, 2.0, 3.0, float("nan"), 5.0, 6.0, 7.0, 8.0])
@@ -184,6 +197,12 @@ def test_non_integer_arguments_raise_argument_error(call):
 @pytest.mark.parametrize("call", BAD_SEQUENCE_ARGS.values(), ids=BAD_SEQUENCE_ARGS.keys())
 def test_non_sequence_arguments_raise_argument_error(call):
     with pytest.raises(ArgumentError):
+        call()
+
+
+@pytest.mark.parametrize("call", NOT_A_TENSOR_ARGS.values(), ids=NOT_A_TENSOR_ARGS.keys())
+def test_non_tensor_arguments_raise_argument_error(call):
+    with pytest.raises(ArgumentError, match=r"^\w+ input must be a DenseTensor, got \w+$"):
         call()
 
 

@@ -141,6 +141,32 @@ def test_frobenius_norm():
         assert abs(tk.frobenius_norm(tk.matricize(x, n)) - tk.frobenius_norm(x)) <= 1e-12
 
 
+@pytest.mark.parametrize("s", [1e154, 1e300, 1e-170, 1e-300])
+def test_frobenius_norm_far_from_unit_scale(s):
+    # The oracle is numpy's norm of x at unit scale, times s; squaring the
+    # entries of s * x directly would overflow or underflow.
+    x = np.random.default_rng(30).standard_normal((3, 4, 5))
+    want = float(np.linalg.norm(x.ravel())) * s
+    got = tk.frobenius_norm(tk.DenseTensor.from_array(s * x))
+    assert abs(got - want) <= 1e-14 * want
+
+
+def test_frobenius_norm_is_exact_under_power_of_two_scaling():
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        x = rng.standard_normal(int(rng.integers(1, 200)))
+        e = int(rng.integers(-900, 900))
+        # At unit scale nothing overflows or underflows, and the result is
+        # the plain square root of the sum of squares, bit for bit.
+        unit = math.sqrt(float(x @ x))
+        assert tk.frobenius_norm(tk.DenseTensor.from_array(x)) == unit
+        assert tk.frobenius_norm(tk.DenseTensor.from_array(np.ldexp(x, e))) == math.ldexp(unit, e)
+
+
+def test_frobenius_norm_beyond_float_range_is_inf():
+    assert tk.frobenius_norm(tk.DenseTensor.from_array(np.full(4, 1.5e308))) == math.inf
+
+
 def test_sum_all():
     assert tk.sum_all(tk.zeros((2, 2))) == 0.0
     assert tk.sum_all(tk.all_ones((2, 3, 4))) == 24.0

@@ -296,6 +296,67 @@ def test_jacobi_svd_on_r_reports_non_convergence(monkeypatch):
     assert "limit" in str(err.value) and "input scaled by 2**" in str(err.value)
 
 
+def _column_orthogonal(rng, shape):
+    """A matrix whose columns (rows, if it is wide) have disjoint supports, so
+    Jacobi finds every pair orthogonal and stops after its first sweep."""
+    a = np.zeros(shape)
+    k = min(shape)
+    a[np.arange(k), rng.permutation(k)] = rng.uniform(1.0, 2.0, k) * rng.choice([-1.0, 1.0], k)
+    return a
+
+
+def _at_scale(a, e):
+    """a scaled by a power of two so that max|a| lies in [2**(e-1), 2**e)."""
+    return np.ldexp(a, e - math.frexp(np.abs(a).max())[1]) if a.any() else a
+
+
+def _mixed_stack(rng, make):
+    """Three slices of one shape: one near 2**500, one that converges in
+    sweep 1, and one near 2**-500 with a dead column (a zero row, if wide)."""
+    a, dead = make(rng), make(rng)
+    if dead.shape[0] >= dead.shape[1]:
+        dead[:, -1] = 0.0
+    else:
+        dead[-1, :] = 0.0
+    return [_at_scale(a, 500), _column_orthogonal(rng, a.shape), _at_scale(dead, -500)]
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("make", ORACLE_MATRICES.values(), ids=ORACLE_MATRICES.keys())
+def test_stacked_jacobi_slices_match_single_calls_bit_for_bit(make):
+    slices = _mixed_stack(np.random.default_rng(19), make)
+    u, s, v = factor._jacobi_svd(np.stack(slices))
+    for i, a in enumerate(slices):
+        one = tk.svd(tk.DenseTensor.from_array(a))
+        assert _same_bits(u[i], one.u.to_array())
+        assert _same_bits(s[i], one.sigma.data)
+        assert _same_bits(v[i], one.v.to_array())
+
+
+def test_column_orthogonal_slice_converges_in_one_sweep(monkeypatch):
+    monkeypatch.setattr(factor, "_JACOBI_SWEEPS", 1)
+    rng = np.random.default_rng(20)
+    tk.svd(tk.DenseTensor.from_array(_column_orthogonal(rng, (16, 16))))
+    with pytest.raises(NumericError):
+        tk.svd(tk.DenseTensor.from_array(rng.standard_normal((16, 16))))
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (400, 20)], ids=["16x16", "400x20"])
+def test_stacked_jacobi_names_the_slice_that_does_not_converge(shape, monkeypatch):
+    monkeypatch.setattr(factor, "_JACOBI_SWEEPS", 1)
+    rng = np.random.default_rng(20)
+    stack = np.stack([_column_orthogonal(rng, shape), rng.standard_normal(shape)])
+    with pytest.raises(NumericError) as err:
+        factor._jacobi_svd(stack)
+    on_r = " (on the 20x20 R of a 400x20 input)" if shape == (400, 20) else ""
+    assert str(err.value).startswith(
+        f"jacobi svd did not converge in 1 sweeps on slice 2 of 2{on_r} (max off-diagonal gram entry "
+    )
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_round_robin_covers_every_pair_once_in_disjoint_rounds(n):
     rounds = factor._round_robin(n)
@@ -306,3 +367,10 @@ def test_round_robin_covers_every_pair_once_in_disjoint_rounds(n):
         assert len(set(pq.tolist())) == pq.size
         seen += list(zip(pq[:k].tolist(), pq[k:].tolist()))
     assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_round_robin_of_a_stack_lists_each_columns_rows_together(n):
+    # Column j of matrix i of a stack of 3 is row 3 * j + i.
+    for pq, rows in zip(factor._round_robin(n), factor._round_robin(n, 3)):
+        assert rows.tolist() == [3 * j + i for j in pq.tolist() for i in range(3)]
