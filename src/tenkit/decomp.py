@@ -10,6 +10,7 @@ never through factor equality.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -180,6 +181,8 @@ class TRRing(_CoreChain):
 
 def cp_reconstruct(m: CPModel) -> DenseTensor:
     """Dense tensor of a CP model: sum_r weights[r] * outer(columns r)."""
+    if not isinstance(m, CPModel):
+        raise ArgumentError(f"cp_reconstruct model must be a CPModel, got {type(m).__name__}")
     flat = _khatri_rao([f._nd() for f in reversed(m.factors)]) @ m.weights.data
     return fold(DenseTensor((flat.size,), flat), m.shape)
 
@@ -188,19 +191,19 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """rhs @ inv(gram) for a symmetric positive semidefinite gram, or for
     each slice of a stack: gram (..., R, R) and rhs (..., I, R).
 
-    Solves gram @ F.T = rhs.T by a Cholesky factorization gram = L @ L.T,
-    one solve with L and one with L.T. When some gram of a stack is
+    Cholesky is only the rank test: once every gram of the stack factors,
+    gram @ F.T = rhs.T is solved by one batched LU solve, which costs less
+    than two triangular solves through numpy's wrappers. When some gram is
     rank-deficient (Cholesky fails), every slice is solved on its own, so
     only the failing ones fall back to the SVD pseudo-inverse.
     """
     try:
-        low = np.linalg.cholesky(gram)
+        np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         if gram.ndim > 2:
             return np.stack([_solve_gram(g, b) for g, b in zip(gram, rhs)])
         return rhs @ pinv(_tensor_from_nd(gram))._nd()
-    rhs_t = rhs.swapaxes(-1, -2)
-    return np.linalg.solve(low.swapaxes(-1, -2), np.linalg.solve(low, rhs_t)).swapaxes(-1, -2)
+    return np.linalg.solve(gram, rhs.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def cp_als(
@@ -216,10 +219,20 @@ def cp_als(
 
     Each sweep solves the matricized least-squares subproblem for every
     mode in turn: the normal matrix, the Hadamard product of the other
-    factors' Gram matrices, is Cholesky-factorized and solved against the
-    matricized tensor times their Khatri-Rao product (the SVD
-    pseudo-inverse stands in when the normal matrix is rank-deficient).
-    The sweep then renormalizes factor columns into the weights.
+    factors' Gram matrices, is solved against the matricized tensor times
+    their Khatri-Rao product. A Cholesky factorization only tests the
+    normal matrix's rank; one batched solve follows, and the SVD
+    pseudo-inverse stands in when the normal matrix is rank-deficient.
+    The sweep then renormalizes factor columns into the weights. No
+    product is formed twice: each factor's Gram is kept until the factor
+    changes, and the Khatri-Rao of modes N..2 built for the residual is
+    the next sweep's mode-1 one.
+
+    x is fitted scaled by the power of two that brings max|x| into
+    [0.5, 1), and the weights and trace are scaled back. This is exact,
+    so the fit of 2^k * x is that of x with weights and trace times 2^k.
+    An x whose norm, or a fit whose weights, lie beyond float range
+    raises NumericError.
 
     Restart r starts from standard-normal factors drawn from
     default_rng([seed, r]). The restarts run as one stacked fit: factors
@@ -230,6 +243,7 @@ def cp_als(
     restart); the fit's trace is the winner's, and its sweeps and
     converged fields report every restart.
     """
+    x = _as_tensor(x, "cp_als input")
     if x.order < 3:
         raise ArgumentError(f"cp_als needs an order >= 3 tensor, got order {x.order}")
     rank = _as_int(rank, "rank", 1, x.size)
@@ -237,6 +251,13 @@ def cp_als(
     max_sweeps = _as_int(max_sweeps, "max_sweeps", 1)
     seed = _as_int(seed, "seed", 0)
     tol = _as_tol(tol)
+    # Every residual of the trace is at most the norm of x.
+    if frobenius_norm(x) == math.inf:
+        raise NumericError("cp_als input norm is beyond float range")
+    # Scaled into [0.5, 1) by a power of two, no square or column norm of a
+    # sweep under- or overflows.
+    exp = math.frexp(float(np.abs(x.data).max()))[1]
+    x = DenseTensor(x.shape, np.ldexp(x.data, -exp))
     norm_x = frobenius_norm(x)
     mats = [matricize(x, n)._nd() for n in range(1, x.order + 1)]
     starts = []
@@ -253,21 +274,30 @@ def cp_als(
     converged = np.zeros(restarts, dtype=bool)
     history = []  # per sweep, every restart's residual (NaN once stopped)
     prev_rel = None
+    # Khatri-Rao of modes N..2, shared by the residual and the next mode-1
+    # update, and each factor's Gram stack, kept while the factor is unchanged.
+    kr1 = _khatri_rao(factors[:0:-1])
+    grams = [f.swapaxes(1, 2) @ f for f in factors]
     for sweep in range(1, max_sweeps + 1):
         for n in range(x.order):
-            others = factors[:n] + factors[n + 1 :]
-            kr = _khatri_rao(others[::-1])
-            gram = np.ones((ids.size, rank, rank))
-            for f in others:
-                gram *= f.swapaxes(1, 2) @ f
+            others = [m for m in range(x.order) if m != n]
+            kr = kr1 if n == 0 else _khatri_rao([factors[m] for m in reversed(others)])
+            gram = grams[others[0]] * grams[others[1]]
+            for m in others[2:]:
+                gram *= grams[m]
             factors[n] = _solve_gram(gram, mats[n] @ kr)
+            if n < x.order - 1:
+                grams[n] = factors[n].swapaxes(1, 2) @ factors[n]
         weights = np.ones((ids.size, rank))
-        for f in factors:
+        for n, f in enumerate(factors):
             norms = np.sqrt((f * f).sum(axis=1))
             safe = np.where(norms > 0.0, norms, 1.0)
             f /= safe[:, None, :]
             weights = weights * norms
-        approx1 = (factors[0] * weights[:, None, :]) @ _khatri_rao(factors[:0:-1]).swapaxes(1, 2)
+            if n:
+                grams[n] = f.swapaxes(1, 2) @ f
+        kr1 = _khatri_rao(factors[:0:-1])
+        approx1 = (factors[0] * weights[:, None, :]) @ kr1.swapaxes(1, 2)
         resid = np.sqrt(((mats[0] - approx1) ** 2).sum(axis=(1, 2)))
         if not np.isfinite(resid).all():
             raise NumericError("cp_als objective became non-finite")
@@ -286,20 +316,25 @@ def cp_als(
             sweeps[gone] = sweep
             keep = ~stop
             factors = [f[keep] for f in factors]
+            grams = [g[keep] for g in grams]
+            kr1 = kr1[keep]
             ids, rel = ids[keep], rel[keep]
             if not ids.size:
                 break
         prev_rel = rel
     history = np.array(history)
     best = int(np.argmin(history[sweeps - 1, np.arange(restarts)]))
+    with np.errstate(over="ignore"):
+        weights = np.ldexp(done_weights[best], exp)
+    if not np.isfinite(weights).all():
+        raise NumericError("cp_als weights are beyond float range")
     model = CPModel(
-        DenseTensor((rank,), done_weights[best]),
+        DenseTensor((rank,), weights),
         tuple(_tensor_from_nd(f[best]) for f in done_factors),
     )
-    trace = tuple(history[: sweeps[best], best].tolist())
     return CPFit(
         model=model,
-        trace=trace,
+        trace=tuple(np.ldexp(history[: sweeps[best], best], exp).tolist()),
         restart=best,
         sweeps=tuple(int(s) for s in sweeps),
         converged=tuple(bool(c) for c in converged),

@@ -179,6 +179,20 @@ def test_decompose_cp_seeded(tmp_path):
     assert got["converged"] == ["1"]
 
 
+def test_decompose_cp_far_below_unit_scale(tmp_path):
+    # rank-1 x(i,j,k) = 1e-170 (i+1)(j+1)(k+1): unscaled, its squared
+    # residuals underflow and the fit returns an all-zero model.
+    v = np.arange(1.0, 5.0)
+    src = tmp_path / "tiny.ten"
+    tk.write_tensor(src, tk.DenseTensor.from_array(1e-170 * np.einsum("i,j,k->ijk", v, v, v)))
+    res = run_cli("decompose", src, "cp", "1", "--outdir", tmp_path / "cpm", "--seed", "0")
+    assert res.returncode == 0
+    assert float(machine_lines(res.stdout)["rel_error"][0]) <= 1e-14
+    check = run_cli("verify", src, tmp_path / "cpm", "--tol", "1e-10")
+    assert check.returncode == 0
+    assert float(machine_lines(check.stdout)["rel_error"][0]) <= 1e-14
+
+
 def test_decompose_rank_out_of_range_exits_one(tmp_path, ramp_file):
     res = run_cli("decompose", ramp_file, "thosvd", "9", "1", "1", "--outdir", tmp_path / "m")
     assert res.returncode == 1

@@ -171,6 +171,75 @@ def test_cp_als_stacked_restarts_match_numpy_oracle():
     assert np.abs(np.array(fit.trace) - winner).max() <= 1e-9 * scale
 
 
+def test_cp_als_cached_stacks_follow_stopped_restarts():
+    # The middle restart stops first (sweep 24), then restart 0 (28); the
+    # winner, restart 2, runs on to sweep 42, so every sweep after a stop
+    # reads Gram and Khatri-Rao stacks that must have lost the stopped slice.
+    rng = np.random.default_rng(19)
+    truth = tk.CPModel(
+        tk.DenseTensor((3,), np.ones(3)),
+        tuple(tk.DenseTensor.from_array(f) for f in planted_cp_factors(rng, (4, 4, 4), 3)),
+    )
+    x = tk.cp_reconstruct(truth)
+    xa = x.to_array()
+    scale = np.linalg.norm(xa)
+    want = [numpy_cp_als_trace(xa, 3, 200, seed=4, restart=r, tol=1e-8) for r in range(3)]
+    assert [len(t) for t in want] == [28, 24, 42]
+    fit = tk.cp_als(x, 3, seed=4, restarts=3)
+    assert fit.sweeps == (28, 24, 42)
+    assert fit.restart == 2
+    assert np.abs(np.array(fit.trace) - want[2]).max() <= 1e-9 * scale
+
+
+def test_cp_als_power_of_two_scaling_is_exact():
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((3, 4, 5))
+    base = tk.cp_als(tk.DenseTensor.from_array(a), 2, seed=1)
+    for k in (-900, -500, 500, 900):
+        fit = tk.cp_als(tk.DenseTensor.from_array(np.ldexp(a, k)), 2, seed=1)
+        assert np.array(fit.trace).tobytes() == np.ldexp(base.trace, k).tobytes()
+        assert fit.model.weights.to_array().tobytes() == np.ldexp(base.model.weights.to_array(), k).tobytes()
+        for f, g in zip(fit.model.factors, base.model.factors):
+            assert f.to_array().tobytes() == g.to_array().tobytes()
+        assert (fit.restart, fit.sweeps, fit.converged) == (base.restart, base.sweeps, base.converged)
+
+
+def test_cp_als_far_from_unit_scale():
+    # At 1e-170 the squared residuals and column norms underflow unless the
+    # fit is scaled; at 1e154 they overflow.
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((3, 4, 5))
+
+    def rel_error(s):
+        fit = tk.cp_als(tk.DenseTensor.from_array(s * a), 2, seed=1)
+        approx = tk.cp_reconstruct(fit.model).to_array() / s
+        return np.linalg.norm(a - approx) / np.linalg.norm(a)
+
+    unit = rel_error(1.0)
+    assert 0.1 < unit < 1.0
+    for s in (1e-170, 1e154):
+        assert abs(rel_error(s) - unit) <= 1e-12
+
+
+def test_cp_als_weights_beyond_float_range_is_numeric_error():
+    # A rank-3 tensor of border rank 2 (norm sqrt(3)): the rank-2 fit's two
+    # components grow and cancel, so at 2^1022 times x its weights pass
+    # 2^1024 while the tensor's norm does not.
+    a, b = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 2)))[0].T
+    x = sum(np.einsum("i,j,k->ijk", *v) for v in ((a, a, b), (a, b, a), (b, a, a)))
+    unit = tk.cp_als(tk.DenseTensor.from_array(x), 2, max_sweeps=500, tol=0.0, restarts=1)
+    assert np.abs(unit.model.weights.to_array()).max() > 4.0
+    with pytest.raises(tk.NumericError, match="weights"):
+        tk.cp_als(tk.DenseTensor.from_array(np.ldexp(x, 1022)), 2, max_sweeps=500, tol=0.0, restarts=1)
+
+
+def test_cp_reconstruct_rejects_non_cp_models():
+    rng = np.random.default_rng(9)
+    for value in (0, tk.hosvd(rand_tensor(rng, (2, 2, 2)))):
+        with pytest.raises(ArgumentError, match=r"^cp_reconstruct model must be a CPModel, got \w+$"):
+            tk.cp_reconstruct(value)
+
+
 def test_cp_fit_constructs_without_restart_fields():
     model = tk.CPModel(tk.DenseTensor((1,), [1.0]), (tk.DenseTensor((2, 1), [1.0, 0.0]),))
     fit = tk.CPFit(model, (0.5,), 0)
@@ -199,6 +268,26 @@ def test_solve_gram_positive_definite_matches_solve():
     rhs = rng.standard_normal((4, 3))
     want = np.linalg.solve(gram, rhs.T).T
     assert np.abs(decomp._solve_gram(gram, rhs) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_solve_gram_makes_one_solve_after_the_cholesky_test(monkeypatch):
+    calls = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        calls.append(a)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    rng = np.random.default_rng(15)
+    a = rng.standard_normal((2, 6, 3))
+    grams = a.swapaxes(1, 2) @ a
+    rhs = rng.standard_normal((2, 4, 3))
+    got = decomp._solve_gram(grams, rhs)
+    assert len(calls) == 1 and calls[0] is grams
+    for k in range(2):
+        want = solve(grams[k], rhs[k].T).T
+        assert np.abs(got[k] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_solve_gram_stack_solves_each_slice_as_one_matrix(monkeypatch):

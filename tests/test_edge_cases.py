@@ -118,6 +118,7 @@ NOT_A_TENSOR_ARGS = {
     "truncated_svd_string": lambda: tk.truncated_svd("ab", 1),
     "numerical_rank_ndarray": lambda: tk.numerical_rank(np.eye(2)),
     "truncated_hosvd_none": lambda: tk.truncated_hosvd(None, (1, 1)),
+    "cp_als_int": lambda: tk.cp_als(0, 3),
 }
 
 BAD_TOL = [float("nan"), -1.0, float("inf"), "a"]
