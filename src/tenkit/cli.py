@@ -115,7 +115,7 @@ def _cmd_decompose(args) -> int:
     decomp.write_model(args.outdir, model)
     rel = _rel_error(t, decomp.reconstruct(model))
     print(f"wrote {method} model to {args.outdir}")
-    _mline("ranks", *decomp._kind_of(model).ranks(model))
+    _mline("ranks", *decomp._as_model(model, "decompose").ranks(model))
     _mline("rel_error", rel)
     if method == "cp":
         norm = frobenius_norm(t)

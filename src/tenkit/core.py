@@ -223,11 +223,16 @@ def _tensor_from_nd(array: np.ndarray) -> DenseTensor:
     return DenseTensor._wrap(tuple(int(e) for e in array.shape), flat)
 
 
-def _as_tensor(value, what: str) -> DenseTensor:
-    """A tensor argument; anything but a DenseTensor raises ArgumentError."""
-    if isinstance(value, DenseTensor):
-        return value
-    raise ArgumentError(f"{what} must be a DenseTensor, got {type(value).__name__}")
+def _as_tensor(value, what: str, order: int | None = None, min_order: int = 0) -> DenseTensor:
+    """A tensor argument of the function `what`: a non-tensor or an order below
+    min_order raises ArgumentError, an order other than `order` ShapeError."""
+    if not isinstance(value, DenseTensor):
+        raise ArgumentError(f"{what} input must be a DenseTensor, got {type(value).__name__}")
+    if order is not None and value.order != order:
+        raise ShapeError(f"{what} expects an order-{order} tensor, got order {value.order}")
+    if value.order < min_order:
+        raise ArgumentError(f"{what} needs an order >= {min_order} tensor, got order {value.order}")
+    return value
 
 
 def _rev(t: DenseTensor) -> np.ndarray:
@@ -288,8 +293,7 @@ def vec(x: DenseTensor) -> DenseTensor:
 
 def fold(v: DenseTensor, target: Sequence[int]) -> DenseTensor:
     """Reshape an order-1 tensor into the target shape (inverse of vec)."""
-    if v.order != 1:
-        raise ShapeError(f"fold expects an order-1 tensor, got order {v.order}")
+    v = _as_tensor(v, "fold", 1)
     shape = _check_shape(target)
     if element_count(shape) != v.size:
         raise ShapeError(f"cannot fold length {v.size} into shape {_fmt_shape(shape)}")

@@ -181,8 +181,7 @@ class TRRing(_CoreChain):
 
 def cp_reconstruct(m: CPModel) -> DenseTensor:
     """Dense tensor of a CP model: sum_r weights[r] * outer(columns r)."""
-    if not isinstance(m, CPModel):
-        raise ArgumentError(f"cp_reconstruct model must be a CPModel, got {type(m).__name__}")
+    _as_model(m, "cp_reconstruct", "cp")
     flat = _khatri_rao([f._nd() for f in reversed(m.factors)]) @ m.weights.data
     return fold(DenseTensor((flat.size,), flat), m.shape)
 
@@ -243,9 +242,7 @@ def cp_als(
     restart); the fit's trace is the winner's, and its sweeps and
     converged fields report every restart.
     """
-    x = _as_tensor(x, "cp_als input")
-    if x.order < 3:
-        raise ArgumentError(f"cp_als needs an order >= 3 tensor, got order {x.order}")
+    x = _as_tensor(x, "cp_als", min_order=3)
     rank = _as_int(rank, "rank", 1, x.size)
     restarts = _as_int(restarts, "restarts", 1)
     max_sweeps = _as_int(max_sweeps, "max_sweeps", 1)
@@ -346,6 +343,7 @@ def cp_als(
 
 def tucker_reconstruct(m: TuckerModel) -> DenseTensor:
     """Dense tensor of a Tucker model: core multiplied by every factor."""
+    _as_model(m, "tucker_reconstruct", "tucker")
     return multi_mode_product(m.core, m.factors)
 
 
@@ -353,8 +351,10 @@ def _transpose(t: DenseTensor) -> DenseTensor:
     return permute(t, [2, 1])
 
 
-def _mode_bases(x: DenseTensor) -> list[np.ndarray]:
-    """Left singular basis (the svd u) of every mode's unfolding of x.
+def _tucker(x: DenseTensor, ranks: Sequence[int]) -> TuckerModel:
+    """Tucker model whose mode-n factor is the leading ranks[n] columns of the
+    left singular basis (the svd u) of matricize(x, n), orthonormally filled
+    past the basis's width.
 
     Unfoldings of one shape are factored together, as one stacked Jacobi
     SVD; each gets the u that svd alone would give it.
@@ -363,40 +363,27 @@ def _mode_bases(x: DenseTensor) -> list[np.ndarray]:
     groups: dict[tuple[int, int], list[int]] = {}
     for n, extent in enumerate(x.shape, start=1):
         groups.setdefault((extent, x.size // extent), []).append(n)
-    bases = [None] * x.order
+    factors = [None] * x.order
     for modes in groups.values():
         u, _, _ = _jacobi_svd(np.stack([matricize(x, n)._nd() for n in modes]))
         for n, un in zip(modes, u):
-            bases[n - 1] = un
-    return bases
+            p = ranks[n - 1]
+            factors[n - 1] = _tensor_from_nd(un[:, :p] if un.shape[1] >= p else _orthonormal_fill(un, p))
+    core = multi_mode_product(x, [_transpose(u) for u in factors])
+    return TuckerModel(core, tuple(factors))
 
 
 def hosvd(x: DenseTensor) -> TuckerModel:
     """Tucker model whose mode-n factor is the left singular basis of
     matricize(x, n); the core is all-orthogonal and reconstruction is exact."""
-    x = _as_tensor(x, "hosvd input")
-    if x.order < 2:
-        raise ArgumentError(f"hosvd needs an order >= 2 tensor, got order {x.order}")
-    factors = [_tensor_from_nd(u) for u in _mode_bases(x)]
-    core = multi_mode_product(x, [_transpose(u) for u in factors])
-    return TuckerModel(core, tuple(factors))
-
-
-def _leading_columns(u: np.ndarray, p: int) -> np.ndarray:
-    if u.shape[1] >= p:
-        return np.array(u[:, :p])
-    return _orthonormal_fill(u, p)
+    x = _as_tensor(x, "hosvd", min_order=2)
+    return _tucker(x, [min(extent, x.size // extent) for extent in x.shape])
 
 
 def truncated_hosvd(x: DenseTensor, ranks: Sequence[int]) -> TuckerModel:
     """Tucker model keeping the leading ranks[n] singular vectors per mode."""
-    x = _as_tensor(x, "truncated_hosvd input")
-    if x.order < 2:
-        raise ArgumentError(f"truncated_hosvd needs an order >= 2 tensor, got order {x.order}")
-    ranks = _as_ints(ranks, "rank for mode", x.order, 1, x.shape)
-    factors = [_tensor_from_nd(_leading_columns(u, p)) for u, p in zip(_mode_bases(x), ranks)]
-    core = multi_mode_product(x, [_transpose(u) for u in factors])
-    return TuckerModel(core, tuple(factors))
+    x = _as_tensor(x, "truncated_hosvd", min_order=2)
+    return _tucker(x, _as_ints(ranks, "rank for mode", x.order, 1, x.shape))
 
 
 def tucker_orthogonalize(m: TuckerModel) -> TuckerModel:
@@ -405,6 +392,7 @@ def tucker_orthogonalize(m: TuckerModel) -> TuckerModel:
     Reconstruction is unchanged; afterwards the factors are column
     orthonormal, so the reconstruction norm equals the core norm.
     """
+    _as_model(m, "tucker_orthogonalize", "tucker")
     core = m.core
     new_factors = []
     for n, f in enumerate(m.factors, start=1):
@@ -420,6 +408,7 @@ def tucker_orthogonalize(m: TuckerModel) -> TuckerModel:
 def tt_chain(t: TTTrain | TRRing) -> DenseTensor:
     """Contract all cores of a train or a ring, keeping the boundary bond
     modes: (R_0, I_1..I_N, R_N)."""
+    _as_model(t, "tt_chain", "tt", "tr")
     acc = t.cores[0]
     for core in t.cores[1:]:
         acc = tt_pair_product(acc, core)
@@ -428,6 +417,7 @@ def tt_chain(t: TTTrain | TRRing) -> DenseTensor:
 
 def tt_reconstruct(t: TTTrain) -> DenseTensor:
     """Dense tensor of a full train (both boundary bonds must be 1)."""
+    _as_model(t, "tt_reconstruct", "tt")
     ranks = t.bond_ranks
     if ranks[0] != 1 or ranks[-1] != 1:
         raise ModelError(f"tt_reconstruct needs unit boundary bonds, got {ranks[0]} and {ranks[-1]}")
@@ -448,9 +438,7 @@ def tt_svd(
     The squared mass of everything dropped accumulates in the returned
     train's discarded_energy.
     """
-    x = _as_tensor(x, "tt_svd input")
-    if x.order < 2:
-        raise ArgumentError(f"tt_svd needs an order >= 2 tensor, got order {x.order}")
+    x = _as_tensor(x, "tt_svd", min_order=2)
     if tol is not None:
         tol = _as_tol(tol)
     n = x.order
@@ -492,6 +480,7 @@ def tt_orthogonalize(t: TTTrain, pivot: int) -> TTTrain:
     triangular factors are swept into the pivot, so the reconstruction is
     unchanged and the full norm concentrates in the pivot core.
     """
+    _as_model(t, "tt_orthogonalize", "tt")
     n = len(t.cores)
     pivot = _as_int(pivot, "pivot", 1, n)
     for core in t.cores:
@@ -512,6 +501,7 @@ def tt_orthogonalize(t: TTTrain, pivot: int) -> TTTrain:
 
 def tt_split(t: TTTrain, k: int) -> tuple[TTTrain, TTTrain]:
     """Split into sub-trains (cores 1..k-1) and (cores k..N) sharing bond R_{k-1}."""
+    _as_model(t, "tt_split", "tt")
     n = len(t.cores)
     k = _as_int(k, "split point", 2, n)
     return TTTrain(t.cores[: k - 1]), TTTrain(t.cores[k - 1 :])
@@ -522,6 +512,7 @@ def tt_split(t: TTTrain, k: int) -> tuple[TTTrain, TTTrain]:
 
 def tr_reconstruct(r: TRRing) -> DenseTensor:
     """Dense tensor of a ring: per-entry trace of the chained slice matrices."""
+    _as_model(r, "tr_reconstruct", "tr")
     acc = tt_chain(r)._nd()
     return _tensor_from_nd(np.trace(acc, axis1=0, axis2=acc.ndim - 1))
 
@@ -561,16 +552,21 @@ _PART_RE = re.compile("|".join(sorted(
 )))
 
 
-def _kind_of(model) -> _Kind:
-    for kind in _KINDS.values():
-        if isinstance(model, kind.cls):
-            return kind
-    raise ArgumentError(f"{type(model).__name__} is not a model ({'|'.join(_KINDS)})")
+def _as_model(value, what: str, *kinds: str) -> _Kind:
+    """The kind of a model argument of the function `what`; a value of none of
+    the named kinds (of no kind, when none is named) raises ArgumentError."""
+    for name in kinds or _KINDS:
+        if isinstance(value, _KINDS[name].cls):
+            return _KINDS[name]
+    if not kinds:
+        raise ArgumentError(f"{type(value).__name__} is not a model ({'|'.join(_KINDS)})")
+    wanted = " or ".join(_KINDS[k].cls.__name__ for k in kinds)
+    raise ArgumentError(f"{what} model must be a {wanted}, got {type(value).__name__}")
 
 
 def reconstruct(model) -> DenseTensor:
     """Dense tensor of a CP, Tucker, TT or TR model."""
-    return _kind_of(model).reconstruct(model)
+    return _as_model(model, "reconstruct").reconstruct(model)
 
 
 _MANIFEST = "model.json"
@@ -584,7 +580,7 @@ def write_model(dirpath: str | os.PathLike, model) -> None:
     first and the new one is written last, atomically, so a write that
     fails part-way leaves a directory read_model rejects.
     """
-    kind = _kind_of(model)
+    kind = _as_model(model, "write_model")
     path = os.fspath(dirpath)
     manifest = os.path.join(path, _MANIFEST)
     os.makedirs(path, exist_ok=True)

@@ -118,9 +118,7 @@ def _check_finite(m: DenseTensor, what: str) -> None:
 
 def qr(m: DenseTensor) -> QRResult:
     """QR of a tall (or square) matrix; wide inputs are rejected."""
-    m = _as_tensor(m, "qr input")
-    if m.order != 2:
-        raise ShapeError(f"qr expects an order-2 tensor, got order {m.order}")
+    m = _as_tensor(m, "qr", 2)
     _check_finite(m, "qr")
     rows, cols = m.shape
     if rows < cols:
@@ -290,9 +288,7 @@ def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def svd(m: DenseTensor) -> SVDResult:
     """Economy SVD of any matrix: m = u @ diag(sigma) @ v.T, K = min(I, J)."""
-    m = _as_tensor(m, "svd input")
-    if m.order != 2:
-        raise ShapeError(f"svd expects an order-2 tensor, got order {m.order}")
+    m = _as_tensor(m, "svd", 2)
     _check_finite(m, "svd")
     u, s, v = _jacobi_svd(m._nd()[None])
     return SVDResult(_tensor_from_nd(u[0]), DenseTensor((s.shape[1],), s[0]), _tensor_from_nd(v[0]))
@@ -300,9 +296,7 @@ def svd(m: DenseTensor) -> SVDResult:
 
 def truncated_svd(m: DenseTensor, k: int) -> SVDResult:
     """Leading-k SVD triples (the best rank-k approximation)."""
-    m = _as_tensor(m, "truncated_svd input")
-    if m.order != 2:
-        raise ShapeError(f"truncated_svd expects an order-2 tensor, got order {m.order}")
+    m = _as_tensor(m, "truncated_svd", 2)
     k = _as_int(k, f"target rank for shape ({m.shape[0]},{m.shape[1]})", 1, min(m.shape))
     full = svd(m)
     u = full.u._nd()[:, :k]
@@ -320,7 +314,7 @@ def default_rank_tol(sigma: np.ndarray, rows: int, cols: int) -> float:
 
 def numerical_rank(m: DenseTensor, tol: float | None = None) -> int:
     """Count of singular values above tol (default sigma_1 * max(I,J) * eps)."""
-    m = _as_tensor(m, "numerical_rank input")
+    m = _as_tensor(m, "numerical_rank")
     if tol is not None:
         tol = _as_tol(tol)
     s = svd(m).sigma.data
@@ -331,7 +325,7 @@ def numerical_rank(m: DenseTensor, tol: float | None = None) -> int:
 
 def pinv(m: DenseTensor) -> DenseTensor:
     """Moore-Penrose pseudo-inverse via the SVD, zeroing sub-threshold sigmas."""
-    m = _as_tensor(m, "pinv input")
+    m = _as_tensor(m, "pinv")
     res = svd(m)
     s = res.sigma.data
     tol = default_rank_tol(s, m.shape[0], m.shape[1])

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DenseTensor, _as_int, _as_ints, _as_seq, _from_rev, _rev, _tensor_from_nd, element_count
+from .core import DenseTensor, _as_int, _as_ints, _as_seq, _as_tensor, _from_rev, _rev, _tensor_from_nd, element_count
 from .errors import ArgumentError, ShapeError
 
 __all__ = [
@@ -36,21 +36,16 @@ __all__ = [
 ]
 
 
-def _need_order2(t: DenseTensor, what: str) -> None:
-    if t.order != 2:
-        raise ShapeError(f"{what} expects an order-2 tensor, got order {t.order}")
-
-
 def matmul(a: DenseTensor, b: DenseTensor) -> DenseTensor:
-    _need_order2(a, "matmul")
-    _need_order2(b, "matmul")
+    a = _as_tensor(a, "matmul", 2)
+    b = _as_tensor(b, "matmul", 2)
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul mismatch: ({a.shape[0]},{a.shape[1]}) times ({b.shape[0]},{b.shape[1]})")
     return _from_rev(_rev(b) @ _rev(a))
 
 
 def trace(s: DenseTensor) -> float:
-    _need_order2(s, "trace")
+    s = _as_tensor(s, "trace", 2)
     if s.shape[0] != s.shape[1]:
         raise ShapeError(f"trace needs a square matrix, got ({s.shape[0]},{s.shape[1]})")
     return float(np.trace(s._nd()))
@@ -58,8 +53,8 @@ def trace(s: DenseTensor) -> float:
 
 def kronecker(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     """Kronecker product: all entry pairs A[i,j]*B[p,q] as a (PI, QJ) block matrix."""
-    _need_order2(a, "kronecker")
-    _need_order2(b, "kronecker")
+    a = _as_tensor(a, "kronecker", 2)
+    b = _as_tensor(b, "kronecker", 2)
     return _tensor_from_nd(np.kron(a._nd(), b._nd()))
 
 
@@ -76,8 +71,8 @@ def _khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
 
 def khatri_rao(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     """Column-wise Kronecker product of (I,R) and (J,R) matrices, giving (JI, R)."""
-    _need_order2(a, "khatri_rao")
-    _need_order2(b, "khatri_rao")
+    a = _as_tensor(a, "khatri_rao", 2)
+    b = _as_tensor(b, "khatri_rao", 2)
     if a.shape[1] != b.shape[1]:
         raise ShapeError(f"khatri_rao needs equal column counts, got {a.shape[1]} and {b.shape[1]}")
     return _tensor_from_nd(_khatri_rao([a._nd(), b._nd()]))
@@ -85,8 +80,9 @@ def khatri_rao(a: DenseTensor, b: DenseTensor) -> DenseTensor:
 
 def mode_product(x: DenseTensor, a: DenseTensor, n: int) -> DenseTensor:
     """Multiply matrix a into mode n of x: matricize(result, n) = a @ matricize(x, n)."""
+    x = _as_tensor(x, "mode_product")
     n = _as_int(n, "mode", 1, x.order)
-    _need_order2(a, "mode_product")
+    a = _as_tensor(a, "mode_product", 2)
     if a.shape[1] != x.shape[n - 1]:
         raise ShapeError(
             f"mode_product mismatch on mode {n}: matrix has {a.shape[1]} columns, "

@@ -1,12 +1,13 @@
 """Degenerate inputs: malformed files, scalars, zero tensors, deep orders."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tenkit as tk
-from tenkit import ArgumentError, ModelError, NumericError, ParseError, TenkitError
+from tenkit import ArgumentError, ModelError, NumericError, ParseError, ShapeError, TenkitError
 
 from helpers import rand_tensor
 
@@ -119,6 +120,61 @@ NOT_A_TENSOR_ARGS = {
     "numerical_rank_ndarray": lambda: tk.numerical_rank(np.eye(2)),
     "truncated_hosvd_none": lambda: tk.truncated_hosvd(None, (1, 1)),
     "cp_als_int": lambda: tk.cp_als(0, 3),
+    "matmul_left_int": lambda: tk.matmul(0, _M),
+    "matmul_right_int": lambda: tk.matmul(_M, 0),
+    "trace_int": lambda: tk.trace(0),
+    "kronecker_int": lambda: tk.kronecker(0, _M),
+    "khatri_rao_int": lambda: tk.khatri_rao(_M, 0),
+    "mode_product_x_int": lambda: tk.mode_product(0, tk.identity(2), 1),
+    "mode_product_matrix_int": lambda: tk.mode_product(_X, 0, 1),
+    "fold_int": lambda: tk.fold(0, (2,)),
+}
+
+_V = tk.vec(_X)
+
+# Each call passes a tensor of an order its function does not take: the
+# message and the error class are part of the contract.
+ORDER_ERRORS = {
+    "fold": (lambda: tk.fold(_X, (24,)), ShapeError, "fold expects an order-1 tensor, got order 3"),
+    "qr": (lambda: tk.qr(_X), ShapeError, "qr expects an order-2 tensor, got order 3"),
+    "svd": (lambda: tk.svd(_V), ShapeError, "svd expects an order-2 tensor, got order 1"),
+    "truncated_svd": (
+        lambda: tk.truncated_svd(_X, 1), ShapeError, "truncated_svd expects an order-2 tensor, got order 3"
+    ),
+    "matmul_left": (lambda: tk.matmul(_X, _M), ShapeError, "matmul expects an order-2 tensor, got order 3"),
+    "matmul_right": (lambda: tk.matmul(_M, _V), ShapeError, "matmul expects an order-2 tensor, got order 1"),
+    "trace": (lambda: tk.trace(_V), ShapeError, "trace expects an order-2 tensor, got order 1"),
+    "kronecker_left": (lambda: tk.kronecker(_V, _M), ShapeError, "kronecker expects an order-2 tensor, got order 1"),
+    "kronecker_right": (lambda: tk.kronecker(_M, _X), ShapeError, "kronecker expects an order-2 tensor, got order 3"),
+    "khatri_rao_left": (
+        lambda: tk.khatri_rao(_X, _M), ShapeError, "khatri_rao expects an order-2 tensor, got order 3"
+    ),
+    "khatri_rao_right": (
+        lambda: tk.khatri_rao(_M, _V), ShapeError, "khatri_rao expects an order-2 tensor, got order 1"
+    ),
+    "mode_product": (
+        lambda: tk.mode_product(_X, _X, 1), ShapeError, "mode_product expects an order-2 tensor, got order 3"
+    ),
+    "cp_als": (lambda: tk.cp_als(_M, 1), ArgumentError, "cp_als needs an order >= 3 tensor, got order 2"),
+    "hosvd": (lambda: tk.hosvd(_V), ArgumentError, "hosvd needs an order >= 2 tensor, got order 1"),
+    "truncated_hosvd": (
+        lambda: tk.truncated_hosvd(_V, (1,)), ArgumentError, "truncated_hosvd needs an order >= 2 tensor, got order 1"
+    ),
+    "tt_svd": (lambda: tk.tt_svd(_V), ArgumentError, "tt_svd needs an order >= 2 tensor, got order 1"),
+}
+
+_TUCKER = tk.hosvd(_X)
+
+# Each call passes a non-model, or a model of a kind its function does not
+# take, and names the expected kinds.
+NOT_A_MODEL_ARGS = {
+    "tucker_reconstruct": (tk.tucker_reconstruct, _TRAIN, "TuckerModel"),
+    "tucker_orthogonalize": (tk.tucker_orthogonalize, _TRAIN, "TuckerModel"),
+    "tt_chain": (tk.tt_chain, _TUCKER, "TTTrain or TRRing"),
+    "tt_reconstruct": (tk.tt_reconstruct, _TUCKER, "TTTrain"),
+    "tt_orthogonalize": (lambda m: tk.tt_orthogonalize(m, 1), _TUCKER, "TTTrain"),
+    "tt_split": (lambda m: tk.tt_split(m, 2), _TUCKER, "TTTrain"),
+    "tr_reconstruct": (tk.tr_reconstruct, _TRAIN, "TRRing"),
 }
 
 BAD_TOL = [float("nan"), -1.0, float("inf"), "a"]
@@ -205,6 +261,38 @@ def test_non_sequence_arguments_raise_argument_error(call):
 def test_non_tensor_arguments_raise_argument_error(call):
     with pytest.raises(ArgumentError, match=r"^\w+ input must be a DenseTensor, got \w+$"):
         call()
+
+
+@pytest.mark.parametrize("call,error,message", ORDER_ERRORS.values(), ids=ORDER_ERRORS.keys())
+def test_order_errors_keep_their_class_and_text(call, error, message):
+    with pytest.raises(TenkitError) as info:
+        call()
+    assert info.type is error and str(info.value) == message
+
+
+def test_order_error_templates_live_only_in_core():
+    src = Path(tk.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for template in ("expects an order-", "needs an order >="):
+            assert path.name == "core.py" or template not in text, (path.name, template)
+
+
+@pytest.mark.parametrize("name", NOT_A_MODEL_ARGS)
+def test_model_arguments_of_the_wrong_kind_raise_argument_error(name):
+    call, wrong_kind, wanted = NOT_A_MODEL_ARGS[name]
+    for value in (0, wrong_kind):
+        with pytest.raises(ArgumentError) as info:
+            call(value)
+        assert str(info.value) == f"{name} model must be a {wanted}, got {type(value).__name__}"
+
+
+def test_non_models_raise_argument_error_naming_every_kind(tmp_path):
+    for call in (tk.reconstruct, lambda m: tk.write_model(tmp_path / "m", m)):
+        with pytest.raises(ArgumentError) as info:
+            call(0)
+        assert str(info.value) == "int is not a model (cp|tucker|tt|tr)"
+    assert not (tmp_path / "m").exists()
 
 
 def test_numpy_integers_are_accepted():
