@@ -282,12 +282,14 @@ def _check_permutation(p: Sequence[int], order: int) -> tuple[int, ...]:
 
 def permute(x: DenseTensor, p: Sequence[int]) -> DenseTensor:
     """Mode permutation: mode k of the result is mode p[k] of the input."""
+    x = _as_tensor(x, "permute")
     p = _check_permutation(p, x.order)
     return _tensor_from_nd(x._nd().transpose([v - 1 for v in p]))
 
 
 def vec(x: DenseTensor) -> DenseTensor:
     """Flatten to an order-1 tensor; the buffer is already in this order."""
+    x = _as_tensor(x, "vec")
     return DenseTensor._wrap((x.size,), x.data)
 
 
@@ -307,6 +309,7 @@ def matricize(x: DenseTensor, n: int) -> DenseTensor:
     of the remaining modes. Implemented as permute-mode-to-front, then
     1-unfold.
     """
+    x = _as_tensor(x, "matricize")
     n = _as_int(n, "mode", 1, x.order)
     front = np.moveaxis(x._nd(), n - 1, 0)
     rows = x.shape[n - 1]
@@ -315,6 +318,7 @@ def matricize(x: DenseTensor, n: int) -> DenseTensor:
 
 def k_unfold(x: DenseTensor, k: int) -> DenseTensor:
     """Split the modes after position k into columns; the buffer is unchanged."""
+    x = _as_tensor(x, "k_unfold")
     k = _as_int(k, "split point", 1, x.order - 1)
     rows = element_count(x.shape[:k])
     return DenseTensor._wrap((rows, x.size // rows), x.data)
@@ -327,6 +331,7 @@ def subtensor(x: DenseTensor, sel: Sequence) -> DenseTensor:
     the closed 1-based range m..n, or ":" for the whole mode. A single fiber
     comes back as an order-1 tensor.
     """
+    x = _as_tensor(x, "subtensor")
     indexer = []
     for mode, (s, extent) in enumerate(zip(_as_seq(sel, "selection", x.order), x.shape), start=1):
         if s == ":" or s is None:

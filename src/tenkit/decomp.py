@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DenseTensor, _as_int, _as_ints, _as_tensor, _as_tol, _tensor_from_nd, fold, matricize, permute, vec
+from .core import DenseTensor, _as_int, _as_ints, _as_seq, _as_tensor, _as_tol, _tensor_from_nd, fold, matricize, permute, vec
 from .elementwise import frobenius_norm
 from .errors import ArgumentError, ModelError, NumericError, ParseError
 from .factor import _check_finite, _householder, _jacobi_svd, _orthonormal_fill, default_rank_tol, pinv, qr, svd
@@ -57,14 +57,14 @@ class CPModel:
     factors: tuple[DenseTensor, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        if self.weights.order != 1:
+        object.__setattr__(self, "factors", _as_seq(self.factors, "CPModel factors"))
+        if _as_tensor(self.weights, "CPModel").order != 1:
             raise ModelError(f"cp weights must be order-1, got order {self.weights.order}")
         if not self.factors:
             raise ModelError("cp model needs at least one factor")
         r = self.weights.size
         for n, f in enumerate(self.factors, start=1):
-            if f.order != 2:
+            if _as_tensor(f, "CPModel").order != 2:
                 raise ModelError(f"cp factor {n} must be order-2, got order {f.order}")
             if f.shape[1] != r:
                 raise ModelError(f"cp factor {n} has {f.shape[1]} columns, expected rank {r}")
@@ -101,13 +101,13 @@ class TuckerModel:
     factors: tuple[DenseTensor, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        if len(self.factors) != self.core.order:
+        object.__setattr__(self, "factors", _as_seq(self.factors, "TuckerModel factors"))
+        if len(self.factors) != _as_tensor(self.core, "TuckerModel").order:
             raise ModelError(
                 f"tucker model has {len(self.factors)} factors for an order-{self.core.order} core"
             )
         for n, f in enumerate(self.factors, start=1):
-            if f.order != 2:
+            if _as_tensor(f, "TuckerModel").order != 2:
                 raise ModelError(f"tucker factor {n} must be order-2, got order {f.order}")
             if f.shape[1] != self.core.shape[n - 1]:
                 raise ModelError(
@@ -133,11 +133,11 @@ class _CoreChain:
     _kind, _noun, _closed = "tt", "train", False
 
     def __post_init__(self):
-        object.__setattr__(self, "cores", tuple(self.cores))
+        object.__setattr__(self, "cores", _as_seq(self.cores, f"{type(self).__name__} cores"))
         if not self.cores:
             raise ModelError(f"{self._kind} {self._noun} needs at least one core")
         for n, c in enumerate(self.cores, start=1):
-            if c.order != 3:
+            if _as_tensor(c, type(self).__name__).order != 3:
                 raise ModelError(f"{self._kind} core {n} must be order-3, got order {c.order}")
         n = len(self.cores)
         for k in range(n if self._closed else n - 1):

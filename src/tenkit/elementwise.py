@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DenseTensor, _tensor_from_nd, multi_index
+from .core import DenseTensor, _as_seq, _as_tensor, _from_rev, _rev, multi_index
 from .errors import ArgumentError, DivisionError, ShapeError
 
 __all__ = [
@@ -45,51 +45,49 @@ def broadcast_shapes(left: Sequence[int], right: Sequence[int]) -> tuple[int, ..
     return tuple(out)
 
 
-def _aligned(x: DenseTensor, order: int) -> np.ndarray:
-    return x._nd().reshape(x.shape + (1,) * (order - x.order), order="F")
+_OPS = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide}
 
 
-def ew_binary(op: str, x: DenseTensor, y: DenseTensor) -> DenseTensor:
-    """Entry-wise add/sub/mul/div of two broadcast-compatible tensors."""
-    shape = broadcast_shapes(x.shape, y.shape)
+def _ew(op: str, x: DenseTensor, y: DenseTensor, what: str) -> DenseTensor:
+    # On the reversed-shape views (core._rev) the right-padding of
+    # broadcast_shapes is numpy's own left-padding broadcast.
+    x = _as_tensor(x, what)
+    y = _as_tensor(y, what)
+    broadcast_shapes(x.shape, y.shape)
     if op == "div":
         zero = np.flatnonzero(y.data == 0.0)
         if zero.size:
             where = multi_index(int(zero[0]) + 1, y.shape)
             raise DivisionError(f"divisor entry {where} is exactly zero")
-    a = _aligned(x, len(shape))
-    b = _aligned(y, len(shape))
-    if op == "add":
-        out = a + b
-    elif op == "sub":
-        out = a - b
-    elif op == "mul":
-        out = a * b
-    elif op == "div":
-        out = a / b
-    else:
+    if op not in _OPS:
         raise ArgumentError(f"unknown entry-wise op {op!r} (need add|sub|mul|div)")
-    return _tensor_from_nd(out)
+    return _from_rev(_OPS[op](_rev(x), _rev(y)))
+
+
+def ew_binary(op: str, x: DenseTensor, y: DenseTensor) -> DenseTensor:
+    """Entry-wise add/sub/mul/div of two broadcast-compatible tensors."""
+    return _ew(op, x, y, "ew_binary")
 
 
 def add(x: DenseTensor, y: DenseTensor) -> DenseTensor:
-    return ew_binary("add", x, y)
+    return _ew("add", x, y, "add")
 
 
 def subtract(x: DenseTensor, y: DenseTensor) -> DenseTensor:
-    return ew_binary("sub", x, y)
+    return _ew("sub", x, y, "subtract")
 
 
 def multiply(x: DenseTensor, y: DenseTensor) -> DenseTensor:
-    return ew_binary("mul", x, y)
+    return _ew("mul", x, y, "multiply")
 
 
 def divide(x: DenseTensor, y: DenseTensor) -> DenseTensor:
-    return ew_binary("div", x, y)
+    return _ew("div", x, y, "divide")
 
 
 def scale(a: float, x: DenseTensor) -> DenseTensor:
     """Multiply every entry by the scalar a."""
+    x = _as_tensor(x, "scale")
     buf = a * x.data
     buf.flags.writeable = False
     return DenseTensor._wrap(x.shape, buf)
@@ -97,6 +95,8 @@ def scale(a: float, x: DenseTensor) -> DenseTensor:
 
 def inner(x: DenseTensor, y: DenseTensor) -> float:
     """Sum of the entry-wise products; shapes must match exactly."""
+    x = _as_tensor(x, "inner")
+    y = _as_tensor(y, "inner")
     if x.shape != y.shape:
         raise ShapeError(f"inner product needs equal shapes, got ({','.join(map(str, x.shape))}) and ({','.join(map(str, y.shape))})")
     return float(x.data @ y.data)
@@ -110,6 +110,7 @@ def frobenius_norm(x: DenseTensor) -> float:
     below the largest can underflow; the result is inf only when the norm
     itself is beyond float range.
     """
+    x = _as_tensor(x, "frobenius_norm")
     exp = math.frexp(float(np.abs(x.data).max()))[1]
     y = np.ldexp(x.data, -exp)
     try:
@@ -119,17 +120,21 @@ def frobenius_norm(x: DenseTensor) -> float:
 
 
 def sum_all(x: DenseTensor) -> float:
-    return float(x.data.sum())
+    return float(_as_tensor(x, "sum_all").data.sum())
 
 
 def outer(vs: Sequence[DenseTensor]) -> DenseTensor:
     """Outer product of vectors: entry (i1,...,iN) = prod_n v_n(i_n)."""
+    vs = [_as_tensor(v, "outer") for v in _as_seq(vs, "outer product vectors")]
     if len(vs) == 0:
         raise ArgumentError("outer product needs at least one vector")
     for v in vs:
         if v.order != 1:
             raise ShapeError(f"outer product operands must be order-1, got order {v.order}")
+    # Built in storage order: the reversed view of the result has the last
+    # vector's axis first. v * acc == acc * v exactly, so entries are still
+    # (v_1 v_2) v_3 ...
     acc = vs[0].data
     for v in vs[1:]:
-        acc = np.multiply.outer(acc, v.data)
-    return _tensor_from_nd(acc)
+        acc = np.multiply.outer(v.data, acc)
+    return _from_rev(acc)

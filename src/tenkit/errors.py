@@ -1,5 +1,10 @@
 """Exception hierarchy shared by all tenkit modules."""
 
+__all__ = [
+    "TenkitError", "ArgumentError", "BoundsError", "ShapeError", "DivisionError",
+    "ParseError", "PlanError", "ModelError", "NumericError",
+]
+
 
 class TenkitError(Exception):
     """Base class for all tenkit errors."""

@@ -314,7 +314,7 @@ def default_rank_tol(sigma: np.ndarray, rows: int, cols: int) -> float:
 
 def numerical_rank(m: DenseTensor, tol: float | None = None) -> int:
     """Count of singular values above tol (default sigma_1 * max(I,J) * eps)."""
-    m = _as_tensor(m, "numerical_rank")
+    m = _as_tensor(m, "numerical_rank", 2)
     if tol is not None:
         tol = _as_tol(tol)
     s = svd(m).sigma.data
@@ -325,7 +325,7 @@ def numerical_rank(m: DenseTensor, tol: float | None = None) -> int:
 
 def pinv(m: DenseTensor) -> DenseTensor:
     """Moore-Penrose pseudo-inverse via the SVD, zeroing sub-threshold sigmas."""
-    m = _as_tensor(m, "pinv")
+    m = _as_tensor(m, "pinv", 2)
     res = svd(m)
     s = res.sigma.data
     tol = default_rank_tol(s, m.shape[0], m.shape[1])

@@ -23,7 +23,7 @@ import os
 
 import numpy as np
 
-from .core import DenseTensor, element_count
+from .core import DenseTensor, _as_tensor, element_count
 from .errors import ParseError
 
 __all__ = ["read_tensor", "write_tensor", "loads_tensor", "dumps_tensor", "format_float"]
@@ -98,6 +98,7 @@ def loads_tensor(text: str) -> DenseTensor:
 
 def dumps_tensor(t: DenseTensor) -> str:
     """Render a tensor as .ten text."""
+    t = _as_tensor(t, "dumps_tensor")
     head = f"order {t.order}\nshape" + "".join(f" {e}" for e in t.shape) + "\ndata\n"
     return head + _format_rows(t.data.tolist(), 6) + "\n"
 
@@ -133,4 +134,5 @@ def _write_atomic(path: str | os.PathLike, text: str) -> None:
 
 def write_tensor(path: str | os.PathLike, t: DenseTensor) -> None:
     """Write t to path atomically (see _write_atomic)."""
+    t = _as_tensor(t, "write_tensor")
     _write_atomic(path, dumps_tensor(t))

@@ -105,8 +105,8 @@ def multi_mode_product(g: DenseTensor, mats: Sequence[DenseTensor | None]) -> De
     A None slot leaves that mode untouched (the all-but-one-mode product is
     the case with exactly one None).
     """
-    out = g
-    for n, a in enumerate(_as_seq(mats, "matrix slots", g.order), start=1):
+    out = _as_tensor(g, "multi_mode_product")
+    for n, a in enumerate(_as_seq(mats, "matrix slots", out.order), start=1):
         if a is not None:
             out = mode_product(out, a, n)
     return out
@@ -118,6 +118,8 @@ def tensor_product(a: DenseTensor, b: DenseTensor, pairing: Sequence[tuple[int, 
     Free modes of a (in their original order) come first, then free modes
     of b. Each (n, m) pair contracts mode n of a against mode m of b.
     """
+    a = _as_tensor(a, "tensor_product")
+    b = _as_tensor(b, "tensor_product")
     pairing = [
         _as_ints(pair, f"pair {k} entry", 2, 1, (a.order, b.order))
         for k, pair in enumerate(_as_seq(pairing, "pairing"), start=1)
@@ -141,6 +143,8 @@ def tensor_product(a: DenseTensor, b: DenseTensor, pairing: Sequence[tuple[int, 
 
 def tt_pair_product(x: DenseTensor, y: DenseTensor) -> DenseTensor:
     """Contract the last mode of x against the first mode of y."""
+    x = _as_tensor(x, "tt_pair_product")
+    y = _as_tensor(y, "tt_pair_product")
     if x.order < 1 or y.order < 1:
         raise ShapeError("tt_pair_product operands must have order >= 1")
     if x.shape[-1] != y.shape[0]:

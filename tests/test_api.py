@@ -1,0 +1,37 @@
+"""The public API: tenkit.__all__ is the layer modules' __all__ lists."""
+
+import json
+import os
+import subprocess
+import sys
+
+import tenkit as tk
+
+LAYERS = ("core", "elementwise", "products", "factor", "network", "decomp", "io", "errors")
+
+
+def test_all_is_the_concatenation_of_the_layer_lists():
+    modules = [getattr(tk, name) for name in LAYERS]
+    assert tk.__all__ == [name for m in modules for name in m.__all__]
+    assert len(set(tk.__all__)) == len(tk.__all__)
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(tk, name) is getattr(m, name), (m.__name__, name)
+
+
+def test_public_names_are_the_api_and_the_layer_modules():
+    # A fresh interpreter: importing tenkit.cli elsewhere in the session
+    # would add "cli" to dir(tenkit).
+    code = "import json, tenkit; print(json.dumps([n for n in dir(tenkit) if not n.startswith('_')]))"
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    public = set(json.loads(out.stdout))
+    assert public == set(tk.__all__) | set(LAYERS)
+    assert len(public) == 92
+
+
+def test_star_import_gives_the_api():
+    scope = {}
+    exec("from tenkit import *", scope)
+    assert set(scope) - {"__builtins__"} == set(tk.__all__)

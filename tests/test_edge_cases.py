@@ -1,5 +1,6 @@
 """Degenerate inputs: malformed files, scalars, zero tensors, deep orders."""
 
+import inspect
 import math
 from pathlib import Path
 
@@ -106,6 +107,11 @@ BAD_SEQUENCE_ARGS = {
     "tensor_string_data": lambda: tk.DenseTensor((2,), "ab"),
     "tensor_dict_data": lambda: tk.DenseTensor((2,), {"a": 1}),
     "tensor_none_entry": lambda: tk.DenseTensor((2,), [None, 1]),
+    "outer_int": lambda: tk.outer(0),
+    "outer_tensor": lambda: tk.outer(_X),
+    "cp_model_int_factors": lambda: tk.CPModel(tk.one_hot(1, 1), 0),
+    "tucker_model_int_factors": lambda: tk.TuckerModel(tk.one_hot(1, 1), 0),
+    "tt_train_tensor_cores": lambda: tk.TTTrain(_X),
 }
 
 # Each call passes something other than a DenseTensor where a tensor is
@@ -128,6 +134,101 @@ NOT_A_TENSOR_ARGS = {
     "mode_product_x_int": lambda: tk.mode_product(0, tk.identity(2), 1),
     "mode_product_matrix_int": lambda: tk.mode_product(_X, 0, 1),
     "fold_int": lambda: tk.fold(0, (2,)),
+    "kronecker_right_int": lambda: tk.kronecker(_M, 0),
+    "khatri_rao_left_int": lambda: tk.khatri_rao(0, _M),
+    "permute_int": lambda: tk.permute(0, [1]),
+    "vec_int": lambda: tk.vec(0),
+    "matricize_int": lambda: tk.matricize(0, 1),
+    "k_unfold_int": lambda: tk.k_unfold(0, 1),
+    "subtensor_int": lambda: tk.subtensor(0, [1]),
+    "ew_binary_left_int": lambda: tk.ew_binary("add", 0, _X),
+    "ew_binary_right_int": lambda: tk.ew_binary("add", _X, 0),
+    "add_left_int": lambda: tk.add(0, _X),
+    "add_right_int": lambda: tk.add(_X, 0),
+    "subtract_left_int": lambda: tk.subtract(0, _X),
+    "subtract_right_int": lambda: tk.subtract(_X, 0),
+    "multiply_left_int": lambda: tk.multiply(0, _X),
+    "multiply_right_int": lambda: tk.multiply(_X, 0),
+    "divide_left_int": lambda: tk.divide(0, _X),
+    "divide_right_int": lambda: tk.divide(_X, 0),
+    "scale_int": lambda: tk.scale(2.0, 0),
+    "inner_left_int": lambda: tk.inner(0, _X),
+    "inner_right_int": lambda: tk.inner(_X, 0),
+    "frobenius_norm_int": lambda: tk.frobenius_norm(0),
+    "sum_all_int": lambda: tk.sum_all(0),
+    "outer_entry_int": lambda: tk.outer([tk.one_hot(1, 2), 0]),
+    "multi_mode_product_int": lambda: tk.multi_mode_product(0, [None]),
+    "tensor_product_left_int": lambda: tk.tensor_product(0, _X, []),
+    "tensor_product_right_int": lambda: tk.tensor_product(_X, 0, []),
+    "tt_pair_product_left_int": lambda: tk.tt_pair_product(0, _X),
+    "tt_pair_product_right_int": lambda: tk.tt_pair_product(_X, 0),
+    "dumps_tensor_int": lambda: tk.dumps_tensor(0),
+    # The directory does not exist, so nothing is written even if the check fails.
+    "write_tensor_int": lambda: tk.write_tensor(Path("no-such-dir") / "x.ten", 0),
+    "cp_model_weights_int": lambda: tk.CPModel(0, ()),
+    "cp_model_factor_int": lambda: tk.CPModel(tk.one_hot(1, 1), (0,)),
+    "tucker_model_core_int": lambda: tk.TuckerModel(0, ()),
+    "tucker_model_factor_int": lambda: tk.TuckerModel(tk.one_hot(1, 1), (0,)),
+    "tt_train_core_int": lambda: tk.TTTrain((0,)),
+    "tr_ring_core_int": lambda: tk.TRRing((0,)),
+}
+
+# The function and parameter each NOT_A_TENSOR_ARGS case passes its
+# non-tensor to; the error message names the function.
+NOT_A_TENSOR_PARAMS = {
+    "svd_int": "svd.m",
+    "hosvd_int": "hosvd.x",
+    "tt_svd_none": "tt_svd.x",
+    "qr_list": "qr.m",
+    "pinv_float": "pinv.m",
+    "truncated_svd_string": "truncated_svd.m",
+    "numerical_rank_ndarray": "numerical_rank.m",
+    "truncated_hosvd_none": "truncated_hosvd.x",
+    "cp_als_int": "cp_als.x",
+    "matmul_left_int": "matmul.a",
+    "matmul_right_int": "matmul.b",
+    "trace_int": "trace.s",
+    "kronecker_int": "kronecker.a",
+    "khatri_rao_int": "khatri_rao.b",
+    "mode_product_x_int": "mode_product.x",
+    "mode_product_matrix_int": "mode_product.a",
+    "fold_int": "fold.v",
+    "kronecker_right_int": "kronecker.b",
+    "khatri_rao_left_int": "khatri_rao.a",
+    "permute_int": "permute.x",
+    "vec_int": "vec.x",
+    "matricize_int": "matricize.x",
+    "k_unfold_int": "k_unfold.x",
+    "subtensor_int": "subtensor.x",
+    "ew_binary_left_int": "ew_binary.x",
+    "ew_binary_right_int": "ew_binary.y",
+    "add_left_int": "add.x",
+    "add_right_int": "add.y",
+    "subtract_left_int": "subtract.x",
+    "subtract_right_int": "subtract.y",
+    "multiply_left_int": "multiply.x",
+    "multiply_right_int": "multiply.y",
+    "divide_left_int": "divide.x",
+    "divide_right_int": "divide.y",
+    "scale_int": "scale.x",
+    "inner_left_int": "inner.x",
+    "inner_right_int": "inner.y",
+    "frobenius_norm_int": "frobenius_norm.x",
+    "sum_all_int": "sum_all.x",
+    "outer_entry_int": "outer.vs",
+    "multi_mode_product_int": "multi_mode_product.g",
+    "tensor_product_left_int": "tensor_product.a",
+    "tensor_product_right_int": "tensor_product.b",
+    "tt_pair_product_left_int": "tt_pair_product.x",
+    "tt_pair_product_right_int": "tt_pair_product.y",
+    "dumps_tensor_int": "dumps_tensor.t",
+    "write_tensor_int": "write_tensor.t",
+    "cp_model_weights_int": "CPModel.weights",
+    "cp_model_factor_int": "CPModel.factors",
+    "tucker_model_core_int": "TuckerModel.core",
+    "tucker_model_factor_int": "TuckerModel.factors",
+    "tt_train_core_int": "TTTrain.cores",
+    "tr_ring_core_int": "TRRing.cores",
 }
 
 _V = tk.vec(_X)
@@ -161,6 +262,10 @@ ORDER_ERRORS = {
         lambda: tk.truncated_hosvd(_V, (1,)), ArgumentError, "truncated_hosvd needs an order >= 2 tensor, got order 1"
     ),
     "tt_svd": (lambda: tk.tt_svd(_V), ArgumentError, "tt_svd needs an order >= 2 tensor, got order 1"),
+    "pinv": (lambda: tk.pinv(_V), ShapeError, "pinv expects an order-2 tensor, got order 1"),
+    "numerical_rank": (
+        lambda: tk.numerical_rank(_X), ShapeError, "numerical_rank expects an order-2 tensor, got order 3"
+    ),
 }
 
 _TUCKER = tk.hosvd(_X)
@@ -261,6 +366,21 @@ def test_non_sequence_arguments_raise_argument_error(call):
 def test_non_tensor_arguments_raise_argument_error(call):
     with pytest.raises(ArgumentError, match=r"^\w+ input must be a DenseTensor, got \w+$"):
         call()
+
+
+def test_every_tensor_parameter_has_a_non_tensor_case():
+    assert NOT_A_TENSOR_PARAMS.keys() == NOT_A_TENSOR_ARGS.keys()
+    for key, target in NOT_A_TENSOR_PARAMS.items():
+        with pytest.raises(ArgumentError, match=f"^{target.split('.')[0]} input "):
+            NOT_A_TENSOR_ARGS[key]()
+    wanted = set()
+    for name in tk.__all__:
+        func = getattr(tk, name)
+        if inspect.isfunction(func):
+            params = inspect.signature(func).parameters.values()
+            wanted |= {f"{name}.{p.name}" for p in params if p.annotation in ("DenseTensor", tk.DenseTensor)}
+    assert {"svd.m", "divide.y", "write_tensor.t"} <= wanted  # the annotations read as written
+    assert wanted <= set(NOT_A_TENSOR_PARAMS.values()), sorted(wanted - set(NOT_A_TENSOR_PARAMS.values()))
 
 
 @pytest.mark.parametrize("call,error,message", ORDER_ERRORS.values(), ids=ORDER_ERRORS.keys())

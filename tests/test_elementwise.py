@@ -6,7 +6,7 @@ import pytest
 import tenkit as tk
 from tenkit import ArgumentError, DivisionError, ShapeError
 
-from helpers import rand_tensor
+from helpers import enumerate_indices, rand_tensor
 
 
 def test_hadamard_equal_shapes_entrywise():
@@ -196,3 +196,41 @@ def test_outer_examples():
         tk.outer([])
     with pytest.raises(ShapeError):
         tk.outer([a, ab])
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 2), (2, 3, 4, 3)])
+def test_outer_of_many_vectors_matches_a_loop_oracle_bit_for_bit(shape):
+    # The oracle multiplies left to right, (v1 v2) v3 ..., one index at a
+    # time; an outer product that associated the other way would differ in
+    # the last bit of many entries.
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        vs = [rng.standard_normal(e) for e in shape]
+        want = []
+        for idx in enumerate_indices(shape):
+            p = vs[0][idx[0] - 1]
+            for v, i in zip(vs[1:], idx[1:]):
+                p = p * v[i - 1]
+            want.append(p)
+        got = tk.outer([tk.DenseTensor((e,), v) for e, v in zip(shape, vs)])
+        assert got.shape == shape
+        assert got.data.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+def test_ew_binary_with_order_zero_operands(op):
+    fn = {"add": float.__add__, "sub": float.__sub__, "mul": float.__mul__, "div": float.__truediv__}[op]
+    s = tk.DenseTensor((), [2.5])
+    t = tk.DenseTensor((), [-0.75])
+    x = tk.DenseTensor((2, 3), [1.0, -2.0, 3.5, 4.0, 0.5, 6.0])
+    both = tk.ew_binary(op, s, t)
+    assert both.shape == () and both.item() == fn(2.5, -0.75)
+    left = tk.ew_binary(op, s, x)
+    assert left.shape == (2, 3) and left.data.tolist() == [fn(2.5, v) for v in x.data.tolist()]
+    right = tk.ew_binary(op, x, t)
+    assert right.shape == (2, 3) and right.data.tolist() == [fn(v, -0.75) for v in x.data.tolist()]
+
+
+def test_division_by_an_order_zero_zero():
+    with pytest.raises(DivisionError, match=r"^divisor entry \(\) is exactly zero$"):
+        tk.divide(tk.all_ones((2,)), tk.DenseTensor((), [0.0]))
