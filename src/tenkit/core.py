@@ -4,8 +4,10 @@ Entries are stored flat in vectorization order: the first index varies
 fastest, so the 1-based entry (i1, ..., iN) of a tensor with extents
 (I1, ..., IN) sits at flat position 1 + sum_n (i_n - 1) * prod_{m<n} I_m.
 For order 3 this is the familiar (k-1)*I*J + (j-1)*I + i. All public
-indices, modes, and permutations are 1-based; flat numpy offsets stay
-private to this module.
+indices, modes, and permutations are 1-based. Only this module knows the
+storage order: other modules see the entries through to_array(), the array
+of shape (I_1, ..., I_N), and through _rev and its inverse _from_rev, the
+C-order array of shape (I_N, ..., I_1).
 """
 
 from __future__ import annotations
@@ -96,7 +98,17 @@ def _as_ints(
 
 def _is_finite_real(value) -> bool:
     real = isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
-    return real and math.isfinite(value)
+    try:
+        return real and math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+def _as_real(value, what: str, finite: bool = True) -> float:
+    """A finite real argument (any float if not finite) as a float, else ArgumentError."""
+    if _is_finite_real(value) or not finite and isinstance(value, (float, np.floating)):
+        return float(value)
+    raise ArgumentError(f"{what} must be a {'finite ' if finite else ''}number, got {value!r}")
 
 
 def _as_tol(tol) -> float:
@@ -110,12 +122,17 @@ def _check_shape(shape: Sequence[int]) -> Shape:
     return _as_ints(shape, "extent of mode", lo=1, error=ShapeError)
 
 
+def _check_size(shape: Sequence[int]) -> Shape:
+    """_check_shape, and an element count numpy can index, before anything is allocated."""
+    shape = _check_shape(shape)
+    if math.prod(shape) > np.iinfo(np.intp).max:
+        raise ShapeError(f"shape {_fmt_shape(shape)} has {math.prod(shape)} entries, more than numpy can index")
+    return shape
+
+
 def element_count(shape: Sequence[int]) -> int:
     """Number of entries for a shape; the empty shape (a scalar) counts 1."""
-    n = 1
-    for e in shape:
-        n *= int(e)
-    return n
+    return math.prod(_as_ints(shape, "extent of mode"))
 
 
 def _fmt_shape(shape: Sequence[int]) -> str:
@@ -142,7 +159,7 @@ class DenseTensor:
         if arr.dtype.kind not in "biuf":
             raise ArgumentError(f"tensor data must be real numbers, got {arr.dtype} data")
         arr = arr.astype(np.float64).reshape(-1)
-        need = element_count(shape)
+        need = math.prod(shape)
         if arr.size != need:
             raise ShapeError(
                 f"data length {arr.size} does not match shape {_fmt_shape(shape)} "
@@ -184,13 +201,9 @@ class DenseTensor:
         """Read-only flat view of the entries in vectorization order."""
         return self._data
 
-    def _nd(self) -> np.ndarray:
-        # N-dimensional read-only view; no copy (the buffer is contiguous).
-        return self._data.reshape(self._shape, order="F")
-
     def to_array(self) -> np.ndarray:
-        """N-dimensional numpy view of the entries (read-only)."""
-        return self._nd()
+        """N-dimensional numpy view of the entries (read-only, no copy)."""
+        return self._data.reshape(self._shape, order="F")
 
     def at(self, *idx: int) -> float:
         """Entry at a 1-based multi-index."""
@@ -217,17 +230,17 @@ class DenseTensor:
         return f"DenseTensor(shape={_fmt_shape(self._shape)}, {self.size} entries)"
 
 
-def _tensor_from_nd(array: np.ndarray) -> DenseTensor:
-    flat = np.ascontiguousarray(array.ravel(order="F"), dtype=np.float64)
-    flat.flags.writeable = False
-    return DenseTensor._wrap(tuple(int(e) for e in array.shape), flat)
+def _as_instance(value, cls: type, what: str):
+    """An argument of the function `what` that must be a cls, else ArgumentError."""
+    if not isinstance(value, cls):
+        raise ArgumentError(f"{what} input must be a {cls.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _as_tensor(value, what: str, order: int | None = None, min_order: int = 0) -> DenseTensor:
     """A tensor argument of the function `what`: a non-tensor or an order below
     min_order raises ArgumentError, an order other than `order` ShapeError."""
-    if not isinstance(value, DenseTensor):
-        raise ArgumentError(f"{what} input must be a DenseTensor, got {type(value).__name__}")
+    _as_instance(value, DenseTensor, what)
     if order is not None and value.order != order:
         raise ShapeError(f"{what} expects an order-{order} tensor, got order {value.order}")
     if value.order < min_order:
@@ -264,7 +277,7 @@ def linear_index(idx: Sequence[int], shape: Sequence[int]) -> int:
 def multi_index(flat: int, shape: Sequence[int]) -> tuple[int, ...]:
     """Inverse of linear_index: 1-based multi-index of a 1-based flat position."""
     shape = _check_shape(shape)
-    flat = _as_int(flat, f"flat index for shape {_fmt_shape(shape)}", 1, element_count(shape), BoundsError)
+    flat = _as_int(flat, f"flat index for shape {_fmt_shape(shape)}", 1, math.prod(shape), BoundsError)
     rem = flat - 1
     idx = []
     for extent in shape:
@@ -284,7 +297,7 @@ def permute(x: DenseTensor, p: Sequence[int]) -> DenseTensor:
     """Mode permutation: mode k of the result is mode p[k] of the input."""
     x = _as_tensor(x, "permute")
     p = _check_permutation(p, x.order)
-    return _tensor_from_nd(x._nd().transpose([v - 1 for v in p]))
+    return _from_rev(_rev(x).transpose([x.order - v for v in reversed(p)]))
 
 
 def vec(x: DenseTensor) -> DenseTensor:
@@ -297,7 +310,7 @@ def fold(v: DenseTensor, target: Sequence[int]) -> DenseTensor:
     """Reshape an order-1 tensor into the target shape (inverse of vec)."""
     v = _as_tensor(v, "fold", 1)
     shape = _check_shape(target)
-    if element_count(shape) != v.size:
+    if math.prod(shape) != v.size:
         raise ShapeError(f"cannot fold length {v.size} into shape {_fmt_shape(shape)}")
     return DenseTensor._wrap(shape, v.data)
 
@@ -306,21 +319,20 @@ def matricize(x: DenseTensor, n: int) -> DenseTensor:
     """Mode-n matricization: shape (I_n, prod of the other extents).
 
     Row i_n collects all mode-n fibers; columns follow vectorization order
-    of the remaining modes. Implemented as permute-mode-to-front, then
-    1-unfold.
+    of the remaining modes. On the reversed-shape view (_rev) this is
+    mode n moved to the last axis, then one C-order reshape.
     """
     x = _as_tensor(x, "matricize")
     n = _as_int(n, "mode", 1, x.order)
-    front = np.moveaxis(x._nd(), n - 1, 0)
     rows = x.shape[n - 1]
-    return _tensor_from_nd(front.reshape((rows, x.size // rows), order="F"))
+    return _from_rev(np.moveaxis(_rev(x), x.order - n, -1).reshape(-1, rows))
 
 
 def k_unfold(x: DenseTensor, k: int) -> DenseTensor:
     """Split the modes after position k into columns; the buffer is unchanged."""
     x = _as_tensor(x, "k_unfold")
     k = _as_int(k, "split point", 1, x.order - 1)
-    rows = element_count(x.shape[:k])
+    rows = math.prod(x.shape[:k])
     return DenseTensor._wrap((rows, x.size // rows), x.data)
 
 
@@ -342,23 +354,24 @@ def subtensor(x: DenseTensor, sel: Sequence) -> DenseTensor:
             indexer.append(slice(m - 1, _as_int(n, f"range end for mode {mode}", m, extent, BoundsError)))
         else:
             indexer.append(_as_int(s, f"index for mode {mode}", 1, extent, BoundsError) - 1)
-    return _tensor_from_nd(np.array(x._nd()[tuple(indexer)]))
+    return _from_rev(np.array(_rev(x)[tuple(indexer[::-1])]))
 
 
 def zeros(shape: Sequence[int]) -> DenseTensor:
-    shape = _check_shape(shape)
-    return DenseTensor(shape, np.zeros(element_count(shape)))
+    shape = _check_size(shape)
+    return DenseTensor(shape, np.zeros(math.prod(shape)))
 
 
 def all_ones(shape: Sequence[int]) -> DenseTensor:
-    shape = _check_shape(shape)
-    return DenseTensor(shape, np.ones(element_count(shape)))
+    shape = _check_size(shape)
+    return DenseTensor(shape, np.ones(math.prod(shape)))
 
 
 def one_hot(i: int, length: int) -> DenseTensor:
     """Length-`length` vector with a single 1 at 1-based position i."""
     length = _as_int(length, "one_hot length", 1)
     i = _as_int(i, "index for mode 1", 1, length, BoundsError)
+    _check_size((length,))
     buf = np.zeros(length)
     buf[i - 1] = 1.0
     return DenseTensor((length,), buf)
@@ -366,6 +379,7 @@ def one_hot(i: int, length: int) -> DenseTensor:
 
 def identity(n: int) -> DenseTensor:
     n = _as_int(n, "identity size", 1)
+    _check_size((n, n))
     return DenseTensor.from_array(np.eye(n))
 
 
@@ -374,6 +388,7 @@ def matrix_unit(i: int, j: int, rows: int, cols: int) -> DenseTensor:
     rows = _as_int(rows, "matrix_unit rows", 1)
     cols = _as_int(cols, "matrix_unit cols", 1)
     i, j = _as_ints((i, j), "index for mode", 2, 1, (rows, cols), BoundsError)
+    _check_size((rows, cols))
     buf = np.zeros((rows, cols))
     buf[i - 1, j - 1] = 1.0
     return DenseTensor.from_array(buf)
@@ -386,6 +401,7 @@ def super_diagonal(order: int, size: int, weights: Sequence[float] | None = None
     """
     order = _as_int(order, "super_diagonal order", 1)
     size = _as_int(size, "super_diagonal size", 1)
+    shape = _check_size((size,) * order)
     if weights is None:
         w = np.ones(size)
     else:
@@ -393,13 +409,8 @@ def super_diagonal(order: int, size: int, weights: Sequence[float] | None = None
         if not all(_is_finite_real(v) for v in weights):
             raise ArgumentError(f"super_diagonal weights must be finite numbers, got {weights!r}")
         w = np.array(weights, dtype=np.float64)
-    shape = (size,) * order
-    buf = np.zeros(element_count(shape))
-    stride = (size**order - 1) // (size - 1) if size > 1 else 0
-    if size == 1:
-        buf[0] = w[0]
-    else:
-        buf[::stride] = w
+    buf = np.zeros(math.prod(shape))
+    buf[:: sum(size**k for k in range(order))] = w  # the stride from (r, ..., r) to (r+1, ..., r+1)
     return DenseTensor(shape, buf)
 
 
@@ -409,6 +420,6 @@ def folding_operator(shape: Sequence[int]) -> DenseTensor:
     It is the T-by-T identity folded into (*shape, T): contracting its last
     mode against vec(X) reproduces fold(vec(X), shape).
     """
-    shape = _check_shape(shape)
-    total = element_count(shape)
+    shape = _check_size(shape)
+    total = math.prod(shape)
     return fold(vec(identity(total)), shape + (total,))

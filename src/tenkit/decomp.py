@@ -18,7 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DenseTensor, _as_int, _as_ints, _as_seq, _as_tensor, _as_tol, _tensor_from_nd, fold, matricize, permute, vec
+from .core import DenseTensor, _as_int, _as_ints, _as_seq, _as_tensor, _as_tol, _from_rev, _rev, fold, k_unfold
+from .core import matricize, permute, subtensor, vec
 from .elementwise import frobenius_norm
 from .errors import ArgumentError, ModelError, NumericError, ParseError
 from .factor import _check_finite, _householder, _jacobi_svd, _orthonormal_fill, default_rank_tol, pinv, qr, svd
@@ -182,8 +183,7 @@ class TRRing(_CoreChain):
 def cp_reconstruct(m: CPModel) -> DenseTensor:
     """Dense tensor of a CP model: sum_r weights[r] * outer(columns r)."""
     _as_model(m, "cp_reconstruct", "cp")
-    flat = _khatri_rao([f._nd() for f in reversed(m.factors)]) @ m.weights.data
-    return fold(DenseTensor((flat.size,), flat), m.shape)
+    return DenseTensor(m.shape, _khatri_rao([f.to_array() for f in reversed(m.factors)]) @ m.weights.data)
 
 
 def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -193,16 +193,17 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     Cholesky is only the rank test: once every gram of the stack factors,
     gram @ F.T = rhs.T is solved by one batched LU solve, which costs less
     than two triangular solves through numpy's wrappers. When some gram is
-    rank-deficient (Cholesky fails), every slice is solved on its own, so
-    only the failing ones fall back to the SVD pseudo-inverse.
+    rank-deficient (Cholesky fails, or it passes on a tiny positive pivot
+    and LU meets an exact zero), every slice is solved on its own, so only
+    the failing ones fall back to the SVD pseudo-inverse.
     """
     try:
         np.linalg.cholesky(gram)
+        return np.linalg.solve(gram, rhs.swapaxes(-1, -2)).swapaxes(-1, -2)
     except np.linalg.LinAlgError:
         if gram.ndim > 2:
             return np.stack([_solve_gram(g, b) for g, b in zip(gram, rhs)])
-        return rhs @ pinv(_tensor_from_nd(gram))._nd()
-    return np.linalg.solve(gram, rhs.swapaxes(-1, -2)).swapaxes(-1, -2)
+        return rhs @ pinv(_from_rev(gram.T)).to_array()
 
 
 def cp_als(
@@ -256,7 +257,7 @@ def cp_als(
     exp = math.frexp(float(np.abs(x.data).max()))[1]
     x = DenseTensor(x.shape, np.ldexp(x.data, -exp))
     norm_x = frobenius_norm(x)
-    mats = [matricize(x, n)._nd() for n in range(1, x.order + 1)]
+    mats = [matricize(x, n).to_array() for n in range(1, x.order + 1)]
     starts = []
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
@@ -327,7 +328,7 @@ def cp_als(
         raise NumericError("cp_als weights are beyond float range")
     model = CPModel(
         DenseTensor((rank,), weights),
-        tuple(_tensor_from_nd(f[best]) for f in done_factors),
+        tuple(_from_rev(f[best].T) for f in done_factors),
     )
     return CPFit(
         model=model,
@@ -347,10 +348,6 @@ def tucker_reconstruct(m: TuckerModel) -> DenseTensor:
     return multi_mode_product(m.core, m.factors)
 
 
-def _transpose(t: DenseTensor) -> DenseTensor:
-    return permute(t, [2, 1])
-
-
 def _tucker(x: DenseTensor, ranks: Sequence[int]) -> TuckerModel:
     """Tucker model whose mode-n factor is the leading ranks[n] columns of the
     left singular basis (the svd u) of matricize(x, n), orthonormally filled
@@ -365,11 +362,11 @@ def _tucker(x: DenseTensor, ranks: Sequence[int]) -> TuckerModel:
         groups.setdefault((extent, x.size // extent), []).append(n)
     factors = [None] * x.order
     for modes in groups.values():
-        u, _, _ = _jacobi_svd(np.stack([matricize(x, n)._nd() for n in modes]))
+        u, _, _ = _jacobi_svd(np.stack([matricize(x, n).to_array() for n in modes]))
         for n, un in zip(modes, u):
             p = ranks[n - 1]
-            factors[n - 1] = _tensor_from_nd(un[:, :p] if un.shape[1] >= p else _orthonormal_fill(un, p))
-    core = multi_mode_product(x, [_transpose(u) for u in factors])
+            factors[n - 1] = _from_rev((un[:, :p] if un.shape[1] >= p else _orthonormal_fill(un, p)).T)
+    core = multi_mode_product(x, [permute(u, [2, 1]) for u in factors])
     return TuckerModel(core, tuple(factors))
 
 
@@ -445,13 +442,13 @@ def tt_svd(
     if max_ranks is not None:
         max_ranks = _as_ints(max_ranks, "bond cap", n - 1, 1)
     truncating = max_ranks is not None or tol is not None
-    remainder = x.data
+    remainder = x
     bond = 1
     cores = []
     discarded = 0.0
     for k in range(n - 1):
         rows = bond * x.shape[k]
-        mat = DenseTensor((rows, remainder.size // rows), remainder)
+        mat = fold(vec(remainder), (rows, remainder.size // rows))
         res = svd(mat)
         s = res.sigma.data
         if truncating:
@@ -464,11 +461,11 @@ def tt_svd(
             keep = int((s > default_rank_tol(s, mat.shape[0], mat.shape[1])).sum())
         keep = max(keep, 1)
         discarded += float((s[keep:] ** 2).sum())
-        u = res.u._nd()[:, :keep]
-        cores.append(DenseTensor((bond, x.shape[k], keep), u.ravel(order="F")))
-        remainder = (s[:keep, None] * res.v._nd()[:, :keep].T).ravel(order="F")
+        cores.append(fold(vec(subtensor(res.u, [":", (1, keep)])), (bond, x.shape[k], keep)))
+        # diag(s) @ v^T, built as its reversed view: v's rows times s.
+        remainder = _from_rev(_rev(res.v)[:keep].T * s[:keep])
         bond = keep
-    cores.append(DenseTensor((bond, x.shape[-1], 1), remainder))
+    cores.append(fold(vec(remainder), (bond, x.shape[-1], 1)))
     return TTTrain(tuple(cores), discarded_energy=discarded)
 
 
@@ -485,18 +482,19 @@ def tt_orthogonalize(t: TTTrain, pivot: int) -> TTTrain:
     pivot = _as_int(pivot, "pivot", 1, n)
     for core in t.cores:
         _check_finite(core, "tt_orthogonalize")
-    arrs = [c._nd() for c in t.cores]
+    cores = list(t.cores)
+    # A numpy matrix m is the tensor _from_rev(m.T).
     for k in range(pivot - 1):
-        r0, i, r1 = arrs[k].shape
-        q, r = _householder(arrs[k].reshape(r0 * i, r1, order="F"))
-        arrs[k] = q.reshape(r0, i, q.shape[1], order="F")
-        arrs[k + 1] = np.tensordot(r, arrs[k + 1], axes=([1], [0]))
+        r0, i, _ = cores[k].shape
+        q, r = _householder(k_unfold(cores[k], 2).to_array())
+        cores[k] = fold(vec(_from_rev(q.T)), (r0, i, q.shape[1]))
+        cores[k + 1] = mode_product(cores[k + 1], _from_rev(r.T), 1)
     for k in range(n - 1, pivot - 1, -1):
-        r0, i, r1 = arrs[k].shape
-        q, r = _householder(arrs[k].reshape(r0, i * r1, order="F").T)
-        arrs[k] = q.T.reshape(q.shape[1], i, r1, order="F")
-        arrs[k - 1] = np.tensordot(arrs[k - 1], r.T, axes=([2], [0]))
-    return TTTrain(tuple(_tensor_from_nd(a) for a in arrs))
+        _, i, r1 = cores[k].shape
+        q, r = _householder(k_unfold(cores[k], 1).to_array().T)
+        cores[k] = fold(vec(_from_rev(q)), (q.shape[1], i, r1))
+        cores[k - 1] = mode_product(cores[k - 1], _from_rev(r.T), 3)
+    return TTTrain(tuple(cores))
 
 
 def tt_split(t: TTTrain, k: int) -> tuple[TTTrain, TTTrain]:
@@ -513,8 +511,8 @@ def tt_split(t: TTTrain, k: int) -> tuple[TTTrain, TTTrain]:
 def tr_reconstruct(r: TRRing) -> DenseTensor:
     """Dense tensor of a ring: per-entry trace of the chained slice matrices."""
     _as_model(r, "tr_reconstruct", "tr")
-    acc = tt_chain(r)._nd()
-    return _tensor_from_nd(np.trace(acc, axis1=0, axis2=acc.ndim - 1))
+    acc = _rev(tt_chain(r))
+    return _from_rev(np.trace(acc, axis1=0, axis2=acc.ndim - 1))
 
 
 # --- model kinds and model directories --------------------------------------

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
 import numpy as np
 
-from .core import DenseTensor, _as_seq, _as_tensor, _from_rev, _rev, multi_index
+from .core import DenseTensor, _as_ints, _as_real, _as_seq, _as_tensor, _fmt_shape, _from_rev, _rev, multi_index
 from .errors import ArgumentError, DivisionError, ShapeError
 
 __all__ = [
@@ -31,18 +32,11 @@ def broadcast_shapes(left: Sequence[int], right: Sequence[int]) -> tuple[int, ..
     The shorter extent list is right-padded with 1s (trailing, higher modes),
     then each mode pair must be equal or contain a 1; the result takes the max.
     """
-    order = max(len(left), len(right))
-    a = tuple(left) + (1,) * (order - len(left))
-    b = tuple(right) + (1,) * (order - len(right))
-    out = []
-    for ea, eb in zip(a, b):
-        if ea != eb and 1 not in (ea, eb):
-            raise ShapeError(
-                f"shapes ({','.join(map(str, left))}) and ({','.join(map(str, right))}) "
-                f"do not satisfy the broadcast condition"
-            )
-        out.append(max(ea, eb))
-    return tuple(out)
+    left, right = _as_ints(left, "extent of mode"), _as_ints(right, "extent of mode")
+    pairs = list(itertools.zip_longest(left, right, fillvalue=1))
+    if any(ea != eb and 1 not in (ea, eb) for ea, eb in pairs):
+        raise ShapeError(f"shapes {_fmt_shape(left)} and {_fmt_shape(right)} do not satisfy the broadcast condition")
+    return tuple(map(max, pairs))
 
 
 _OPS = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide}
@@ -88,9 +82,7 @@ def divide(x: DenseTensor, y: DenseTensor) -> DenseTensor:
 def scale(a: float, x: DenseTensor) -> DenseTensor:
     """Multiply every entry by the scalar a."""
     x = _as_tensor(x, "scale")
-    buf = a * x.data
-    buf.flags.writeable = False
-    return DenseTensor._wrap(x.shape, buf)
+    return _from_rev(_as_real(a, "scale factor") * _rev(x))
 
 
 def inner(x: DenseTensor, y: DenseTensor) -> float:

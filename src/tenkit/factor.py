@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseTensor, _as_int, _as_tensor, _as_tol, _tensor_from_nd
+from .core import DenseTensor, _as_int, _as_tensor, _as_tol, _from_rev, _rev
 from .errors import NumericError, ShapeError
 
 __all__ = ["QRResult", "SVDResult", "qr", "svd", "truncated_svd", "numerical_rank", "pinv"]
@@ -123,8 +123,8 @@ def qr(m: DenseTensor) -> QRResult:
     rows, cols = m.shape
     if rows < cols:
         raise ShapeError(f"qr needs a tall matrix, got ({rows},{cols}); transpose first")
-    q, r = _householder(m._nd())
-    return QRResult(_tensor_from_nd(q), _tensor_from_nd(r))
+    q, r = _householder(m.to_array())
+    return QRResult(_from_rev(q.T), _from_rev(r.T))
 
 
 def _orthonormal_fill(u: np.ndarray, width: int) -> np.ndarray:
@@ -175,7 +175,7 @@ def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Each slice gets exactly the numbers it would get alone (B = 1): its own
     scaling, QR step, limit, convergence, dead-column fill and signs.
     """
-    # Lay each slice out column-major, as DenseTensor._nd() does, so that its
+    # Lay each slice out column-major, as to_array() does, so that its
     # numbers (the BLAS calls of _householder) do not depend on how the stack
     # was built. A wide stack is factored as its transpose.
     a = np.ascontiguousarray(a.transpose(0, 2, 1)).transpose(0, 2, 1)
@@ -290,8 +290,8 @@ def svd(m: DenseTensor) -> SVDResult:
     """Economy SVD of any matrix: m = u @ diag(sigma) @ v.T, K = min(I, J)."""
     m = _as_tensor(m, "svd", 2)
     _check_finite(m, "svd")
-    u, s, v = _jacobi_svd(m._nd()[None])
-    return SVDResult(_tensor_from_nd(u[0]), DenseTensor((s.shape[1],), s[0]), _tensor_from_nd(v[0]))
+    u, s, v = _jacobi_svd(m.to_array()[None])
+    return SVDResult(_from_rev(u[0].T), DenseTensor((s.shape[1],), s[0]), _from_rev(v[0].T))
 
 
 def truncated_svd(m: DenseTensor, k: int) -> SVDResult:
@@ -299,10 +299,9 @@ def truncated_svd(m: DenseTensor, k: int) -> SVDResult:
     m = _as_tensor(m, "truncated_svd", 2)
     k = _as_int(k, f"target rank for shape ({m.shape[0]},{m.shape[1]})", 1, min(m.shape))
     full = svd(m)
-    u = full.u._nd()[:, :k]
-    s = full.sigma.data[:k]
-    v = full.v._nd()[:, :k]
-    return SVDResult(_tensor_from_nd(np.array(u)), DenseTensor((k,), s), _tensor_from_nd(np.array(v)))
+    # The rows of a matrix's reversed view are its columns, so the leading k are contiguous.
+    u, v = (_from_rev(_rev(f)[:k]) for f in (full.u, full.v))
+    return SVDResult(u, DenseTensor((k,), full.sigma.data[:k]), v)
 
 
 def default_rank_tol(sigma: np.ndarray, rows: int, cols: int) -> float:
@@ -330,5 +329,5 @@ def pinv(m: DenseTensor) -> DenseTensor:
     s = res.sigma.data
     tol = default_rank_tol(s, m.shape[0], m.shape[1])
     inv = np.where(s > tol, 1.0 / np.where(s > tol, s, 1.0), 0.0)
-    out = res.v._nd() @ (inv[:, None] * res.u._nd().T)
-    return _tensor_from_nd(out)
+    out = res.v.to_array() @ (inv[:, None] * res.u.to_array().T)
+    return _from_rev(out.T)

@@ -23,7 +23,7 @@ import os
 
 import numpy as np
 
-from .core import DenseTensor, _as_tensor, element_count
+from .core import DenseTensor, _as_instance, _as_real, _as_tensor, element_count
 from .errors import ParseError
 
 __all__ = ["read_tensor", "write_tensor", "loads_tensor", "dumps_tensor", "format_float"]
@@ -31,7 +31,7 @@ __all__ = ["read_tensor", "write_tensor", "loads_tensor", "dumps_tensor", "forma
 
 def format_float(x: float) -> str:
     """Render a float with 17 significant digits."""
-    return format(float(x), ".17g")
+    return format(_as_real(x, "format_float value", finite=False), ".17g")
 
 
 def _format_rows(values: list[float], per_row: int) -> str:
@@ -60,6 +60,7 @@ def _parse_floats(tokens: list[str], not_float: str, fail) -> np.ndarray:
 
 def loads_tensor(text: str) -> DenseTensor:
     """Parse .ten text into a tensor."""
+    _as_instance(text, str, "loads_tensor")
     toks = ("\n".join(ln.split("#", 1)[0] for ln in text.splitlines()) if "#" in text else text).split()
 
     def fail(message: str, index: int):

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DenseTensor, _as_seq, permute
+from .core import DenseTensor, _as_instance, _as_seq, permute
 from .errors import ArgumentError, NumericError, ParseError, PlanError
 from .io import _format_rows, _parse_floats, read_tensor
 from .products import tensor_product
@@ -138,12 +138,12 @@ class TensorNetwork:
         return self._nodes[name][1]
 
     def extent(self, label: str) -> int:
-        if label not in self._extents:
+        if not (isinstance(label, str) and label in self._extents):
             raise ArgumentError(f"unknown label '{label}'")
         return self._extents[label]
 
     def _need(self, name: str) -> None:
-        if name not in self._nodes:
+        if not (isinstance(name, str) and name in self._nodes):
             raise ArgumentError(f"unknown node '{name}'")
 
     def __eq__(self, other) -> bool:
@@ -173,6 +173,7 @@ class ContractionPlan:
 
 def pair_cost(net: TensorNetwork, a: str, b: str) -> int:
     """Cost of contracting nodes a and b: product of extents of all their modes."""
+    _as_instance(net, TensorNetwork, "pair_cost")
     net._need(a)
     net._need(b)
     if a == b:
@@ -385,6 +386,7 @@ def plan(net: TensorNetwork, strategy="exhaustive") -> ContractionPlan:
     "greedy" repeatedly contracts the cheapest pair, ties broken by the
     lexicographically smallest name pair.
     """
+    _as_instance(net, TensorNetwork, "plan")
     if strategy == "exhaustive":
         return _make_plan(net, _plan_exhaustive(net))
     if strategy == "greedy":
@@ -399,6 +401,8 @@ def plan(net: TensorNetwork, strategy="exhaustive") -> ContractionPlan:
 
 def evaluate(net: TensorNetwork, contraction: ContractionPlan) -> DenseTensor:
     """Execute a plan with pairwise tensor products; modes follow the output order."""
+    _as_instance(net, TensorNetwork, "evaluate")
+    _as_instance(contraction, ContractionPlan, "evaluate")
     _, _, (labels, result) = _replay(net, contraction.steps, tensors=True)
     if set(labels) != set(net.output):
         raise PlanError("plan result labels do not match the network output")
@@ -520,6 +524,7 @@ def _parse_label_list(stmt, pos, allow_extents):
 
 def parse_network(text: str, base_dir: str | os.PathLike = ".") -> TensorNetwork:
     """Parse .tn text; @FILE references are resolved relative to base_dir."""
+    _as_instance(text, str, "parse_network")
     statements = _tn_tokens(text)
     raw_nodes = []  # (name, labels, source, line, col); source: ("file", path) | ("inline", values)
     extents: dict[str, int] = {}
@@ -651,6 +656,7 @@ def parse_network(text: str, base_dir: str | os.PathLike = ".") -> TensorNetwork
 
 def format_network(net: TensorNetwork) -> str:
     """Render a network as .tn text (inline data, annotated extents)."""
+    _as_instance(net, TensorNetwork, "format_network")
     lines = []
     for name in net.node_names:
         labels = net.labels(name)

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DenseTensor, _as_int, _as_ints, _as_seq, _as_tensor, _from_rev, _rev, _tensor_from_nd, element_count
+from .core import DenseTensor, _as_int, _as_ints, _as_seq, _as_tensor, _from_rev, _rev, element_count
 from .errors import ArgumentError, ShapeError
 
 __all__ = [
@@ -48,14 +48,15 @@ def trace(s: DenseTensor) -> float:
     s = _as_tensor(s, "trace", 2)
     if s.shape[0] != s.shape[1]:
         raise ShapeError(f"trace needs a square matrix, got ({s.shape[0]},{s.shape[1]})")
-    return float(np.trace(s._nd()))
+    return float(np.trace(_rev(s)))
 
 
 def kronecker(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     """Kronecker product: all entry pairs A[i,j]*B[p,q] as a (PI, QJ) block matrix."""
     a = _as_tensor(a, "kronecker", 2)
     b = _as_tensor(b, "kronecker", 2)
-    return _tensor_from_nd(np.kron(a._nd(), b._nd()))
+    # kron(A, B)^T = kron(A^T, B^T), and _rev of a matrix is its transpose.
+    return _from_rev(np.kron(_rev(a), _rev(b)))
 
 
 def _khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -75,7 +76,7 @@ def khatri_rao(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     b = _as_tensor(b, "khatri_rao", 2)
     if a.shape[1] != b.shape[1]:
         raise ShapeError(f"khatri_rao needs equal column counts, got {a.shape[1]} and {b.shape[1]}")
-    return _tensor_from_nd(_khatri_rao([a._nd(), b._nd()]))
+    return _from_rev(_khatri_rao([a.to_array(), b.to_array()]).T)
 
 
 def mode_product(x: DenseTensor, a: DenseTensor, n: int) -> DenseTensor:

@@ -174,19 +174,19 @@ def test_criterion_3_factorization_suite():
             norm = tk.frobenius_norm(m)
 
             res = tk.svd(m)
-            u, s, v = res.u._nd(), res.sigma.data, res.v._nd()
+            u, s, v = res.u.to_array(), res.sigma.data, res.v.to_array()
             k = min(rows, cols)
             assert (s >= 0).all() and (np.diff(s) <= 0).all()
             assert np.abs(u.T @ u - np.eye(k)).max() <= 1e-12 * dim
             assert np.abs(v.T @ v - np.eye(k)).max() <= 1e-12 * dim
-            assert np.abs(u @ (s[:, None] * v.T) - m._nd()).max() <= 1e-12 * max(norm, 1e-300)
+            assert np.abs(u @ (s[:, None] * v.T) - m.to_array()).max() <= 1e-12 * max(norm, 1e-300)
 
             tall = m if rows >= cols else tk.permute(m, [2, 1])
             qres = tk.qr(tall)
-            qn, rn = qres.q._nd(), qres.r._nd()
+            qn, rn = qres.q.to_array(), qres.r.to_array()
             jj = tall.shape[1]
             assert np.abs(qn.T @ qn - np.eye(jj)).max() <= 1e-12 * tall.shape[0]
-            assert np.abs(qn @ rn - tall._nd()).max() <= 1e-12 * max(norm, 1e-300)
+            assert np.abs(qn @ rn - tall.to_array()).max() <= 1e-12 * max(norm, 1e-300)
             assert (np.diag(rn) >= 0).all()
 
         for _ in range(50):
@@ -194,8 +194,8 @@ def test_criterion_3_factorization_suite():
             sigma = tk.svd(m).sigma.data
             for k in range(1, 5):
                 res = tk.truncated_svd(m, k)
-                rec = res.u._nd() @ (res.sigma.data[:, None] * res.v._nd().T)
-                err2 = float(((m._nd() - rec) ** 2).sum())
+                rec = res.u.to_array() @ (res.sigma.data[:, None] * res.v.to_array().T)
+                err2 = float(((m.to_array() - rec) ** 2).sum())
                 tail2 = float((sigma[k:] ** 2).sum())
                 assert abs(err2 - tail2) <= 1e-10 * max(1.0, tail2)
 
@@ -263,12 +263,12 @@ def test_criterion_6_hosvd_suite():
             assert reconstruct_err(x, tk.tucker_reconstruct(model)) <= 1e-10
             norm2 = tk.inner(x, x)
             for n in range(1, order + 1):
-                m = tk.matricize(model.core, n)._nd()
+                m = tk.matricize(model.core, n).to_array()
                 gram = m @ m.T
                 off = np.abs(gram - np.diag(np.diag(gram))).max()
                 assert off <= 1e-10 * norm2
             for u in model.factors:
-                un = u._nd()
+                un = u.to_array()
                 assert np.abs(un.T @ un - np.eye(un.shape[1])).max() <= 1e-12 * un.shape[0]
 
         for _ in range(20):

@@ -35,3 +35,15 @@ def test_star_import_gives_the_api():
     scope = {}
     exec("from tenkit import *", scope)
     assert set(scope) - {"__builtins__"} == set(tk.__all__)
+
+
+def test_storage_order_is_known_only_to_core():
+    # Other modules see a tensor's entries through to_array() and
+    # core._rev/_from_rev; none reshapes or ravels the buffer in F order.
+    src = os.path.dirname(tk.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py") and name != "core.py":
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                text = fh.read()
+            for needle in ('order="F"', "order='F'", "_nd(", "_tensor_from_nd"):
+                assert needle not in text, (name, needle)

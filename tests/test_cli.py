@@ -193,6 +193,19 @@ def test_decompose_cp_far_below_unit_scale(tmp_path):
     assert float(machine_lines(check.stdout)["rel_error"][0]) <= 1e-14
 
 
+@pytest.mark.parametrize("rank", [2, 3])
+def test_decompose_cp_rank_deficient_tensor(tmp_path, rank):
+    # rank-1 x(i,j,k) = a_i b_j c_k with c = (1, 0, 1), fitted at a higher
+    # rank: the normal matrices are singular, and the solve falls back to pinv.
+    src = tmp_path / "r1.ten"
+    tk.write_tensor(src, tk.outer([tk.DenseTensor((3,), v) for v in ([1, 2, 3], [1, 1, 1], [1, 0, 1])]))
+    res = run_cli("decompose", src, "cp", rank, "--outdir", tmp_path / "r1m", "--seed", "0")
+    assert res.returncode == 0, res.stderr
+    assert float(machine_lines(res.stdout)["rel_error"][0]) <= 1e-14
+    check = run_cli("verify", src, tmp_path / "r1m", "--tol", "1e-10")
+    assert check.returncode == 0, check.stderr
+
+
 def test_decompose_rank_out_of_range_exits_one(tmp_path, ramp_file):
     res = run_cli("decompose", ramp_file, "thosvd", "9", "1", "1", "--outdir", tmp_path / "m")
     assert res.returncode == 1

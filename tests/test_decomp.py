@@ -41,7 +41,7 @@ def test_cp_reconstruct_vec_identity():
     rng = np.random.default_rng(0)
     m = cp_model(rng, (3, 4, 2), 2, weights=rng.standard_normal(2))
     kr = tk.khatri_rao(tk.khatri_rao(m.factors[2], m.factors[1]), m.factors[0])
-    want = kr._nd() @ m.weights.data
+    want = kr.to_array() @ m.weights.data
     got = tk.vec(tk.cp_reconstruct(m)).data
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
@@ -108,7 +108,7 @@ def test_cp_als_weights_absorb_column_norms():
     x = rand_tensor(rng, (3, 3, 3))
     fit = tk.cp_als(x, 2, max_sweeps=10, seed=2, restarts=1)
     for f in fit.model.factors:
-        norms = np.sqrt((f._nd() ** 2).sum(axis=0))
+        norms = np.sqrt((f.to_array() ** 2).sum(axis=0))
         assert np.abs(norms - 1.0).max() <= 1e-12
 
 
@@ -231,6 +231,43 @@ def test_cp_als_weights_beyond_float_range_is_numeric_error():
     assert np.abs(unit.model.weights.to_array()).max() > 4.0
     with pytest.raises(tk.NumericError, match="weights"):
         tk.cp_als(tk.DenseTensor.from_array(np.ldexp(x, 1022)), 2, max_sweeps=500, tol=0.0, restarts=1)
+
+
+# x(i,j,k) = a_i b_j c_k with c = (1, 0, 1): rank 1 with a zero fiber, so
+# the Gram of a rank-2 or rank-3 fit can pass Cholesky on a tiny positive
+# pivot and still be exactly singular to the LU solve.
+_RANK_ONE = tk.outer([tk.DenseTensor((3,), v) for v in ([1, 2, 3], [1, 1, 1], [1, 0, 1])])
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("seed", range(6))
+def test_cp_als_fits_a_rank_deficient_tensor(rank, seed):
+    fit = tk.cp_als(_RANK_ONE, rank, seed=seed)
+    approx = tk.cp_reconstruct(fit.model)
+    assert tk.frobenius_norm(tk.subtract(_RANK_ONE, approx)) <= 1e-14 * tk.frobenius_norm(_RANK_ONE)
+
+
+def test_cp_als_falls_back_to_pinv_when_the_solve_fails(monkeypatch):
+    # Whatever the BLAS does with the rank-one case above, a solve that
+    # raises must reach the per-slice pseudo-inverse, not the caller.
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    calls = []
+
+    def counted_pinv(m):
+        calls.append(m.shape)
+        return tk.pinv(m)
+
+    rng = np.random.default_rng(4)
+    x = tk.DenseTensor.from_array(np.einsum("ir,jr,kr->ijk", *(rng.standard_normal((4, 2)) for _ in range(3))))
+    base = tk.cp_als(x, 2, seed=0, tol=1e-12)
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    monkeypatch.setattr(decomp, "pinv", counted_pinv)
+    fit = tk.cp_als(x, 2, seed=0, tol=1e-12)
+    assert calls and set(calls) == {(2, 2)}
+    assert fit.sweeps == base.sweeps and fit.restart == base.restart
+    assert tk.frobenius_norm(tk.subtract(x, tk.cp_reconstruct(fit.model))) <= 1e-10 * tk.frobenius_norm(x)
 
 
 def test_cp_reconstruct_rejects_non_cp_models():
@@ -369,7 +406,7 @@ def test_hosvd_core_all_orthogonal():
     core = tk.hosvd(x).core
     norm2 = tk.inner(x, x)
     for n in range(1, 5):
-        m = tk.matricize(core, n)._nd()
+        m = tk.matricize(core, n).to_array()
         gram = m @ m.T
         off = np.abs(gram - np.diag(np.diag(gram))).max()
         assert off <= 1e-10 * norm2
@@ -379,7 +416,7 @@ def test_hosvd_core_gram_diagonal_matches_singular_values():
     rng = np.random.default_rng(15)
     x = rand_tensor(rng, (3, 4, 2))
     model = tk.hosvd(x)
-    m = tk.matricize(model.core, 1)._nd()
+    m = tk.matricize(model.core, 1).to_array()
     diag = np.sort(np.diag(m @ m.T))[::-1]
     sigma = tk.svd(tk.matricize(x, 1)).sigma.data
     assert np.abs(diag - sigma**2).max() <= 1e-10 * max(1.0, sigma[0] ** 2)
@@ -456,7 +493,7 @@ def test_tucker_orthogonalize_preserves_reconstruction():
         tk.tucker_reconstruct(model), tk.tucker_reconstruct(ortho)
     ) <= 1e-12
     for n, f in enumerate(ortho.factors, start=1):
-        fn = f._nd()
+        fn = f.to_array()
         assert np.abs(fn.T @ fn - np.eye(f.shape[1])).max() <= 1e-12 * f.shape[0]
 
 
@@ -563,7 +600,7 @@ def test_tt_svd_order_two_is_economy_svd():
     rank = tk.numerical_rank(x)
     assert train.bond_ranks == (1, rank, 1)
     g1 = tk.fold(tk.vec(train.cores[0]), (4, rank))
-    assert np.abs(np.abs(g1._nd()) - np.abs(res.u._nd()[:, :rank])).max() <= 1e-12
+    assert np.abs(np.abs(g1.to_array()) - np.abs(res.u.to_array()[:, :rank])).max() <= 1e-12
     assert reconstruct_err(x, tk.tt_reconstruct(train)) <= 1e-12
 
 
@@ -620,7 +657,7 @@ def test_tt_orthogonalize_pivot_last():
     assert reconstruct_err(x, tk.tt_reconstruct(ortho)) <= 1e-12
     for core in ortho.cores[:-1]:
         r0, i, r1 = core.shape
-        m = core._nd().reshape(r0 * i, r1, order="F")
+        m = core.to_array().reshape(r0 * i, r1, order="F")
         assert np.abs(m.T @ m - np.eye(r1)).max() <= 1e-12
     assert abs(tk.frobenius_norm(x) - tk.frobenius_norm(ortho.cores[-1])) <= 1e-10
 
@@ -632,7 +669,7 @@ def test_tt_orthogonalize_pivot_first_mirror():
     assert reconstruct_err(x, tk.tt_reconstruct(ortho)) <= 1e-12
     for core in ortho.cores[1:]:
         r0, i, r1 = core.shape
-        m = core._nd().reshape(r0, i * r1, order="F")
+        m = core.to_array().reshape(r0, i * r1, order="F")
         assert np.abs(m @ m.T - np.eye(r0)).max() <= 1e-12
     assert abs(tk.frobenius_norm(x) - tk.frobenius_norm(ortho.cores[0])) <= 1e-10
 
@@ -667,9 +704,9 @@ def test_tt_orthogonalize_shrinks_inflated_bond():
     rng = np.random.default_rng(48)
     train, x = planted_tt_train(rng, (3, 3, 3), (1, 2, 2, 1))
     # inflate the first bond 2 -> 4 with a row-orthonormal gauge pair
-    gauge = tk.qr(tk.DenseTensor.from_array(rng.standard_normal((4, 2)))).q._nd()
-    c1 = np.tensordot(train.cores[0]._nd(), gauge.T, axes=([2], [0]))
-    c2 = np.tensordot(gauge, train.cores[1]._nd(), axes=([1], [0]))
+    gauge = tk.qr(tk.DenseTensor.from_array(rng.standard_normal((4, 2)))).q.to_array()
+    c1 = np.tensordot(train.cores[0].to_array(), gauge.T, axes=([2], [0]))
+    c2 = np.tensordot(gauge, train.cores[1].to_array(), axes=([1], [0]))
     fat = tk.TTTrain(
         (tk.DenseTensor.from_array(c1), tk.DenseTensor.from_array(c2), train.cores[2])
     )
@@ -729,7 +766,7 @@ def test_tr_matches_trace_loop_oracle():
     for i in range(1, 3):
         for j in range(1, 4):
             for k in range(1, 3):
-                m = cores[0]._nd()[:, i - 1, :] @ cores[1]._nd()[:, j - 1, :] @ cores[2]._nd()[:, k - 1, :]
+                m = cores[0].to_array()[:, i - 1, :] @ cores[1].to_array()[:, j - 1, :] @ cores[2].to_array()[:, k - 1, :]
                 want = float(np.trace(m))
                 assert abs(x.at(i, j, k) - want) <= 1e-13 * max(1.0, abs(want))
 
@@ -758,7 +795,7 @@ def test_tucker_gauge_invariance():
     for n, (f, g) in enumerate(zip(factors, gauges), start=1):
         new_core = tk.mode_product(new_core, tk.DenseTensor.from_array(g), n)
         new_factors.append(
-            tk.DenseTensor.from_array(f._nd() @ np.linalg.inv(g))
+            tk.DenseTensor.from_array(f.to_array() @ np.linalg.inv(g))
         )
     gauged = tk.TuckerModel(new_core, tuple(new_factors))
     assert reconstruct_err(
@@ -772,8 +809,8 @@ def test_tt_gauge_invariance():
     g = rng.standard_normal((2, 2))
     while np.linalg.cond(g) > 20:
         g = rng.standard_normal((2, 2))
-    c1 = np.tensordot(train.cores[0]._nd(), g, axes=([2], [0]))
-    c2 = np.tensordot(np.linalg.inv(g), train.cores[1]._nd(), axes=([1], [0]))
+    c1 = np.tensordot(train.cores[0].to_array(), g, axes=([2], [0]))
+    c2 = np.tensordot(np.linalg.inv(g), train.cores[1].to_array(), axes=([1], [0]))
     gauged = tk.TTTrain(
         (
             tk.DenseTensor.from_array(c1),

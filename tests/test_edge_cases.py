@@ -43,9 +43,10 @@ _X = tk.DenseTensor((2, 3, 4), range(24))
 _TRAIN = tk.tt_svd(_X)
 _M = tk.matricize(_X, 1)
 
-# Each call passes a bool or a non-integer where an integer is required;
-# int() would truncate some of them silently, others would leak a raw
-# TypeError or IndexError.
+# Each call passes a bool or a non-integer where an integer is required,
+# or a non-number where a number is required; int() would truncate some of
+# them silently, others would leak a raw TypeError, IndexError or
+# ValueError.
 BAD_INT_ARGS = {
     "at_float_index": lambda: _X.at(1.5, 1, 1),
     "linear_index_float": lambda: tk.linear_index((1, np.float64(2.0)), (2, 3)),
@@ -76,6 +77,16 @@ BAD_INT_ARGS = {
     "tensor_product_bool_pair": lambda: tk.tensor_product(_X, _X, [(True, True)]),
     "linear_index_float_extent": lambda: tk.linear_index((2, 1), (2.5, 3)),
     "multi_index_float_extent": lambda: tk.multi_index(5, (2.5, 3)),
+    "element_count_float_extent": lambda: tk.element_count((2.5, 3)),
+    "broadcast_shapes_float_extent": lambda: tk.broadcast_shapes((2.5,), (2,)),
+    "scale_tensor": lambda: tk.scale(_X, _X),
+    "scale_string": lambda: tk.scale("a", _X),
+    "scale_tuple": lambda: tk.scale((), _X),
+    "scale_inf": lambda: tk.scale(float("inf"), _X),
+    "scale_bool": lambda: tk.scale(True, _X),
+    "scale_int_beyond_float": lambda: tk.scale(10**400, _X),
+    "format_float_string": lambda: tk.format_float("a"),
+    "format_float_tensor": lambda: tk.format_float(_X),
 }
 
 _NET = tk.parse_network("node A [i=2] = 1 2; node B [i=2] = 3 4; output []")
@@ -112,10 +123,13 @@ BAD_SEQUENCE_ARGS = {
     "cp_model_int_factors": lambda: tk.CPModel(tk.one_hot(1, 1), 0),
     "tucker_model_int_factors": lambda: tk.TuckerModel(tk.one_hot(1, 1), 0),
     "tt_train_tensor_cores": lambda: tk.TTTrain(_X),
+    "broadcast_shapes_tensors": lambda: tk.broadcast_shapes(_X, _X),
+    "element_count_tensor": lambda: tk.element_count(_X),
 }
 
 # Each call passes something other than a DenseTensor where a tensor is
-# required.
+# required, or other than a TensorNetwork, a ContractionPlan or a str where
+# one of those is.
 NOT_A_TENSOR_ARGS = {
     "svd_int": lambda: tk.svd(0),
     "hosvd_int": lambda: tk.hosvd(0),
@@ -171,6 +185,13 @@ NOT_A_TENSOR_ARGS = {
     "tucker_model_factor_int": lambda: tk.TuckerModel(tk.one_hot(1, 1), (0,)),
     "tt_train_core_int": lambda: tk.TTTrain((0,)),
     "tr_ring_core_int": lambda: tk.TRRing((0,)),
+    "pair_cost_int": lambda: tk.pair_cost(1, 1, 3),
+    "plan_int": lambda: tk.plan(1),
+    "evaluate_net_int": lambda: tk.evaluate(1, 2),
+    "evaluate_plan_int": lambda: tk.evaluate(_NET, 2),
+    "format_network_int": lambda: tk.format_network(1),
+    "parse_network_int": lambda: tk.parse_network(0),
+    "loads_tensor_tensor": lambda: tk.loads_tensor(_X),
 }
 
 # The function and parameter each NOT_A_TENSOR_ARGS case passes its
@@ -229,11 +250,21 @@ NOT_A_TENSOR_PARAMS = {
     "tucker_model_factor_int": "TuckerModel.factors",
     "tt_train_core_int": "TTTrain.cores",
     "tr_ring_core_int": "TRRing.cores",
+    "pair_cost_int": "pair_cost.net",
+    "plan_int": "plan.net",
+    "evaluate_net_int": "evaluate.net",
+    "evaluate_plan_int": "evaluate.contraction",
+    "format_network_int": "format_network.net",
+    "parse_network_int": "parse_network.text",
+    "loads_tensor_tensor": "loads_tensor.text",
 }
 
 _V = tk.vec(_X)
 
-# Each call passes a tensor of an order its function does not take: the
+_HUGE = "more than numpy can index"
+
+# Each call passes a tensor of an order its function does not take, or a
+# shape with more entries than numpy can index (nothing is allocated): the
 # message and the error class are part of the contract.
 ORDER_ERRORS = {
     "fold": (lambda: tk.fold(_X, (24,)), ShapeError, "fold expects an order-1 tensor, got order 3"),
@@ -265,6 +296,22 @@ ORDER_ERRORS = {
     "pinv": (lambda: tk.pinv(_V), ShapeError, "pinv expects an order-2 tensor, got order 1"),
     "numerical_rank": (
         lambda: tk.numerical_rank(_X), ShapeError, "numerical_rank expects an order-2 tensor, got order 3"
+    ),
+    "zeros_huge": (
+        lambda: tk.zeros((10**10, 10**10)), ShapeError,
+        f"shape (10000000000,10000000000) has {10**20} entries, {_HUGE}",
+    ),
+    "all_ones_huge": (lambda: tk.all_ones((2**32, 2**32)), ShapeError, f"shape ({2**32},{2**32}) has {2**64} entries, {_HUGE}"),
+    "one_hot_huge": (lambda: tk.one_hot(1, 10**20), ShapeError, f"shape ({10**20}) has {10**20} entries, {_HUGE}"),
+    "identity_huge": (lambda: tk.identity(10**20), ShapeError, f"shape ({10**20},{10**20}) has {10**40} entries, {_HUGE}"),
+    "matrix_unit_huge": (
+        lambda: tk.matrix_unit(1, 1, 2**31, 2**33), ShapeError, f"shape ({2**31},{2**33}) has {2**64} entries, {_HUGE}"
+    ),
+    "super_diagonal_huge": (
+        lambda: tk.super_diagonal(3, 10**7), ShapeError, f"shape ({10**7},{10**7},{10**7}) has {10**21} entries, {_HUGE}"
+    ),
+    "folding_operator_huge": (
+        lambda: tk.folding_operator((2**32, 2**32)), ShapeError, f"shape ({2**32},{2**32}) has {2**64} entries, {_HUGE}"
     ),
 }
 
@@ -364,7 +411,7 @@ def test_non_sequence_arguments_raise_argument_error(call):
 
 @pytest.mark.parametrize("call", NOT_A_TENSOR_ARGS.values(), ids=NOT_A_TENSOR_ARGS.keys())
 def test_non_tensor_arguments_raise_argument_error(call):
-    with pytest.raises(ArgumentError, match=r"^\w+ input must be a DenseTensor, got \w+$"):
+    with pytest.raises(ArgumentError, match=r"^\w+ input must be a (DenseTensor|TensorNetwork|ContractionPlan|str), got \w+$"):
         call()
 
 
