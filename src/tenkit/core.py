@@ -118,8 +118,26 @@ def _as_tol(tol) -> float:
     raise ArgumentError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
+def _numpy_max_order() -> int:
+    # numpy's limit on array dimensions: 64 on numpy 2, 32 before it.
+    order = 1
+    while True:
+        try:
+            np.empty((1,) * (order + 1))
+        except ValueError:
+            return order
+        order += 1
+
+
+_MAX_ORDER = _numpy_max_order()
+
+
 def _check_shape(shape: Sequence[int]) -> Shape:
-    return _as_ints(shape, "extent of mode", lo=1, error=ShapeError)
+    """Extents >= 1, at most _MAX_ORDER of them, else ShapeError."""
+    shape = _as_ints(shape, "extent of mode", lo=1, error=ShapeError)
+    if len(shape) > _MAX_ORDER:
+        raise ShapeError(f"order {len(shape)} is above numpy's limit of {_MAX_ORDER}")
+    return shape
 
 
 def _check_size(shape: Sequence[int]) -> Shape:
@@ -230,10 +248,12 @@ class DenseTensor:
         return f"DenseTensor(shape={_fmt_shape(self._shape)}, {self.size} entries)"
 
 
-def _as_instance(value, cls: type, what: str):
-    """An argument of the function `what` that must be a cls, else ArgumentError."""
+def _as_instance(value, cls: type | tuple[type, ...], what: str):
+    """An argument of the function `what` that must be a cls (or one of a
+    tuple of classes), else ArgumentError."""
     if not isinstance(value, cls):
-        raise ArgumentError(f"{what} input must be a {cls.__name__}, got {type(value).__name__}")
+        names = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+        raise ArgumentError(f"{what} input must be a {names}, got {type(value).__name__}")
     return value
 
 
@@ -399,7 +419,7 @@ def super_diagonal(order: int, size: int, weights: Sequence[float] | None = None
 
     Weights default to all ones.
     """
-    order = _as_int(order, "super_diagonal order", 1)
+    order = _as_int(order, "super_diagonal order", 1, _MAX_ORDER, ShapeError)
     size = _as_int(size, "super_diagonal size", 1)
     shape = _check_size((size,) * order)
     if weights is None:

@@ -19,11 +19,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import DenseTensor, _as_int, _as_ints, _as_seq, _as_tensor, _as_tol, _from_rev, _rev, fold, k_unfold
-from .core import matricize, permute, subtensor, vec
+from .core import _as_instance, matricize, permute, subtensor, vec
 from .elementwise import frobenius_norm
 from .errors import ArgumentError, ModelError, NumericError, ParseError
 from .factor import _check_finite, _householder, _jacobi_svd, _orthonormal_fill, default_rank_tol, pinv, qr, svd
-from .io import _read_text, _write_atomic, read_tensor, write_tensor
+from .io import _PATH, _read_text, _write_atomic, read_tensor, write_tensor
 from .products import _khatri_rao, mode_product, multi_mode_product, tt_pair_product
 
 __all__ = [
@@ -223,10 +223,17 @@ def cp_als(
     their Khatri-Rao product. A Cholesky factorization only tests the
     normal matrix's rank; one batched solve follows, and the SVD
     pseudo-inverse stands in when the normal matrix is rank-deficient.
-    The sweep then renormalizes factor columns into the weights. No
-    product is formed twice: each factor's Gram is kept until the factor
-    changes, and the Khatri-Rao of modes N..2 built for the residual is
-    the next sweep's mode-1 one.
+    No product is formed twice: each factor's Gram is formed once, right
+    after the factor's update, and the Khatri-Rao of modes N..2 built for
+    the residual is the next sweep's mode-1 one.
+
+    Factor columns are normalized into the weights once, at the sweep
+    where a restart stops, not every sweep. While the normal matrix is
+    nonsingular the iterates do not depend on it: scaling the columns of
+    the other factors by a diagonal D scales the matricized tensor times
+    their Khatri-Rao product by D and their Hadamard Gram to D G D, so the
+    update comes out as F_n D^-1, and every sweep represents the same CP
+    model; only the rounding differs.
 
     x is fitted scaled by the power of two that brings max|x| into
     [0.5, 1), and the weights and trace are scaled back. This is exact,
@@ -252,8 +259,10 @@ def cp_als(
     # Every residual of the trace is at most the norm of x.
     if frobenius_norm(x) == math.inf:
         raise NumericError("cp_als input norm is beyond float range")
-    # Scaled into [0.5, 1) by a power of two, no square or column norm of a
-    # sweep under- or overflows.
+    # Scaled into [0.5, 1) by a power of two, no square of a residual under-
+    # or overflows. Each update gives its factor the column scale the other
+    # factors leave it, so the column norms taken when a restart stops
+    # multiply to its weights, which are checked for range at the end.
     exp = math.frexp(float(np.abs(x.data).max()))[1]
     x = DenseTensor(x.shape, np.ldexp(x.data, -exp))
     norm_x = frobenius_norm(x)
@@ -273,7 +282,7 @@ def cp_als(
     history = []  # per sweep, every restart's residual (NaN once stopped)
     prev_rel = None
     # Khatri-Rao of modes N..2, shared by the residual and the next mode-1
-    # update, and each factor's Gram stack, kept while the factor is unchanged.
+    # update, and each factor's Gram stack, formed after the factor's update.
     kr1 = _khatri_rao(factors[:0:-1])
     grams = [f.swapaxes(1, 2) @ f for f in factors]
     for sweep in range(1, max_sweeps + 1):
@@ -284,19 +293,9 @@ def cp_als(
             for m in others[2:]:
                 gram *= grams[m]
             factors[n] = _solve_gram(gram, mats[n] @ kr)
-            if n < x.order - 1:
-                grams[n] = factors[n].swapaxes(1, 2) @ factors[n]
-        weights = np.ones((ids.size, rank))
-        for n, f in enumerate(factors):
-            norms = np.sqrt((f * f).sum(axis=1))
-            safe = np.where(norms > 0.0, norms, 1.0)
-            f /= safe[:, None, :]
-            weights = weights * norms
-            if n:
-                grams[n] = f.swapaxes(1, 2) @ f
+            grams[n] = factors[n].swapaxes(1, 2) @ factors[n]
         kr1 = _khatri_rao(factors[:0:-1])
-        approx1 = (factors[0] * weights[:, None, :]) @ kr1.swapaxes(1, 2)
-        resid = np.sqrt(((mats[0] - approx1) ** 2).sum(axis=(1, 2)))
+        resid = np.sqrt(((mats[0] - factors[0] @ kr1.swapaxes(1, 2)) ** 2).sum(axis=(1, 2)))
         if not np.isfinite(resid).all():
             raise NumericError("cp_als objective became non-finite")
         history.append(np.full(restarts, np.nan))
@@ -308,9 +307,13 @@ def cp_als(
             stop[:] = True
         if stop.any():
             gone = ids[stop]
+            weights = np.ones((gone.size, rank))
             for done, f in zip(done_factors, factors):
-                done[gone] = f[stop]
-            done_weights[gone] = weights[stop]
+                f = f[stop]
+                norms = np.sqrt((f * f).sum(axis=1))
+                done[gone] = f / np.where(norms > 0.0, norms, 1.0)[:, None, :]
+                weights *= norms
+            done_weights[gone] = weights
             sweeps[gone] = sweep
             keep = ~stop
             factors = [f[keep] for f in factors]
@@ -579,7 +582,7 @@ def write_model(dirpath: str | os.PathLike, model) -> None:
     fails part-way leaves a directory read_model rejects.
     """
     kind = _as_model(model, "write_model")
-    path = os.fspath(dirpath)
+    path = os.fspath(_as_instance(dirpath, _PATH, "write_model"))
     manifest = os.path.join(path, _MANIFEST)
     os.makedirs(path, exist_ok=True)
     with contextlib.suppress(FileNotFoundError):
@@ -612,7 +615,7 @@ def _read_series(path: str, prefix: str) -> list[DenseTensor]:
 
 def read_model(dirpath: str | os.PathLike):
     """Load a model directory written by write_model."""
-    path = os.fspath(dirpath)
+    path = os.fspath(_as_instance(dirpath, _PATH, "read_model"))
     manifest = os.path.join(path, _MANIFEST)
     try:
         text = _read_text(manifest, "manifest")

@@ -53,7 +53,7 @@ def _ew(op: str, x: DenseTensor, y: DenseTensor, what: str) -> DenseTensor:
         if zero.size:
             where = multi_index(int(zero[0]) + 1, y.shape)
             raise DivisionError(f"divisor entry {where} is exactly zero")
-    if op not in _OPS:
+    if not isinstance(op, str) or op not in _OPS:
         raise ArgumentError(f"unknown entry-wise op {op!r} (need add|sub|mul|div)")
     return _from_rev(_OPS[op](_rev(x), _rev(y)))
 

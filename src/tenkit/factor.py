@@ -67,10 +67,6 @@ class SVDResult:
     sigma: DenseTensor
     v: DenseTensor
 
-    @property
-    def rank_width(self) -> int:
-        return self.sigma.size
-
 
 def _householder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Thin QR of any (m, n) array: a = q @ r with q (m, t), r (t, n), t = min(m, n)."""

@@ -28,6 +28,9 @@ from .errors import ParseError
 
 __all__ = ["read_tensor", "write_tensor", "loads_tensor", "dumps_tensor", "format_float"]
 
+# What a path argument must be; an int would be taken as a file descriptor.
+_PATH = (str, os.PathLike)
+
 
 def format_float(x: float) -> str:
     """Render a float with 17 significant digits."""
@@ -113,7 +116,7 @@ def _read_text(path: str | os.PathLike, what: str) -> str:
 
 
 def read_tensor(path: str | os.PathLike) -> DenseTensor:
-    return loads_tensor(_read_text(path, "tensor file"))
+    return loads_tensor(_read_text(_as_instance(path, _PATH, "read_tensor"), "tensor file"))
 
 
 def _write_atomic(path: str | os.PathLike, text: str) -> None:
@@ -135,5 +138,6 @@ def _write_atomic(path: str | os.PathLike, text: str) -> None:
 
 def write_tensor(path: str | os.PathLike, t: DenseTensor) -> None:
     """Write t to path atomically (see _write_atomic)."""
+    _as_instance(path, _PATH, "write_tensor")
     t = _as_tensor(t, "write_tensor")
     _write_atomic(path, dumps_tensor(t))

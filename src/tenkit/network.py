@@ -32,7 +32,7 @@ import numpy as np
 
 from .core import DenseTensor, _as_instance, _as_seq, permute
 from .errors import ArgumentError, NumericError, ParseError, PlanError
-from .io import _format_rows, _parse_floats, read_tensor
+from .io import _PATH, _format_rows, _parse_floats, read_tensor
 from .products import tensor_product
 
 __all__ = [
@@ -525,6 +525,7 @@ def _parse_label_list(stmt, pos, allow_extents):
 def parse_network(text: str, base_dir: str | os.PathLike = ".") -> TensorNetwork:
     """Parse .tn text; @FILE references are resolved relative to base_dir."""
     _as_instance(text, str, "parse_network")
+    _as_instance(base_dir, _PATH, "parse_network")
     statements = _tn_tokens(text)
     raw_nodes = []  # (name, labels, source, line, col); source: ("file", path) | ("inline", values)
     extents: dict[str, int] = {}

@@ -129,7 +129,9 @@ def test_cp_als_nonfinite_objective_is_numeric_error():
         tk.cp_als(huge, 2, max_sweeps=3, restarts=1)
 
 
-@pytest.mark.parametrize("shape,rank", [((4, 4, 4), 3), ((5, 4, 3), 2)])
+@pytest.mark.parametrize(
+    "shape,rank", [((4, 4, 4), 3), ((5, 4, 3), 2), ((3, 4, 2, 3), 2), ((2, 3, 2, 2, 3), 2)]
+)
 def test_cp_als_matches_numpy_pinv_als(shape, rank):
     rng = np.random.default_rng(12)
     truth = tk.CPModel(

@@ -128,8 +128,9 @@ BAD_SEQUENCE_ARGS = {
 }
 
 # Each call passes something other than a DenseTensor where a tensor is
-# required, or other than a TensorNetwork, a ContractionPlan or a str where
-# one of those is.
+# required, or other than a TensorNetwork, a ContractionPlan, a str or a
+# path where one of those is. An int path would be a file descriptor; -1
+# is one that open() refuses.
 NOT_A_TENSOR_ARGS = {
     "svd_int": lambda: tk.svd(0),
     "hosvd_int": lambda: tk.hosvd(0),
@@ -192,6 +193,11 @@ NOT_A_TENSOR_ARGS = {
     "format_network_int": lambda: tk.format_network(1),
     "parse_network_int": lambda: tk.parse_network(0),
     "loads_tensor_tensor": lambda: tk.loads_tensor(_X),
+    "read_tensor_int": lambda: tk.read_tensor(-1),
+    "write_tensor_path_int": lambda: tk.write_tensor(-1, _X),
+    "read_model_int": lambda: tk.read_model(-1),
+    "write_model_int": lambda: tk.write_model(-1, _TRAIN),
+    "parse_network_base_dir_int": lambda: tk.parse_network("node A [i=2] = 1 2; output [i]", -1),
 }
 
 # The function and parameter each NOT_A_TENSOR_ARGS case passes its
@@ -257,15 +263,22 @@ NOT_A_TENSOR_PARAMS = {
     "format_network_int": "format_network.net",
     "parse_network_int": "parse_network.text",
     "loads_tensor_tensor": "loads_tensor.text",
+    "read_tensor_int": "read_tensor.path",
+    "write_tensor_path_int": "write_tensor.path",
+    "read_model_int": "read_model.dirpath",
+    "write_model_int": "write_model.dirpath",
+    "parse_network_base_dir_int": "parse_network.base_dir",
 }
 
 _V = tk.vec(_X)
 
 _HUGE = "more than numpy can index"
+_MAX_ORDER = tk.core._MAX_ORDER
 
 # Each call passes a tensor of an order its function does not take, or a
-# shape with more entries than numpy can index (nothing is allocated): the
-# message and the error class are part of the contract.
+# shape with more entries than numpy can index or more modes than numpy
+# allows (nothing is allocated): the message and the error class are part
+# of the contract.
 ORDER_ERRORS = {
     "fold": (lambda: tk.fold(_X, (24,)), ShapeError, "fold expects an order-1 tensor, got order 3"),
     "qr": (lambda: tk.qr(_X), ShapeError, "qr expects an order-2 tensor, got order 3"),
@@ -312,6 +325,18 @@ ORDER_ERRORS = {
     ),
     "folding_operator_huge": (
         lambda: tk.folding_operator((2**32, 2**32)), ShapeError, f"shape ({2**32},{2**32}) has {2**64} entries, {_HUGE}"
+    ),
+    # 70 modes is past numpy's limit of 64 (32 before numpy 2).
+    "tensor_order_cap": (
+        lambda: tk.DenseTensor((1,) * 70, [1.0]), ShapeError, f"order 70 is above numpy's limit of {_MAX_ORDER}"
+    ),
+    "zeros_order_cap": (lambda: tk.zeros((1,) * 70), ShapeError, f"order 70 is above numpy's limit of {_MAX_ORDER}"),
+    "fold_order_cap": (
+        lambda: tk.fold(tk.one_hot(1, 1), (1,) * 70), ShapeError, f"order 70 is above numpy's limit of {_MAX_ORDER}"
+    ),
+    # The order is checked before the shape tuple (size,) * order is built.
+    "super_diagonal_order_huge": (
+        lambda: tk.super_diagonal(10**20, 1), ShapeError, f"super_diagonal order must be in 1..{_MAX_ORDER}, got {10**20}"
     ),
 }
 
@@ -411,7 +436,9 @@ def test_non_sequence_arguments_raise_argument_error(call):
 
 @pytest.mark.parametrize("call", NOT_A_TENSOR_ARGS.values(), ids=NOT_A_TENSOR_ARGS.keys())
 def test_non_tensor_arguments_raise_argument_error(call):
-    with pytest.raises(ArgumentError, match=r"^\w+ input must be a (DenseTensor|TensorNetwork|ContractionPlan|str), got \w+$"):
+    with pytest.raises(
+        ArgumentError, match=r"^\w+ input must be a (DenseTensor|TensorNetwork|ContractionPlan|str|str or PathLike), got \w+$"
+    ):
         call()
 
 
@@ -435,6 +462,14 @@ def test_order_errors_keep_their_class_and_text(call, error, message):
     with pytest.raises(TenkitError) as info:
         call()
     assert info.type is error and str(info.value) == message
+
+
+def test_order_cap_is_numpys_limit():
+    top = tk.super_diagonal(_MAX_ORDER, 1)
+    assert top.to_array().ndim == _MAX_ORDER
+    assert tk.add(top, top) == tk.DenseTensor((1,) * _MAX_ORDER, [2.0])
+    with pytest.raises(ValueError):
+        np.empty((1,) * (_MAX_ORDER + 1))
 
 
 def test_order_error_templates_live_only_in_core():

@@ -107,6 +107,8 @@ def test_ew_binary_dispatch():
     assert tk.ew_binary("div", x, z) == tk.divide(x, z)
     with pytest.raises(ArgumentError):
         tk.ew_binary("pow", x, y)
+    with pytest.raises(ArgumentError):
+        tk.ew_binary([1, 2], x, y)  # an unhashable op
 
 
 def test_scale():
