@@ -132,11 +132,16 @@ def _numpy_max_order() -> int:
 _MAX_ORDER = _numpy_max_order()
 
 
+def _check_order(order: int) -> None:
+    """ShapeError if a tensor of this order is more than numpy can hold."""
+    if order > _MAX_ORDER:
+        raise ShapeError(f"order {order} is above numpy's limit of {_MAX_ORDER}")
+
+
 def _check_shape(shape: Sequence[int]) -> Shape:
     """Extents >= 1, at most _MAX_ORDER of them, else ShapeError."""
     shape = _as_ints(shape, "extent of mode", lo=1, error=ShapeError)
-    if len(shape) > _MAX_ORDER:
-        raise ShapeError(f"order {len(shape)} is above numpy's limit of {_MAX_ORDER}")
+    _check_order(len(shape))
     return shape
 
 

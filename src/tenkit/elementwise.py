@@ -8,7 +8,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DenseTensor, _as_ints, _as_real, _as_seq, _as_tensor, _fmt_shape, _from_rev, _rev, multi_index
+from .core import (
+    DenseTensor, _as_ints, _as_real, _as_seq, _as_tensor, _check_order, _fmt_shape, _from_rev, _rev, multi_index
+)
 from .errors import ArgumentError, DivisionError, ShapeError
 
 __all__ = [
@@ -123,6 +125,7 @@ def outer(vs: Sequence[DenseTensor]) -> DenseTensor:
     for v in vs:
         if v.order != 1:
             raise ShapeError(f"outer product operands must be order-1, got order {v.order}")
+    _check_order(len(vs))
     # Built in storage order: the reversed view of the result has the last
     # vector's axis first. v * acc == acc * v exactly, so entries are still
     # (v_1 v_2) v_3 ...

@@ -23,6 +23,7 @@ them unless its labels are resolvable from elsewhere).
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -221,24 +222,12 @@ def _make_plan(net: TensorNetwork, steps: Sequence[tuple[str, str]]) -> Contract
     )
 
 
-def _times(a: np.ndarray, b) -> np.ndarray:
-    """Elementwise a * b of int64 values, where -1 stands for a value above
-    2**63 - 1 and every product above 2**63 - 1 becomes -1."""
-    over = (a < 0) | (b < 0) | (a > _I64_MAX // np.maximum(b, 1))
-    return np.where(over, -1, a * b)
-
-
-def _product_table(extents: Sequence[int]) -> np.ndarray:
-    """Product of every subset of the extents, indexed by the subset's bit
-    mask, in _times' int64 form."""
-    table = np.ones(1, dtype=np.int64)
+def _product_table(extents: Sequence[int], dtype) -> np.ndarray:
+    """Product of every subset of the extents, indexed by the subset's bit mask."""
+    table = np.ones(1, dtype=dtype)
     for e in extents:
-        table = np.concatenate([table, _times(table, np.int64(e if e <= _I64_MAX else -1))])
+        table = np.concatenate([table, table * e])
     return table
-
-
-def _shadow(exact: np.ndarray) -> np.ndarray:
-    return np.where(exact < 0, np.inf, exact.astype(np.float64))
 
 
 def _split_tables(net: TensorNetwork):
@@ -250,7 +239,12 @@ def _split_tables(net: TensorNetwork):
     each such pair is one bit, carrying the product of its extents, in a
     12-bit word. bond_free[c, mask] is word c of the bonds with exactly one
     end in mask, so bond_free[c, sub] & bond_free[c, rest] are the bonds
-    between sub and rest, and bond_tables[c] maps word c to its product."""
+    between sub and rest, and bond_tables[c] maps word c to its product.
+
+    Each of these products runs over distinct labels, so none exceeds P,
+    the product of every label's extent, and a plan's cost sums at most
+    n - 1 of them. The tables hold int64 when (n - 1) * P <= 2**63 - 1, and
+    Python ints otherwise, so the DP's arithmetic is exact either way."""
     names = net.node_names
     n = len(names)
     holders: dict[str, int] = {}
@@ -264,6 +258,8 @@ def _split_tables(net: TensorNetwork):
             pairs[nodes] = pairs.get(nodes, 1) * net.extent(label)
         else:
             own[nodes.bit_length() - 1] *= net.extent(label)
+    extents = list(pairs.values())
+    dtype = np.int64 if (n - 1) * math.prod(own) * math.prod(extents) <= _I64_MAX else object
     words = -(-len(pairs) // 12)
     node_words = np.zeros((words, n), dtype=np.int64)
     for g, nodes in enumerate(pairs):
@@ -273,23 +269,22 @@ def _split_tables(net: TensorNetwork):
     bond_free = np.zeros((words, 1 << n), dtype=np.int64)
     for i in range(n):
         bond_free[:, 1 << i : 2 << i] = bond_free[:, : 1 << i] ^ node_words[:, i, None]
-    extents = list(pairs.values())
-    bond_tables = [_product_table(extents[12 * c : 12 * c + 12]) for c in range(words)]
-    size = _product_table(own)
+    bond_tables = [_product_table(extents[12 * c : 12 * c + 12], dtype) for c in range(words)]
+    size = _product_table(own, dtype)
     for word, table in zip(bond_free, bond_tables):
-        size = _times(size, table[word])
+        size = size * table[word]
     return size, bond_free, bond_tables
 
 
-def _plan_level(masks, k, best, best_split, size, bond_free, bond_tables) -> np.ndarray:
-    """Best split of every mask in `masks`, all of popcount k.
+def _plan_level(masks, k, best, best_split, size, bond_free, bond_tables) -> None:
+    """Write the best split of every mask in `masks`, all of popcount k, and
+    its cost into best_split and best.
 
-    Fills best_split and best, and returns best, which becomes an object
-    array of Python ints once a cost sum could exceed 2**63 - 1. The splits
-    of a mask keep its top bit in `sub`: they are the bit-deposits of
-    t = 2**k - 2 down to 2**(k-1) onto the mask's bits. Column j of `sub`
-    holds mask j's splits in descending order, so argmin's first minimum
-    is the largest `sub`, as in a loop over submasks from the top."""
+    The splits of a mask keep its top bit in `sub`: they are the
+    bit-deposits of t = 2**k - 2 down to 2**(k-1) onto the mask's bits.
+    Column j of `sub` holds mask j's splits in descending order, so argmin's
+    first minimum is the largest `sub`, as in a loop over submasks from the
+    top."""
     half = 1 << (k - 1)
     lower = np.zeros((half, len(masks)), dtype=np.int64)  # subsets of the k-1 low bits
     top = masks.copy()
@@ -299,29 +294,17 @@ def _plan_level(masks, k, best, best_split, size, bond_free, bond_tables) -> np.
         lower[1 << j : 2 << j] = lower[: 1 << j] + bit
     sub = top + lower[-2::-1]
     rest = masks ^ sub
-    crossing = [free.take(sub) & free.take(rest) for free in bond_free]
-    sizes = np.broadcast_to(size[masks], sub.shape)
-    product, shadow = sizes, np.broadcast_to(_shadow(size)[masks], sub.shape)
-    for word, table in zip(crossing, bond_tables):
-        product = product * table.take(word)
-        shadow = shadow * _shadow(table).take(word)
-    # The float shadow is within a few ulps of the exact product, so every
-    # product above 2**63 - 1 is flagged; the rest were multiplied exactly.
-    flagged = shadow >= 2.0**62
-    if flagged.any():
-        factors = [sizes[flagged]]
-        factors += [table.take(word[flagged]) for word, table in zip(crossing, bond_tables)]
-        factors = np.array(factors).astype(object)
-        if (factors < 0).any() or (factors.prod(axis=0) > _I64_MAX).any():
-            raise NumericError("contraction cost overflows 64-bit integers")
-    if best.dtype != object and 2 * int(best.max()) + int(product.max()) > _I64_MAX:
-        best = best.astype(object)
-    cost = best.take(sub) + best.take(rest) + product.astype(best.dtype, copy=False)
+    product = size[masks]
+    for free, table in zip(bond_free, bond_tables):
+        product = product * table.take(free.take(sub) & free.take(rest))
+    # Only Python-int tables can hold a product above 2**63 - 1.
+    if best.dtype == object and product.max() > _I64_MAX:
+        raise NumericError("contraction cost overflows 64-bit integers")
+    cost = best.take(sub) + best.take(rest) + product
     pick = np.argmin(cost, axis=0)
     cols = np.arange(len(masks))
     best[masks] = cost[pick, cols]
     best_split[masks] = sub[pick, cols]
-    return best
 
 
 def _plan_exhaustive(net: TensorNetwork) -> list[tuple[str, str]]:
@@ -333,10 +316,10 @@ def _plan_exhaustive(net: TensorNetwork) -> list[tuple[str, str]]:
     popcount = np.zeros(1 << n, dtype=np.int64)
     for i in range(n):
         popcount[1 << i : 2 << i] = popcount[: 1 << i] + 1
-    best = np.zeros(1 << n, dtype=np.int64)
+    best = np.zeros(1 << n, dtype=tables[0].dtype)
     splits = np.zeros(1 << n, dtype=np.int64)
     for k in range(2, n + 1):
-        best = _plan_level(np.flatnonzero(popcount == k), k, best, splits, *tables)
+        _plan_level(np.flatnonzero(popcount == k), k, best, splits, *tables)
     best_split = splits.tolist()
 
     def build(mask: int) -> tuple[list[tuple[str, str]], str]:
@@ -377,12 +360,14 @@ def plan(net: TensorNetwork, strategy="exhaustive") -> ContractionPlan:
 
     "exhaustive" finds a plan of minimum total cost by dynamic programming
     over node subsets (Pfeifer, Haegeman & Verstraete, PRE 90, 033315,
-    2014), with node k of net.node_names as bit k of a subset's mask. Every
-    split of every subset is costed in exact integers, and of two splits of
-    equal cost the one whose part holding the highest bit has the larger
-    mask wins. It takes at most 12 nodes and does 3**n work in numpy, one
-    subset size at a time, so memory holds the splits of one size only. It
-    raises NumericError if any split costs more than 2**63 - 1.
+    2014), with node k of net.node_names as bit k of a subset's mask. Costs
+    are int64 when (n - 1) times the product of every label's extent fits
+    in 2**63 - 1, and Python ints otherwise, so they are exact either way.
+    Of two splits of equal cost, the one whose part holding the highest bit
+    has the larger mask wins. It takes at most 12 nodes and does 3**n work
+    in numpy, one subset size at a time, so memory holds the splits of one
+    size only. It raises NumericError if any split costs more than
+    2**63 - 1.
     "greedy" repeatedly contracts the cheapest pair, ties broken by the
     lexicographically smallest name pair.
     """
@@ -404,8 +389,6 @@ def evaluate(net: TensorNetwork, contraction: ContractionPlan) -> DenseTensor:
     _as_instance(net, TensorNetwork, "evaluate")
     _as_instance(contraction, ContractionPlan, "evaluate")
     _, _, (labels, result) = _replay(net, contraction.steps, tensors=True)
-    if set(labels) != set(net.output):
-        raise PlanError("plan result labels do not match the network output")
     return permute(result, [labels.index(l) + 1 for l in net.output])
 
 

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DenseTensor, _as_int, _as_ints, _as_seq, _as_tensor, _from_rev, _rev, element_count
+from .core import DenseTensor, _as_int, _as_ints, _as_seq, _as_tensor, _check_order, _from_rev, _rev, element_count
 from .errors import ArgumentError, ShapeError
 
 __all__ = [
@@ -135,6 +135,7 @@ def tensor_product(a: DenseTensor, b: DenseTensor, pairing: Sequence[tuple[int, 
                 f"pair ({n},{m}): extent {a.shape[n - 1]} of left mode {n} "
                 f"!= extent {b.shape[m - 1]} of right mode {m}"
             )
+    _check_order(a.order + b.order - 2 * len(pairing))
     # Mode k of a is axis a.order - k of _rev(a); the C-order result of
     # (free axes of _rev(b), free axes of _rev(a)) is the storage order of
     # (free modes of a, free modes of b).

@@ -274,6 +274,7 @@ _V = tk.vec(_X)
 
 _HUGE = "more than numpy can index"
 _MAX_ORDER = tk.core._MAX_ORDER
+_HALF = tk.DenseTensor((1,) * (_MAX_ORDER // 2 + 8), [1.0])  # one entry, order 40 on numpy 2
 
 # Each call passes a tensor of an order its function does not take, or a
 # shape with more entries than numpy can index or more modes than numpy
@@ -333,6 +334,20 @@ ORDER_ERRORS = {
     "zeros_order_cap": (lambda: tk.zeros((1,) * 70), ShapeError, f"order 70 is above numpy's limit of {_MAX_ORDER}"),
     "fold_order_cap": (
         lambda: tk.fold(tk.one_hot(1, 1), (1,) * 70), ShapeError, f"order 70 is above numpy's limit of {_MAX_ORDER}"
+    ),
+    # Products whose result order is the sum of their operands' orders are
+    # checked before numpy is called.
+    "outer_order_cap": (
+        lambda: tk.outer([tk.DenseTensor((1,), [1.0])] * 70), ShapeError,
+        f"order 70 is above numpy's limit of {_MAX_ORDER}",
+    ),
+    "tensor_product_order_cap": (
+        lambda: tk.tensor_product(_HALF, _HALF, []), ShapeError,
+        f"order {2 * _HALF.order} is above numpy's limit of {_MAX_ORDER}",
+    ),
+    "tt_pair_product_order_cap": (
+        lambda: tk.tt_pair_product(_HALF, _HALF), ShapeError,
+        f"order {2 * _HALF.order - 2} is above numpy's limit of {_MAX_ORDER}",
     ),
     # The order is checked before the shape tuple (size,) * order is built.
     "super_diagonal_order_huge": (

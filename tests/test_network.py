@@ -134,6 +134,15 @@ def test_format_network_matches_value_by_value_oracle():
         ("node A [i=3] = 1 2 3\n  node B [i=3] = 4\t5 six # c\noutput []", "inline value 'six' is not a number", 2, 22),
         ("node A [i=2] = 1 2; node B [i=2] = 0x1 2; output []", "inline value '0x1' is not a number", 1, 36),
         ("node A [i=2] = 1\n  node B [i=2] = 2 -1e400; output []", "value '-1e400' overflows float64", 2, 20),
+        (
+            "output [i]\n  node A [i,j=2] = 1 2 3",
+            "node 'A': cannot infer extent of label 'i' from 3 values", 2, 3,
+        ),
+        ("node A [i=2] = 1 2\nnod B [i=2] = 1 2\noutput []", "expected 'node' or 'output', got 'nod'", 2, 1),
+        ("node A [i=1] x; output [i]", "expected '@file' or '=', got 'x'", 1, 14),
+        ("output [i]; node A [i] @a.ten extra", "trailing content 'extra' after file reference", 1, 31),
+        ("node A [i=2,j=x] = 1 2; output [i,j]", "extent must be an integer, got 'x'", 1, 15),
+        ("node A [i=2] = 1 2\noutput [i]\n  node B [j=-3] = 1", "extent must be positive, got -3", 3, 13),
     ],
 )
 def test_inline_value_errors_carry_line_and_col(text, message, line, col):
@@ -241,17 +250,69 @@ def test_inline_spelled_out_non_finite_values_parse():
     assert np.isnan(net.tensor("A").data[2])
 
 
-def test_network_invariant_validation():
-    rng = np.random.default_rng(2)
-    t = rand_tensor(rng, (2, 2))
-    with pytest.raises(ArgumentError, match="repeats a label"):
-        tk.TensorNetwork([("A", ("i", "i"), t)], output=())
-    with pytest.raises(ArgumentError, match="free labels missing"):
-        tk.TensorNetwork([("A", ("i", "j"), t)], output=("i",))
-    with pytest.raises(ArgumentError, match="bond"):
-        tk.TensorNetwork(
-            [("A", ("i", "j"), t), ("B", ("j", "k"), t)], output=("i", "j", "k")
-        )
+_T = tk.DenseTensor((2, 2), range(4))
+_V2 = tk.DenseTensor((2,), (1, 2))
+_V3 = tk.DenseTensor((3,), (1, 2, 3))
+_VECTORS13 = tk.TensorNetwork([(f"v{k}", (f"i{k}",), _V2) for k in range(13)], tuple(f"i{k}" for k in range(13)))
+
+# Each call builds or plans an invalid network: the error class and the
+# whole message are part of the contract.
+NETWORK_ERRORS = {
+    "self_trace": (
+        lambda: tk.TensorNetwork([("A", ("i", "i"), _T)], output=()), ArgumentError,
+        "node 'A' repeats a label; self-traces are not supported",
+    ),
+    "free_missing": (
+        lambda: tk.TensorNetwork([("A", ("i", "j"), _T)], output=("i",)), ArgumentError,
+        "free labels missing from the output: j",
+    ),
+    "output_bond": (
+        lambda: tk.TensorNetwork([("A", ("i", "j"), _T), ("B", ("j", "k"), _T)], output=("i", "j", "k")),
+        ArgumentError, "output label 'j' is a bond (it appears in two nodes)",
+    ),
+    "duplicate_name": (
+        lambda: tk.TensorNetwork([("A", ("i",), _V2), ("A", ("j",), _V2)], output=("i", "j")), ArgumentError,
+        "duplicate node name 'A'",
+    ),
+    "name_not_identifier": (
+        lambda: tk.TensorNetwork([("1A", ("i",), _V2)], output=("i",)), ArgumentError,
+        "node name '1A' is not an identifier",
+    ),
+    "not_a_tensor": (
+        lambda: tk.TensorNetwork([("A", ("i",), [1.0, 2.0])], output=("i",)), ArgumentError,
+        "node 'A' needs a DenseTensor, got list",
+    ),
+    "order_mismatch": (
+        lambda: tk.TensorNetwork([("A", ("i",), _T)], output=("i",)), ArgumentError,
+        "node 'A' has 1 labels but an order-2 tensor",
+    ),
+    "extent_mismatch": (
+        lambda: tk.TensorNetwork([("A", ("i", "j"), _T), ("B", ("j",), _V3)], output=("i",)), ArgumentError,
+        "label 'j' has extent 2 elsewhere but 3 in node 'B'",
+    ),
+    "output_repeats": (
+        lambda: tk.TensorNetwork([("A", ("i",), _V2)], output=("i", "i")), ArgumentError, "output repeats a label",
+    ),
+    "output_unknown": (
+        lambda: tk.TensorNetwork([("A", ("i",), _V2)], output=("i", "z")), ArgumentError,
+        "output label 'z' does not appear in any node",
+    ),
+    # Thirteen vectors: refused before any table of 2**13 subsets is built.
+    "exhaustive_cap": (
+        lambda: tk.plan(_VECTORS13, "exhaustive"), ArgumentError, "exhaustive planning supports at most 12 nodes, got 13",
+    ),
+    "unknown_strategy": (
+        lambda: tk.plan(_VECTORS13, "x"), ArgumentError,
+        "unknown strategy 'x' (need exhaustive, greedy, or a step list)",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", NETWORK_ERRORS.values(), ids=NETWORK_ERRORS.keys())
+def test_network_errors_keep_their_class_and_text(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert info.type is error and str(info.value) == message
 
 
 def test_pair_cost_examples():
@@ -517,4 +578,31 @@ def test_exhaustive_cost_sums_past_int64_are_exact():
         tuple(f"i{k}" for k in range(12)),
     )
     assert 37**11 * 51 <= 2**63 - 1 < 37**11 * 51 + 37**11
+    assert_plan_matches_oracle(net)
+
+
+def twelve_vectors(rng):
+    extents = [37] * 11 + [51]
+    return tk.TensorNetwork(
+        [(f"v{k}", (f"i{k}",), rand_tensor(rng, (e,))) for k, e in enumerate(extents)],
+        tuple(f"i{k}" for k in range(12)),
+    )
+
+
+@pytest.mark.parametrize(
+    "build, dtype",
+    [
+        (lambda rng: ring_network(rng, 12, (2, 3), 2), np.int64),
+        (lambda rng: ladder_network(rng, 6, (3, 2), 2), np.int64),
+        (twelve_vectors, object),
+        (lambda rng: ring_network(rng, 12, (2,), 19), object),
+    ],
+    ids=["ring12", "ladder2x6", "twelve-vectors", "ring12-free19"],
+)
+def test_split_tables_are_int64_exactly_when_cost_sums_fit(build, dtype):
+    # The benchmark's largest rings and ladders must stay on int64; a bound
+    # that was too strict would move them to Python ints without a failure.
+    net = build(np.random.default_rng(20))
+    size, _, bond_tables = tn._split_tables(net)
+    assert [t.dtype for t in (size, *bond_tables)] == [np.dtype(dtype)] * (1 + len(bond_tables))
     assert_plan_matches_oracle(net)
