@@ -88,12 +88,24 @@ def scale(a: float, x: DenseTensor) -> DenseTensor:
 
 
 def inner(x: DenseTensor, y: DenseTensor) -> float:
-    """Sum of the entry-wise products; shapes must match exactly."""
+    """Sum of the entry-wise products; shapes must match exactly.
+
+    Each operand is scaled by the power of two that brings its max|entry|
+    into [0.5, 1), which is exact, so no product or partial sum overflows
+    and only products far below the largest can underflow; the result is
+    infinite only when the inner product itself is beyond float range.
+    """
     x = _as_tensor(x, "inner")
     y = _as_tensor(y, "inner")
     if x.shape != y.shape:
         raise ShapeError(f"inner product needs equal shapes, got ({','.join(map(str, x.shape))}) and ({','.join(map(str, y.shape))})")
-    return float(x.data @ y.data)
+    ex = math.frexp(float(np.abs(x.data).max()))[1]
+    ey = math.frexp(float(np.abs(y.data).max()))[1]
+    scaled = float(np.ldexp(x.data, -ex) @ np.ldexp(y.data, -ey))
+    try:
+        return math.ldexp(scaled, ex + ey)
+    except OverflowError:
+        return math.copysign(math.inf, scaled)
 
 
 def frobenius_norm(x: DenseTensor) -> float:

@@ -85,11 +85,9 @@ def _householder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             continue
         v = x.copy()
         v[0] += math.copysign(norm, x[0]) if x[0] != 0.0 else norm
-        vnorm2 = float(v @ v)
-        if vnorm2 == 0.0:
-            vs.append(None)
-            continue
-        v /= math.sqrt(vnorm2)
+        # norm >= 2**-537 (the root of the least subnormal) and |v[0]| >= norm,
+        # so v[0]**2 does not underflow and v @ v > 0.
+        v /= math.sqrt(float(v @ v))
         vs.append(v)
         r[k:, k:] -= 2.0 * np.outer(v, v @ r[k:, k:])
     q = np.zeros((m, t))

@@ -34,7 +34,7 @@ import numpy as np
 from .core import DenseTensor, _as_instance, _as_seq, permute
 from .errors import ArgumentError, NumericError, ParseError, PlanError
 from .io import _PATH, _format_rows, _parse_floats, read_tensor
-from .products import tensor_product
+from .products import _pair_gemm
 
 __all__ = [
     "TensorNetwork",
@@ -185,8 +185,17 @@ def pair_cost(net: TensorNetwork, a: str, b: str) -> int:
 
 def _replay(net: TensorNetwork, steps: Sequence[tuple[str, str]], tensors: bool = False):
     """Validate and replay steps; return (step_costs, peak_intermediate, (labels, tensor))
-    of the node left. Tensors are contracted only if `tensors` is set, else they are None."""
+    of the node left. Tensors are contracted only if `tensors` is set, else they are None.
+
+    A contracted step puts first the operand that holds the earliest output
+    label (an operand with none ranks last; a tie keeps the plan's order),
+    so the node left is in output order unless the plan interleaves it."""
     state = {name: (net.labels(name), net.tensor(name) if tensors else None) for name in net.node_names}
+    rank = {label: k for k, label in enumerate(net.output)}
+
+    def first(labels):
+        return min((rank.get(l, len(rank)) for l in labels), default=len(rank))
+
     costs = []
     peak_inter = 0
     for k, (a, b) in enumerate(steps, start=1):
@@ -197,12 +206,17 @@ def _replay(net: TensorNetwork, steps: Sequence[tuple[str, str]], tensors: bool 
                 raise PlanError(f"step {k} ({a},{b}): node '{name}' is not available")
         (la, ta), (lb, tb) = state[a], state[b]
         shared = [l for l in la if l in lb]
+        rest_a = tuple(l for l in la if l not in shared)
         rest_b = tuple(l for l in lb if l not in shared)
-        merged = tuple(l for l in la if l not in shared) + rest_b
+        merged = rest_a + rest_b
         costs.append(_checked_product(net.extent(l) for l in la + rest_b))
         peak_inter = max(peak_inter, _checked_product(net.extent(l) for l in merged))
         if tensors:
-            ta = tensor_product(ta, tb, [(la.index(l) + 1, lb.index(l) + 1) for l in shared])
+            swap = first(lb) < first(la)
+            ns, ms = [la.index(l) + 1 for l in shared], [lb.index(l) + 1 for l in shared]
+            ta = _pair_gemm(ta, tb, ns, ms, swap)
+            if swap:
+                merged = rest_b + rest_a
         state[a] = (merged, ta)
         del state[b]
     if len(state) != 1:
@@ -385,7 +399,13 @@ def plan(net: TensorNetwork, strategy="exhaustive") -> ContractionPlan:
 
 
 def evaluate(net: TensorNetwork, contraction: ContractionPlan) -> DenseTensor:
-    """Execute a plan with pairwise tensor products; modes follow the output order."""
+    """Execute a plan with pairwise tensor products; modes follow the output order.
+
+    Each step puts first the operand holding the earliest output label, so
+    the result is copied into output order only when the plan interleaves
+    the output labels of the last operands; otherwise the closing permute is
+    the identity and copies nothing.
+    """
     _as_instance(net, TensorNetwork, "evaluate")
     _as_instance(contraction, ContractionPlan, "evaluate")
     _, _, (labels, result) = _replay(net, contraction.steps, tensors=True)

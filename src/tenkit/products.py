@@ -17,6 +17,7 @@ copied only when its paired modes are not adjacent in pairing order.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -135,12 +136,34 @@ def tensor_product(a: DenseTensor, b: DenseTensor, pairing: Sequence[tuple[int, 
                 f"pair ({n},{m}): extent {a.shape[n - 1]} of left mode {n} "
                 f"!= extent {b.shape[m - 1]} of right mode {m}"
             )
-    _check_order(a.order + b.order - 2 * len(pairing))
-    # Mode k of a is axis a.order - k of _rev(a); the C-order result of
-    # (free axes of _rev(b), free axes of _rev(a)) is the storage order of
-    # (free modes of a, free modes of b).
-    axes = ([b.order - m for m in ms], [a.order - n for n in ns])
-    return _from_rev(np.tensordot(_rev(b), _rev(a), axes=axes))
+    return _pair_gemm(a, b, ns, ms)
+
+
+def _pair_gemm(a: DenseTensor, b: DenseTensor, ns: list[int], ms: list[int], swap: bool = False) -> DenseTensor:
+    """The GEMM of tensor_product, for checked modes ns of a paired with ms of b.
+
+    Mode k of a is axis a.order - k of _rev(a). As np.tensordot(_rev(b),
+    _rev(a)) does, x holds (free axes of _rev(b), paired axes) and y holds
+    (paired axes, free axes of _rev(a)); x @ y is the C-order array of
+    (free axes of _rev(b), free axes of _rev(a)), the storage order of
+    (free modes of a, free modes of b). With swap, y.T @ x.T gives (free
+    modes of b, free modes of a) from the same two matrices: the BLAS reads
+    them transposed, so a swap copies nothing more.
+    """
+    _check_order(a.order + b.order - 2 * len(ns))
+    rb, ra = _rev(b), _rev(a)
+    pb = [b.order - m for m in ms]
+    pa = [a.order - n for n in ns]
+    fb = [k for k in range(b.order) if k not in pb]
+    fa = [k for k in range(a.order) if k not in pa]
+    sb = [rb.shape[k] for k in fb]
+    sa = [ra.shape[k] for k in fa]
+    paired = math.prod(ra.shape[k] for k in pa)
+    x = rb.transpose(fb + pb).reshape(math.prod(sb), paired)
+    y = ra.transpose(pa + fa).reshape(paired, math.prod(sa))
+    if swap:
+        return _from_rev(np.dot(y.T, x.T).reshape(sa + sb))
+    return _from_rev(np.dot(x, y).reshape(sb + sa))
 
 
 def tt_pair_product(x: DenseTensor, y: DenseTensor) -> DenseTensor:

@@ -369,6 +369,84 @@ NOT_A_MODEL_ARGS = {
     "tr_reconstruct": (tk.tr_reconstruct, _TRAIN, "TRRing"),
 }
 
+_W2 = tk.DenseTensor((2,), [1.0, 2.0])
+_F32 = tk.DenseTensor((3, 2), range(6))
+_CP = tk.CPModel(_W2, (_F32, _F32, _F32))
+
+
+def _read_altered(path, model, manifest=None, drop=None):
+    """Write a model, then overwrite its manifest or delete one part, and read it back."""
+    tk.write_model(path, model)
+    if manifest is not None:
+        (path / "model.json").write_text(manifest)
+    if drop is not None:
+        (path / drop).unlink()
+    return tk.read_model(path)
+
+
+# Each call builds an invalid model, reads a damaged model directory (the
+# argument is an empty directory to write it in), or asks a tensor for what
+# its shape does not have: the error class and the whole message are part
+# of the contract.
+MODEL_ERRORS = {
+    "cp_weights_order": (lambda d: tk.CPModel(_M, (_F32,)), ModelError, "cp weights must be order-1, got order 2"),
+    "cp_no_factor": (lambda d: tk.CPModel(_W2, ()), ModelError, "cp model needs at least one factor"),
+    "cp_factor_order": (lambda d: tk.CPModel(_W2, (_X,)), ModelError, "cp factor 1 must be order-2, got order 3"),
+    "cp_factor_rank": (
+        lambda d: tk.CPModel(_W2, (_F32, _M)), ModelError, "cp factor 2 has 12 columns, expected rank 2"
+    ),
+    "tucker_factor_count": (
+        lambda d: tk.TuckerModel(_X, (_F32,)), ModelError, "tucker model has 1 factors for an order-3 core"
+    ),
+    "tucker_factor_order": (
+        lambda d: tk.TuckerModel(_M, (_F32, _X)), ModelError, "tucker factor 2 must be order-2, got order 3"
+    ),
+    "tucker_factor_columns": (
+        lambda d: tk.TuckerModel(_M, (_F32, _F32)), ModelError,
+        "tucker factor 2 has 2 columns, core mode has extent 12",
+    ),
+    "tt_no_core": (lambda d: tk.TTTrain(()), ModelError, "tt train needs at least one core"),
+    "tr_no_core": (lambda d: tk.TRRing(()), ModelError, "tr ring needs at least one core"),
+    "tt_core_order": (lambda d: tk.TTTrain((_M,)), ModelError, "tt core 1 must be order-3, got order 2"),
+    "tt_bond": (
+        lambda d: tk.TTTrain((_X, _X)), ModelError, "bond mismatch between cores 1 and 2: 4 vs 2"
+    ),
+    # An open train is a valid TTTrain; as a ring its last bond must close.
+    "tr_closing_bond": (
+        lambda d: tk.TRRing(_TRAIN.cores[:2]), ModelError, "bond mismatch between cores 2 and 1: 2 vs 1"
+    ),
+    "read_model_line": (
+        lambda d: _read_altered(d, _CP, manifest="this is not a manifest\n"), ModelError,
+        "manifest line 1 is not key=value: 'this is not a manifest'",
+    ),
+    "read_model_kind": (
+        lambda d: _read_altered(d, _CP, manifest="kind=banana\nranks=2\n"), ModelError,
+        "manifest kind must be cp|tucker|tt|tr, got 'banana'",
+    ),
+    "read_model_ranks_not_integers": (
+        lambda d: _read_altered(d, _TUCKER, manifest="kind=tucker\nranks=2 x 4\n"), ModelError,
+        "manifest ranks are not integers: '2 x 4'",
+    ),
+    "read_model_no_core": (
+        lambda d: _read_altered(d, _TUCKER, drop="core.ten"), ModelError, "tucker model directory has no core.ten"
+    ),
+    "read_model_no_weights": (
+        lambda d: _read_altered(d, _CP, drop="weights.ten"), ModelError, "cp model directory has no weights.ten"
+    ),
+    "read_model_no_factor": (
+        lambda d: _read_altered(d, _TUCKER, drop="factor_1.ten"), ModelError, "model directory has no factor_1.ten"
+    ),
+    "read_model_rank_mismatch": (
+        lambda d: _read_altered(d, _TUCKER, manifest="kind=tucker\nranks=2 3 5\n"), ModelError,
+        "manifest ranks 2 3 5 do not match the stored tensors",
+    ),
+    "tt_pair_product_order_0": (
+        lambda d: tk.tt_pair_product(tk.DenseTensor((), [2.0]), _X), ShapeError,
+        "tt_pair_product operands must have order >= 1",
+    ),
+    "item": (lambda d: _X.item(), ShapeError, "item() needs exactly one entry, shape is (2,3,4)"),
+}
+
 BAD_TOL = [float("nan"), -1.0, float("inf"), "a"]
 
 _NAN = tk.DenseTensor((2, 2, 2), [1.0, 2.0, 3.0, float("nan"), 5.0, 6.0, 7.0, 8.0])
@@ -510,6 +588,13 @@ def test_non_models_raise_argument_error_naming_every_kind(tmp_path):
             call(0)
         assert str(info.value) == "int is not a model (cp|tucker|tt|tr)"
     assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("call, error, message", MODEL_ERRORS.values(), ids=MODEL_ERRORS.keys())
+def test_model_errors_keep_their_class_and_text(call, error, message, tmp_path):
+    with pytest.raises(TenkitError) as info:
+        call(tmp_path)
+    assert info.type is error and str(info.value) == message
 
 
 def test_numpy_integers_are_accepted():

@@ -169,6 +169,34 @@ def test_frobenius_norm_beyond_float_range_is_inf():
     assert tk.frobenius_norm(tk.DenseTensor.from_array(np.full(4, 1.5e308))) == math.inf
 
 
+def test_inner_is_exact_under_power_of_two_scaling():
+    rng = np.random.default_rng(32)
+    for _ in range(100):
+        n = int(rng.integers(1, 200))
+        x, y = rng.standard_normal(n), rng.standard_normal(n)
+        j = int(rng.integers(-900, 900))
+        k = int(rng.integers(max(-900, -900 - j), min(900, 900 - j)))
+        # As for frobenius_norm: at unit scale the result is the plain dot
+        # product, and scaling the operands by 2**j and 2**k scales it by
+        # 2**(j + k), bit for bit.
+        unit = float(x @ y)
+        assert tk.inner(tk.DenseTensor.from_array(x), tk.DenseTensor.from_array(y)) == unit
+        scaled = tk.inner(tk.DenseTensor.from_array(np.ldexp(x, j)), tk.DenseTensor.from_array(np.ldexp(y, k)))
+        assert scaled == math.ldexp(unit, j + k)
+
+
+def test_inner_partial_sums_do_not_overflow():
+    # The true value 1e308 is in range, but 1e308 + 1e308 is not.
+    big = tk.DenseTensor((3,), [1e308, 1e308, -1e308])
+    assert tk.inner(big, tk.all_ones((3,))) == 1e308
+    # About 4e-340 is below the smallest subnormal, and 4e320 above the
+    # largest float: the result is 0.0, or inf with the true value's sign.
+    tiny, huge = tk.DenseTensor((4,), [1e-170] * 4), tk.DenseTensor((4,), [1e160] * 4)
+    assert tk.inner(tiny, tiny) == 0.0
+    assert tk.inner(huge, huge) == math.inf
+    assert tk.inner(huge, tk.scale(-1.0, huge)) == -math.inf
+
+
 def test_sum_all():
     assert tk.sum_all(tk.zeros((2, 2))) == 0.0
     assert tk.sum_all(tk.all_ones((2, 3, 4))) == 24.0

@@ -495,6 +495,40 @@ def ladder_network(rng, length, bonds, free):
     return tk.TensorNetwork(nodes, tuple(f"f{rail}{k}" for k in range(length) for rail in "ac"))
 
 
+def star_network(rng, leaves, bond, free):
+    """A center bonded to every leaf; leaf k holds the free label f{k}."""
+    nodes = [("c", tuple(f"x{k}" for k in range(leaves)), rand_tensor(rng, (bond,) * leaves))]
+    nodes += [(f"l{k}", (f"x{k}", f"f{k}"), rand_tensor(rng, (bond, free))) for k in range(leaves)]
+    return tk.TensorNetwork(nodes, tuple(f"f{k}" for k in range(leaves)))
+
+
+# Networks small enough for the loop oracle, with the plans whose output
+# labels come out in order: there, evaluate's closing permute must be the
+# identity. Other plans may leave the last two operands' output labels
+# interleaved (as a ring's plan does when its cheapest cut wraps round).
+OUTPUT_ORDER_CASES = {
+    "star": (lambda rng: star_network(rng, 4, 2, 3), {"exhaustive", "greedy"}),
+    "ring": (lambda rng: ring_network(rng, 6, (2, 3), 2), {"exhaustive"}),
+    "ladder": (lambda rng: ladder_network(rng, 3, (2,), 2), set()),
+}
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "greedy", "random"])
+@pytest.mark.parametrize("build, in_order", OUTPUT_ORDER_CASES.values(), ids=OUTPUT_ORDER_CASES.keys())
+def test_evaluate_puts_the_earliest_output_label_first(build, in_order, strategy, monkeypatch):
+    rng = np.random.default_rng(21)
+    net = build(rng)
+    steps = random_plan_steps(net, rng) if strategy == "random" else strategy
+    perms = []
+    monkeypatch.setattr(tn, "permute", lambda x, p: perms.append(list(p)) or tk.permute(x, p))
+    got = tk.evaluate(net, tk.plan(net, steps)).to_array()
+    want = network_loop_oracle(net)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert len(perms) == 1
+    if strategy in in_order:
+        assert perms[0] == list(range(1, len(net.output) + 1))
+
+
 def assert_plan_matches_oracle(net):
     want = exhaustive_plan_oracle(net)
     got = tk.plan(net, "exhaustive")

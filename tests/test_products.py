@@ -236,6 +236,36 @@ def test_tensor_product_empty_pairing_is_outer():
         assert got.at(*idx) == a.at(*idx[:2]) * b.at(*idx[2:])
 
 
+@pytest.mark.parametrize(
+    "shape_a, shape_b, pairing",
+    [
+        ((2, 3, 4), (4, 5, 3), [(3, 1), (2, 3)]),
+        ((3, 2), (2, 4, 3), [(1, 3)]),
+        ((2, 3), (4,), []),
+        ((2, 3), (2, 3), [(1, 1), (2, 2)]),
+        ((), (2, 2), []),
+    ],
+)
+def test_swapped_pair_gemm_puts_free_modes_of_b_first(shape_a, shape_b, pairing):
+    from tenkit.products import _pair_gemm
+
+    rng = np.random.default_rng(21)
+    a, b = rand_tensor(rng, shape_a), rand_tensor(rng, shape_b)
+    ns, ms = [n for n, _ in pairing], [m for _, m in pairing]
+    # einsum oracle: mode m of b takes the letter of the mode of a it pairs with.
+    sa = "abcde"[: a.order]
+    sb = "vwxyz"[: b.order]
+    for n, m in pairing:
+        sb = sb.replace(sb[m - 1], sa[n - 1])
+    free_a = "".join(c for c in sa if c not in sb)
+    free_b = "".join(c for c in sb if c not in sa)
+    want = np.einsum(f"{sa},{sb}->{free_b}{free_a}", a.to_array(), b.to_array())
+    got = _pair_gemm(a, b, ns, ms, swap=True)
+    assert got.shape == want.shape
+    assert np.abs(got.to_array() - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+    assert _pair_gemm(a, b, ns, ms) == tk.tensor_product(a, b, pairing)
+
+
 def test_tensor_product_errors():
     rng = np.random.default_rng(19)
     a = rand_tensor(rng, (2, 3))
