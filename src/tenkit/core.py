@@ -132,6 +132,13 @@ def _numpy_max_order() -> int:
 _MAX_ORDER = _numpy_max_order()
 
 
+def _scale_exponent(a: np.ndarray) -> int:
+    """The e with max|a| in [2**(e - 1), 2**e), or 0 if a is all zero.
+
+    Scaling by 2**-e, which is exact, brings max|a| into [0.5, 1)."""
+    return math.frexp(float(np.abs(a).max(initial=0.0)))[1]
+
+
 def _check_order(order: int) -> None:
     """ShapeError if a tensor of this order is more than numpy can hold."""
     if order > _MAX_ORDER:

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import DenseTensor, _as_int, _as_ints, _as_seq, _as_tensor, _as_tol, _from_rev, _rev, fold, k_unfold
-from .core import _as_instance, matricize, permute, subtensor, vec
+from .core import _as_instance, _scale_exponent, matricize, permute, subtensor, vec
 from .elementwise import frobenius_norm
 from .errors import ArgumentError, ModelError, NumericError, ParseError
 from .factor import _check_finite, _householder, _jacobi_svd, _orthonormal_fill, default_rank_tol, pinv, qr, svd
@@ -263,7 +263,7 @@ def cp_als(
     # or overflows. Each update gives its factor the column scale the other
     # factors leave it, so the column norms taken when a restart stops
     # multiply to its weights, which are checked for range at the end.
-    exp = math.frexp(float(np.abs(x.data).max()))[1]
+    exp = _scale_exponent(x.data)
     x = DenseTensor(x.shape, np.ldexp(x.data, -exp))
     norm_x = frobenius_norm(x)
     mats = [matricize(x, n).to_array() for n in range(1, x.order + 1)]

@@ -9,7 +9,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    DenseTensor, _as_ints, _as_real, _as_seq, _as_tensor, _check_order, _fmt_shape, _from_rev, _rev, multi_index
+    DenseTensor, _as_ints, _as_real, _as_seq, _as_tensor, _check_order, _fmt_shape, _from_rev, _rev, _scale_exponent,
+    multi_index
 )
 from .errors import ArgumentError, DivisionError, ShapeError
 
@@ -90,20 +91,31 @@ def scale(a: float, x: DenseTensor) -> DenseTensor:
 def inner(x: DenseTensor, y: DenseTensor) -> float:
     """Sum of the entry-wise products; shapes must match exactly.
 
-    Each operand is scaled by the power of two that brings its max|entry|
-    into [0.5, 1), which is exact, so no product or partial sum overflows
-    and only products far below the largest can underflow; the result is
+    The plain dot product is returned unless it is inf or nan for finite
+    operands. Then a product or partial sum overflowed, and the rounded
+    products are summed again with math.fsum, each scaled exactly by 2**-e,
+    e the largest exponent of a product: nothing overflows, and only
+    products about 2**1074 below the largest are lost. The result is
     infinite only when the inner product itself is beyond float range.
     """
     x = _as_tensor(x, "inner")
     y = _as_tensor(y, "inner")
     if x.shape != y.shape:
         raise ShapeError(f"inner product needs equal shapes, got ({','.join(map(str, x.shape))}) and ({','.join(map(str, y.shape))})")
-    ex = math.frexp(float(np.abs(x.data).max()))[1]
-    ey = math.frexp(float(np.abs(y.data).max()))[1]
-    scaled = float(np.ldexp(x.data, -ex) @ np.ldexp(y.data, -ey))
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = float(x.data @ y.data)
+    if math.isfinite(plain) or not (np.isfinite(x.data).all() and np.isfinite(y.data).all()):
+        return plain
+    # x_i y_i = mx_i my_i 2**(ex_i + ey_i); mx_i my_i is the rounded
+    # product up to that power of two, and it is shifted by the exponent
+    # of the largest product.
+    mx, ex = np.frexp(x.data)
+    my, ey = np.frexp(y.data)
+    mantissa, exps = mx * my, ex + ey
+    top = int(exps[mantissa != 0.0].max())
+    scaled = math.fsum(np.ldexp(mantissa, exps - top))
     try:
-        return math.ldexp(scaled, ex + ey)
+        return math.ldexp(scaled, top)
     except OverflowError:
         return math.copysign(math.inf, scaled)
 
@@ -117,7 +129,7 @@ def frobenius_norm(x: DenseTensor) -> float:
     itself is beyond float range.
     """
     x = _as_tensor(x, "frobenius_norm")
-    exp = math.frexp(float(np.abs(x.data).max()))[1]
+    exp = _scale_exponent(x.data)
     y = np.ldexp(x.data, -exp)
     try:
         return math.ldexp(math.sqrt(float(y @ y)), exp)

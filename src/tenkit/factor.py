@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseTensor, _as_int, _as_tensor, _as_tol, _from_rev, _rev
+from .core import DenseTensor, _as_int, _as_tensor, _as_tol, _from_rev, _rev, _scale_exponent
 from .errors import NumericError, ShapeError
 
 __all__ = ["QRResult", "SVDResult", "qr", "svd", "truncated_svd", "numerical_rank", "pinv"]
@@ -74,7 +74,7 @@ def _householder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t = min(m, n)
     # Scale max|a| into [0.5, 1) by a power of two, which is exact, so the
     # column norms can neither overflow nor underflow; r is unscaled at the end.
-    exp = math.frexp(float(np.abs(a).max(initial=0.0)))[1]
+    exp = _scale_exponent(a)
     r = np.ldexp(a, -exp)
     vs = []
     for k in range(t):

@@ -187,9 +187,9 @@ def _replay(net: TensorNetwork, steps: Sequence[tuple[str, str]], tensors: bool 
     """Validate and replay steps; return (step_costs, peak_intermediate, (labels, tensor))
     of the node left. Tensors are contracted only if `tensors` is set, else they are None.
 
-    A contracted step puts first the operand that holds the earliest output
-    label (an operand with none ranks last; a tie keeps the plan's order),
-    so the node left is in output order unless the plan interleaves it."""
+    Each step puts first the operand that holds the earliest output label
+    (an operand with none ranks last; a tie keeps the plan's order), so the
+    node left is in output order unless the plan interleaves it."""
     state = {name: (net.labels(name), net.tensor(name) if tensors else None) for name in net.node_names}
     rank = {label: k for k, label in enumerate(net.output)}
 
@@ -208,15 +208,12 @@ def _replay(net: TensorNetwork, steps: Sequence[tuple[str, str]], tensors: bool 
         shared = [l for l in la if l in lb]
         rest_a = tuple(l for l in la if l not in shared)
         rest_b = tuple(l for l in lb if l not in shared)
-        merged = rest_a + rest_b
+        swap = first(lb) < first(la)
+        merged = rest_b + rest_a if swap else rest_a + rest_b
         costs.append(_checked_product(net.extent(l) for l in la + rest_b))
         peak_inter = max(peak_inter, _checked_product(net.extent(l) for l in merged))
         if tensors:
-            swap = first(lb) < first(la)
-            ns, ms = [la.index(l) + 1 for l in shared], [lb.index(l) + 1 for l in shared]
-            ta = _pair_gemm(ta, tb, ns, ms, swap)
-            if swap:
-                merged = rest_b + rest_a
+            ta = _pair_gemm(ta, tb, [la.index(l) + 1 for l in shared], [lb.index(l) + 1 for l in shared], swap)
         state[a] = (merged, ta)
         del state[b]
     if len(state) != 1:

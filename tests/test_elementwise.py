@@ -169,6 +169,10 @@ def test_frobenius_norm_beyond_float_range_is_inf():
     assert tk.frobenius_norm(tk.DenseTensor.from_array(np.full(4, 1.5e308))) == math.inf
 
 
+def _inner(x, y):
+    return tk.inner(tk.DenseTensor.from_array(x), tk.DenseTensor.from_array(y))
+
+
 def test_inner_is_exact_under_power_of_two_scaling():
     rng = np.random.default_rng(32)
     for _ in range(100):
@@ -180,9 +184,17 @@ def test_inner_is_exact_under_power_of_two_scaling():
         # product, and scaling the operands by 2**j and 2**k scales it by
         # 2**(j + k), bit for bit.
         unit = float(x @ y)
-        assert tk.inner(tk.DenseTensor.from_array(x), tk.DenseTensor.from_array(y)) == unit
-        scaled = tk.inner(tk.DenseTensor.from_array(np.ldexp(x, j)), tk.DenseTensor.from_array(np.ldexp(y, k)))
-        assert scaled == math.ldexp(unit, j + k)
+        assert _inner(x, y) == unit
+        assert _inner(np.ldexp(x, j), np.ldexp(y, k)) == math.ldexp(unit, j + k)
+        # Two products of +-2**1200 overflow the plain dot product and cancel: the
+        # rescaled sum is the correctly rounded sum of the other products,
+        # and exact under the same scaling.
+        bx = np.concatenate([np.ldexp([1.0, 1.0], 600), np.ldexp(x, 500)])
+        by = np.concatenate([np.ldexp([1.0, -1.0], 600), np.ldexp(y, 500)])
+        j, k = int(rng.integers(-50, 5)), int(rng.integers(-50, 5))
+        rescaled = _inner(bx, by)
+        assert rescaled == math.ldexp(math.fsum(x * y), 1000)
+        assert _inner(np.ldexp(bx, j), np.ldexp(by, k)) == math.ldexp(rescaled, j + k)
 
 
 def test_inner_partial_sums_do_not_overflow():
@@ -195,6 +207,16 @@ def test_inner_partial_sums_do_not_overflow():
     assert tk.inner(tiny, tiny) == 0.0
     assert tk.inner(huge, huge) == math.inf
     assert tk.inner(huge, tk.scale(-1.0, huge)) == -math.inf
+
+
+def test_inner_mixed_scales_within_an_operand():
+    # The largest product can sit far below max|x| max|y|; it is kept.
+    assert _inner(np.array([1e300, 1e-300]), np.array([0.0, 1e300])) == 1.0
+    assert _inner(np.array([1e300, 1e-10]), np.array([0.0, 1e10])) == 1e-10 * 1e10
+    # 1e320 - 1e320 overflows the plain sum; 1 is 2**1063 below the largest
+    # product, so the rescaled sum still holds it.
+    assert _inner(np.array([1e160, 1e160, 1e-100]), np.array([1e160, -1e160, 1e100])) == 1.0
+    assert _inner(np.array([1e308, 1e308, -1e308, 1e-300, 1e300]), np.array([1.0, 1.0, 1.0, 1e300, 0.0])) == 1e308 + 1.0
 
 
 def test_sum_all():
