@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import decomp
-from .core import DenseTensor, fold, k_unfold, matricize, permute
+from .core import DenseTensor, _fmt_shape, fold, k_unfold, matricize, permute
 from .elementwise import frobenius_norm, subtract
 from .errors import ArgumentError, NumericError, TenkitError
 from .io import _read_text, format_float, read_tensor, write_tensor
@@ -44,7 +44,7 @@ def _rel_error(x: DenseTensor, approx: DenseTensor) -> float:
 
 def _cmd_info(args) -> int:
     t = read_tensor(args.file)
-    print(f"{args.file}: order-{t.order} tensor, shape ({','.join(map(str, t.shape))}), {t.size} entries")
+    print(f"{args.file}: order-{t.order} tensor, shape {_fmt_shape(t.shape)}, {t.size} entries")
     _mline("order", t.order)
     _mline("shape", *t.shape)
     _mline("elements", t.size)
@@ -167,10 +167,7 @@ def _cmd_verify(args) -> int:
     t = read_tensor(args.tensor)
     approx = decomp.reconstruct(decomp.read_model(args.modeldir))
     if approx.shape != t.shape:
-        raise ArgumentError(
-            f"model reconstructs shape ({','.join(map(str, approx.shape))}), "
-            f"tensor has ({','.join(map(str, t.shape))})"
-        )
+        raise ArgumentError(f"model reconstructs shape {_fmt_shape(approx.shape)}, tensor has {_fmt_shape(t.shape)}")
     rel = _rel_error(t, approx)
     _mline("rel_error", rel)
     if rel <= args.tol:

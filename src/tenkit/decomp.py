@@ -277,7 +277,6 @@ def cp_als(
     # Final state of every restart, filled in as each one stops.
     done_factors = [np.empty_like(f) for f in factors]
     done_weights = np.empty((restarts, rank))
-    sweeps = np.zeros(restarts, dtype=int)
     converged = np.zeros(restarts, dtype=bool)
     history = []  # per sweep, every restart's residual (NaN once stopped)
     prev_rel = None
@@ -314,7 +313,6 @@ def cp_als(
                 done[gone] = f / np.where(norms > 0.0, norms, 1.0)[:, None, :]
                 weights *= norms
             done_weights[gone] = weights
-            sweeps[gone] = sweep
             keep = ~stop
             factors = [f[keep] for f in factors]
             grams = [g[keep] for g in grams]
@@ -323,7 +321,10 @@ def cp_als(
             if not ids.size:
                 break
         prev_rel = rel
+    # A running restart's residuals are finite, and NaN once it stops, so its
+    # sweeps are its non-NaN residuals.
     history = np.array(history)
+    sweeps = np.count_nonzero(~np.isnan(history), axis=0)
     best = int(np.argmin(history[sweeps - 1, np.arange(restarts)]))
     with np.errstate(over="ignore"):
         weights = np.ldexp(done_weights[best], exp)

@@ -101,7 +101,7 @@ def inner(x: DenseTensor, y: DenseTensor) -> float:
     x = _as_tensor(x, "inner")
     y = _as_tensor(y, "inner")
     if x.shape != y.shape:
-        raise ShapeError(f"inner product needs equal shapes, got ({','.join(map(str, x.shape))}) and ({','.join(map(str, y.shape))})")
+        raise ShapeError(f"inner product needs equal shapes, got {_fmt_shape(x.shape)} and {_fmt_shape(y.shape)}")
     with np.errstate(over="ignore", invalid="ignore"):
         plain = float(x.data @ y.data)
     if math.isfinite(plain) or not (np.isfinite(x.data).all() and np.isfinite(y.data).all()):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseTensor, _as_int, _as_tensor, _as_tol, _from_rev, _rev, _scale_exponent
+from .core import DenseTensor, _as_int, _as_tensor, _as_tol, _fmt_shape, _from_rev, _rev, _scale_exponent
 from .errors import NumericError, ShapeError
 
 __all__ = ["QRResult", "SVDResult", "qr", "svd", "truncated_svd", "numerical_rank", "pinv"]
@@ -114,9 +114,8 @@ def qr(m: DenseTensor) -> QRResult:
     """QR of a tall (or square) matrix; wide inputs are rejected."""
     m = _as_tensor(m, "qr", 2)
     _check_finite(m, "qr")
-    rows, cols = m.shape
-    if rows < cols:
-        raise ShapeError(f"qr needs a tall matrix, got ({rows},{cols}); transpose first")
+    if m.shape[0] < m.shape[1]:
+        raise ShapeError(f"qr needs a tall matrix, got {_fmt_shape(m.shape)}; transpose first")
     q, r = _householder(m.to_array())
     return QRResult(_from_rev(q.T), _from_rev(r.T))
 
@@ -180,7 +179,7 @@ def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         m, n = n, m
     # Scale max|a| of each slice into [0.5, 1) by a power of two, which is
     # exact, so the Gram sums cannot overflow; sigma is unscaled at the end.
-    exp = np.frexp(np.abs(a).max(axis=(1, 2), initial=0.0))[1]
+    exp = np.array([_scale_exponent(x) for x in a])
     a = np.ldexp(a, -exp[:, None, None])
     # A tall a = q @ r is rotated as its n x n r, whose Jacobi rotations
     # give the same sigma and V; U is q times the rotated r's columns.
@@ -206,13 +205,9 @@ def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     row_limit = np.tile(limit, n // 2)
     # hit marks the pairs that rotated in the current sweep. A slice with no
     # rotation in a sweep has converged: its rows no longer change, so it
-    # sees only identity rotations until every slice has converged.
+    # sees only identity rotations until a sweep rotates no pair at all.
     hit = np.zeros(k, dtype=bool)
-    rotated = n > 1
     for _ in range(_JACOBI_SWEEPS):
-        if not rotated:
-            break
-        rotated = False
         hit[:] = False
         # The pairs of a round are disjoint, so their rotations commute and
         # one array step applies them all, in every slice.
@@ -227,7 +222,6 @@ def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             rotate = (np.abs(apq) > row_limit) | (apq * apq > rel2 * app * aqq)
             if not np.count_nonzero(rotate):
                 continue
-            rotated = True
             hit |= rotate
             # A pair that does not rotate gets tau = +-inf, so t = 0, c = 1 and
             # s = 0 (inf / 0 raises no division-by-zero flag).
@@ -238,6 +232,8 @@ def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             bp = rows[:k]
             bq = rows[k:]
             stacked[pq] = np.concatenate((c * bp - s * bq, s * bp + c * bq))
+        if not hit.any():
+            break
     # hit is all False unless the sweeps ran out; then moved marks the
     # slices that still rotated in the last one.
     moved = hit.reshape(-1, b).any(axis=0)
@@ -291,7 +287,7 @@ def svd(m: DenseTensor) -> SVDResult:
 def truncated_svd(m: DenseTensor, k: int) -> SVDResult:
     """Leading-k SVD triples (the best rank-k approximation)."""
     m = _as_tensor(m, "truncated_svd", 2)
-    k = _as_int(k, f"target rank for shape ({m.shape[0]},{m.shape[1]})", 1, min(m.shape))
+    k = _as_int(k, f"target rank for shape {_fmt_shape(m.shape)}", 1, min(m.shape))
     full = svd(m)
     # The rows of a matrix's reversed view are its columns, so the leading k are contiguous.
     u, v = (_from_rev(_rev(f)[:k]) for f in (full.u, full.v))
@@ -300,8 +296,6 @@ def truncated_svd(m: DenseTensor, k: int) -> SVDResult:
 
 def default_rank_tol(sigma: np.ndarray, rows: int, cols: int) -> float:
     """Relative threshold replacing the exact-zero rank test in floating point."""
-    if sigma.size == 0:
-        return 0.0
     return float(sigma[0]) * max(rows, cols) * _EPS
 
 

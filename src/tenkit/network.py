@@ -222,17 +222,6 @@ def _replay(net: TensorNetwork, steps: Sequence[tuple[str, str]], tensors: bool 
     return costs, peak_inter, last
 
 
-def _make_plan(net: TensorNetwork, steps: Sequence[tuple[str, str]]) -> ContractionPlan:
-    costs, peak_inter, _ = _replay(net, steps)
-    return ContractionPlan(
-        steps=tuple((a, b) for a, b in steps),
-        step_costs=tuple(costs),
-        total_cost=sum(costs),
-        peak_step_cost=max(costs, default=0),
-        peak_intermediate=peak_inter,
-    )
-
-
 def _product_table(extents: Sequence[int], dtype) -> np.ndarray:
     """Product of every subset of the extents, indexed by the subset's bit mask."""
     table = np.ones(1, dtype=dtype)
@@ -384,15 +373,24 @@ def plan(net: TensorNetwork, strategy="exhaustive") -> ContractionPlan:
     """
     _as_instance(net, TensorNetwork, "plan")
     if strategy == "exhaustive":
-        return _make_plan(net, _plan_exhaustive(net))
-    if strategy == "greedy":
-        return _make_plan(net, _plan_greedy(net))
-    if isinstance(strategy, str):
+        steps = _plan_exhaustive(net)
+    elif strategy == "greedy":
+        steps = _plan_greedy(net)
+    elif isinstance(strategy, str):
         raise ArgumentError(f"unknown strategy {strategy!r} (need exhaustive, greedy, or a step list)")
-    steps = [
-        _as_seq(step, f"strategy step {k}", 2) for k, step in enumerate(_as_seq(strategy, "strategy"), start=1)
-    ]
-    return _make_plan(net, [(str(a), str(b)) for a, b in steps])
+    else:
+        steps = []
+        for k, step in enumerate(_as_seq(strategy, "strategy"), start=1):
+            a, b = _as_seq(step, f"strategy step {k}", 2)
+            steps.append((str(a), str(b)))
+    costs, peak_inter, _ = _replay(net, steps)
+    return ContractionPlan(
+        steps=tuple(steps),
+        step_costs=tuple(costs),
+        total_cost=sum(costs),
+        peak_step_cost=max(costs, default=0),
+        peak_intermediate=peak_inter,
+    )
 
 
 def evaluate(net: TensorNetwork, contraction: ContractionPlan) -> DenseTensor:
@@ -498,7 +496,7 @@ def _parse_label_list(stmt, pos, allow_extents):
         return labels, extents, pos + 1
     while True:
         kind, text, line, col = _expect(stmt, pos, what="a label")
-        if kind != "word" or not _IDENT_RE.match(text):
+        if not _is_ident(text):
             raise ParseError(f"label {text!r} is not an identifier", line, col)
         label = text
         labels.append(label)
@@ -543,7 +541,7 @@ def parse_network(text: str, base_dir: str | os.PathLike = ".") -> TensorNetwork
         kind, text, line, col = stmt[0]
         if text == "node":
             _, name, nline, ncol = _expect(stmt, 1, what="a node name")
-            if not _IDENT_RE.match(name):
+            if not _is_ident(name):
                 raise ParseError(f"node name {name!r} is not an identifier", nline, ncol)
             labels, annotated, pos = _parse_label_list(stmt, 2, allow_extents=True)
             for label, extent in annotated.items():
@@ -626,7 +624,7 @@ def parse_network(text: str, base_dir: str | os.PathLike = ".") -> TensorNetwork
                 tensors[name] = DenseTensor([extents[l] for l in labels], values)
                 changed = True
             elif len(unknown) == 1:
-                if known == 0 or len(values) % known != 0 or len(values) // known < 1:
+                if len(values) % known != 0 or len(values) // known < 1:
                     raise ParseError(
                         f"node '{name}': cannot infer extent of label '{unknown[0]}' "
                         f"from {len(values)} values",
@@ -649,10 +647,7 @@ def parse_network(text: str, base_dir: str | os.PathLike = ".") -> TensorNetwork
             col,
         )
 
-    return TensorNetwork(
-        [(name, labels, tensors[name]) for name, labels, _, _, _ in raw_nodes],
-        output or (),
-    )
+    return TensorNetwork([(name, labels, tensors[name]) for name, labels, _, _, _ in raw_nodes], output)
 
 
 def format_network(net: TensorNetwork) -> str:

@@ -22,7 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DenseTensor, _as_int, _as_ints, _as_seq, _as_tensor, _check_order, _from_rev, _rev, element_count
+from .core import DenseTensor, _as_int, _as_ints, _as_seq, _as_tensor, _check_order, _fmt_shape, _from_rev, _rev
+from .core import element_count
 from .errors import ArgumentError, ShapeError
 
 __all__ = [
@@ -41,14 +42,14 @@ def matmul(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     a = _as_tensor(a, "matmul", 2)
     b = _as_tensor(b, "matmul", 2)
     if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul mismatch: ({a.shape[0]},{a.shape[1]}) times ({b.shape[0]},{b.shape[1]})")
+        raise ShapeError(f"matmul mismatch: {_fmt_shape(a.shape)} times {_fmt_shape(b.shape)}")
     return _from_rev(_rev(b) @ _rev(a))
 
 
 def trace(s: DenseTensor) -> float:
     s = _as_tensor(s, "trace", 2)
     if s.shape[0] != s.shape[1]:
-        raise ShapeError(f"trace needs a square matrix, got ({s.shape[0]},{s.shape[1]})")
+        raise ShapeError(f"trace needs a square matrix, got {_fmt_shape(s.shape)}")
     return float(np.trace(_rev(s)))
 
 

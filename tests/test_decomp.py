@@ -852,6 +852,7 @@ def test_model_dir_round_trips(tmp_path):
         else:
             assert back.cores == model.cores
         assert tk.reconstruct(back) == kind_reconstruct(model)
+        assert model.shape == kind_reconstruct(model).shape
     with pytest.raises(ArgumentError):
         tk.reconstruct(object())
 

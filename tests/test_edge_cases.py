@@ -118,6 +118,7 @@ BAD_SEQUENCE_ARGS = {
     "tensor_string_data": lambda: tk.DenseTensor((2,), "ab"),
     "tensor_dict_data": lambda: tk.DenseTensor((2,), {"a": 1}),
     "tensor_none_entry": lambda: tk.DenseTensor((2,), [None, 1]),
+    "tensor_ragged_data": lambda: tk.DenseTensor((3,), [[1, 2], [3]]),
     "outer_int": lambda: tk.outer(0),
     "outer_tensor": lambda: tk.outer(_X),
     "cp_model_int_factors": lambda: tk.CPModel(tk.one_hot(1, 1), 0),
@@ -419,6 +420,11 @@ MODEL_ERRORS = {
         lambda d: _read_altered(d, _CP, manifest="this is not a manifest\n"), ModelError,
         "manifest line 1 is not key=value: 'this is not a manifest'",
     ),
+    # Blank and comment-only lines are skipped but still counted.
+    "read_model_line_after_comments": (
+        lambda d: _read_altered(d, _CP, manifest="\n# a comment\nkind=cp\nranks 2\n"), ModelError,
+        "manifest line 4 is not key=value: 'ranks 2'",
+    ),
     "read_model_kind": (
         lambda d: _read_altered(d, _CP, manifest="kind=banana\nranks=2\n"), ModelError,
         "manifest kind must be cp|tucker|tt|tr, got 'banana'",
@@ -464,6 +470,7 @@ NON_FINITE_CALLS = {
     "pinv_inf": lambda: tk.pinv(tk.matricize(_INF, 1)),
     "numerical_rank_nan": lambda: tk.numerical_rank(tk.matricize(_NAN, 3)),
     "tt_orthogonalize_nan": lambda: tk.tt_orthogonalize(_NAN_TRAIN, 2),
+    "cp_als_nan": lambda: tk.cp_als(_NAN, 1),
 }
 
 
@@ -595,6 +602,13 @@ def test_model_errors_keep_their_class_and_text(call, error, message, tmp_path):
     with pytest.raises(TenkitError) as info:
         call(tmp_path)
     assert info.type is error and str(info.value) == message
+
+
+def test_tensors_and_networks_are_unequal_to_other_types_and_have_short_reprs():
+    assert (_X == 1) is False and (_NET == 1) is False
+    assert repr(tk.DenseTensor((2,), [1, 2])) == "DenseTensor(shape=(2), data=[1.0, 2.0])"
+    assert repr(_X) == "DenseTensor(shape=(2,3,4), 24 entries)"
+    assert repr(_NET) == "TensorNetwork(2 nodes, output [])"
 
 
 def test_numpy_integers_are_accepted():

@@ -143,11 +143,15 @@ def test_format_network_matches_value_by_value_oracle():
         ("output [i]; node A [i] @a.ten extra", "trailing content 'extra' after file reference", 1, 31),
         ("node A [i=2,j=x] = 1 2; output [i,j]", "extent must be an integer, got 'x'", 1, 15),
         ("node A [i=2] = 1 2\noutput [i]\n  node B [j=-3] = 1", "extent must be positive, got -3", 3, 13),
+        ("node A i = 1 2; output [i]", "expected '[', got 'i'", 1, 8),
+        ("node A [i j] = 1 2; output [i,j]", "expected ',' or ']', got 'j'", 1, 11),
+        ("output [i]\nnode A [i] @m.ten", "node 'A': file has order 2 but 1 labels", 2, 1),
     ],
 )
-def test_inline_value_errors_carry_line_and_col(text, message, line, col):
+def test_inline_value_errors_carry_line_and_col(text, message, line, col, tmp_path):
+    tk.write_tensor(tmp_path / "m.ten", tk.DenseTensor((2, 2), range(4)))
     with pytest.raises(ParseError) as err:
-        tk.parse_network(text)
+        tk.parse_network(text, base_dir=tmp_path)
     assert (str(err.value), err.value.line, err.value.col) == (f"{message} (line {line}, col {col})", line, col)
 
 
@@ -255,8 +259,9 @@ _V2 = tk.DenseTensor((2,), (1, 2))
 _V3 = tk.DenseTensor((3,), (1, 2, 3))
 _VECTORS13 = tk.TensorNetwork([(f"v{k}", (f"i{k}",), _V2) for k in range(13)], tuple(f"i{k}" for k in range(13)))
 
-# Each call builds or plans an invalid network: the error class and the
-# whole message are part of the contract.
+# Each call builds, parses or plans an invalid network, or asks a network
+# for a label it does not have: the error class and the whole message are
+# part of the contract.
 NETWORK_ERRORS = {
     "self_trace": (
         lambda: tk.TensorNetwork([("A", ("i", "i"), _T)], output=()), ArgumentError,
@@ -293,6 +298,16 @@ NETWORK_ERRORS = {
     "output_repeats": (
         lambda: tk.TensorNetwork([("A", ("i",), _V2)], output=("i", "i")), ArgumentError, "output repeats a label",
     ),
+    "label_not_identifier": (
+        lambda: tk.TensorNetwork([("A", ("1i",), _V2)], output=("1i",)), ArgumentError,
+        "label '1i' is not an identifier",
+    ),
+    "output_label_not_identifier": (
+        lambda: tk.TensorNetwork([("A", ("i",), _V2)], output=("i", "2x")), ArgumentError,
+        "output label '2x' is not an identifier",
+    ),
+    "unknown_extent_label": (lambda: _VECTORS13.extent("zz"), ArgumentError, "unknown label 'zz'"),
+    "parse_no_nodes": (lambda: tk.parse_network("output []"), ParseError, "network has no nodes"),
     "output_unknown": (
         lambda: tk.TensorNetwork([("A", ("i",), _V2)], output=("i", "z")), ArgumentError,
         "output label 'z' does not appear in any node",
