@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, BoundsError, ShapeError
+from .errors import ArgumentError, BoundsError, NumericError, ShapeError
 
 Shape = tuple[int, ...]
 
@@ -137,6 +137,17 @@ def _scale_exponent(a: np.ndarray) -> int:
 
     Scaling by 2**-e, which is exact, brings max|a| into [0.5, 1)."""
     return math.frexp(float(np.abs(a).max(initial=0.0)))[1]
+
+
+def _unscale(a: np.ndarray, e: int, what: str) -> np.ndarray:
+    """a * 2**e, exact wherever the result is normal, for a result computed
+    at the scale 2**-e; NumericError if an entry would lie beyond float range.
+
+    The exponents are compared before numpy is called, so it never warns:
+    max|a| * 2**e < 2**1024 exactly when _scale_exponent(a) + e <= 1024."""
+    if _scale_exponent(a) + e > 1024:
+        raise NumericError(f"{what} beyond float range")
+    return np.ldexp(a, e)
 
 
 def _check_order(order: int) -> None:

@@ -366,7 +366,7 @@ def _tucker(x: DenseTensor, ranks: Sequence[int]) -> TuckerModel:
         groups.setdefault((extent, x.size // extent), []).append(n)
     factors = [None] * x.order
     for modes in groups.values():
-        u, _, _ = _jacobi_svd(np.stack([matricize(x, n).to_array() for n in modes]))
+        u = _jacobi_svd(np.stack([matricize(x, n).to_array() for n in modes]))[0]
         for n, un in zip(modes, u):
             p = ranks[n - 1]
             factors[n - 1] = _from_rev((un[:, :p] if un.shape[1] >= p else _orthonormal_fill(un, p)).T)

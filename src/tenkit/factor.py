@@ -1,19 +1,25 @@
 """Dense QR and SVD kernels, built in-house for small matrices.
 
 QR uses Householder reflections with a post-hoc sign fix so diag(R) >= 0.
-SVD uses one-sided Jacobi rotations: sweeps in the round-robin parallel
-ordering (Brent & Luk) orthogonalize the columns of a working copy,
-accumulating the rotations in V; singular values are the final column
-norms. Each round of a sweep pairs disjoint columns, so one numpy step
+The reflectors are kept, and Q is formed from them in the compact-WY form
+(its UT-transform variant): two GEMMs and one small triangular solve, not
+a second reflector loop. SVD uses one-sided Jacobi rotations: sweeps in the
+round-robin parallel ordering (Brent & Luk) orthogonalize the columns of a
+working copy, accumulating the rotations in V; singular values are the
+final column norms. Each round of a sweep pairs disjoint columns, so one
+test marks the pairs that rotate and one stacked matmul of 2 x 2 rotations
 rotates the whole round. The kernel factors a stack of same-shape matrices
 at once (HOSVD passes the unfoldings that share a shape) and svd is its
 one-matrix call: each matrix keeps its own scaling, convergence test and
 results, bit for bit, and a pair that needs no rotation, or a matrix that
 has converged, gets the identity rotation until the whole stack is done. A
 tall input (at least _QR_ASPECT times as many rows as columns, and at least
-_QR_MIN_COLS columns) is first factored by QR, and the sweeps rotate its
-small square R. Jacobi is slow for large matrices but very accurate at the
-desk scale this library targets.
+_QR_MIN_COLS columns) is first reduced by Householder steps, the sweeps
+rotate its small square R, and U comes from applying the reflectors to the
+rotated columns, without forming Q. Both kernels work at a power-of-two
+scale; a result beyond float range (a singular value, an entry of R or of
+the pseudo-inverse) raises NumericError. Jacobi is slow for large matrices
+but very accurate at the desk scale this library targets.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseTensor, _as_int, _as_tensor, _as_tol, _fmt_shape, _from_rev, _rev, _scale_exponent
+from .core import DenseTensor, _as_int, _as_tensor, _as_tol, _fmt_shape, _from_rev, _rev, _scale_exponent, _unscale
 from .errors import NumericError, ShapeError
 
 __all__ = ["QRResult", "SVDResult", "qr", "svd", "truncated_svd", "numerical_rank", "pinv"]
@@ -68,41 +74,66 @@ class SVDResult:
     v: DenseTensor
 
 
-def _householder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR of any (m, n) array: a = q @ r with q (m, t), r (t, n), t = min(m, n)."""
-    m, n = a.shape
+def _reflect(r: np.ndarray) -> np.ndarray:
+    """Householder-reduce a column-major r (m, n) in place; return its reflectors vs (m, t).
+
+    With t = min(m, n), step k maps r to H_k r, H_k = I - 2 v_k v_k^T, so r
+    ends as H_{t-1} ... H_0 times the input, its first t rows upper
+    triangular up to rounding below the diagonal. Column k of vs holds the
+    unit v_k (zero above row k), or zeros where column k of r was already
+    zero from its diagonal down.
+    """
+    m, n = r.shape
     t = min(m, n)
-    # Scale max|a| into [0.5, 1) by a power of two, which is exact, so the
-    # column norms can neither overflow nor underflow; r is unscaled at the end.
-    exp = _scale_exponent(a)
-    r = np.ldexp(a, -exp)
-    vs = []
+    vs = np.zeros((t, m)).T
     for k in range(t):
         x = r[k:, k]
         norm = math.sqrt(float(x @ x))
         if norm == 0.0:
-            vs.append(None)
             continue
-        v = x.copy()
+        v = vs[k:, k]
+        v[:] = x
         v[0] += math.copysign(norm, x[0]) if x[0] != 0.0 else norm
         # norm >= 2**-537 (the root of the least subnormal) and |v[0]| >= norm,
         # so v[0]**2 does not underflow and v @ v > 0.
         v /= math.sqrt(float(v @ v))
-        vs.append(v)
-        r[k:, k:] -= 2.0 * np.outer(v, v @ r[k:, k:])
-    q = np.zeros((m, t))
-    q[:t, :t] = np.eye(t)
-    for k in range(t - 1, -1, -1):
-        v = vs[k]
-        if v is not None:
-            q[k:, :] -= 2.0 * np.outer(v, v @ q[k:, :])
-    r = np.ldexp(np.triu(r[:t, :]), exp)
-    # Sign fix: make the diagonal of r nonnegative.
-    for j in range(t):
-        if r[j, j] < 0.0:
-            r[j, j:] = -r[j, j:]
-            q[:, j] = -q[:, j]
-    return q, r
+        # H_k r = r - 2 v (v^T r), the update built transposed so that it is
+        # column-major like r.
+        r[k:, k:] -= np.multiply.outer(2.0 * (v @ r[k:, k:]), v).T
+    return vs
+
+
+def _q_times(vs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Q @ [w; 0] for Q = H_0 ... H_{t-1} of _reflect's vs (m, t) and w (t, c).
+
+    The compact-WY form in its UT-transform variant (Schreiber & Van Loan
+    1989; Joffrain et al. 2006): Q = I - V S^-1 V^T with S = I/2 plus the
+    strictly upper part of V^T V, so Q @ [w; 0] = [w; 0] - V S^-1 V[:t]^T w,
+    two GEMMs and a t x t solve. A zero column of V (no reflection) has a
+    zero row and column in S off its diagonal, so it drops out.
+    """
+    m, t = vs.shape
+    s = np.triu(vs.T @ vs, 1)
+    s.flat[:: t + 1] = 0.5
+    out = vs @ np.linalg.solve(s, vs[:t].T @ w)
+    np.negative(out, out=out)
+    out[:t] += w
+    return out
+
+
+def _householder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Thin QR of any (m, n) array: a = q @ r with q (m, t), r (t, n), t = min(m, n),
+    and diag(r) >= 0."""
+    t = min(a.shape)
+    # Scale max|a| into [0.5, 1) by a power of two, which is exact, so the
+    # column norms can neither overflow nor underflow; r is unscaled at the end.
+    exp = _scale_exponent(a)
+    r = np.asfortranarray(np.ldexp(a, -exp))
+    vs = _reflect(r)
+    r = _unscale(r[:t], exp, "qr R entries are")
+    # Sign fix: negating row j of r and column j of q makes diag(r) >= 0.
+    signs = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+    return _q_times(vs, np.diag(signs)), np.triu(r * signs[:, None])
 
 
 def _check_finite(m: DenseTensor, what: str) -> None:
@@ -161,32 +192,37 @@ def _round_robin(n: int, stack: int = 1) -> tuple[np.ndarray, ...]:
     return tuple(rounds)
 
 
-def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Economy SVD of every slice of a stack a (B, m, n): u (B, m, k),
-    sigma (B, k) and v (B, n, k), k = min(m, n).
+    sigma (B, k), v (B, n, k) and exp (B,), k = min(m, n). Slice i's
+    singular values are sigma[i] * 2**exp[i]; they are left scaled, because
+    they need not lie in float range when u and v are all a caller needs.
 
     Each slice gets exactly the numbers it would get alone (B = 1): its own
     scaling, QR step, limit, convergence, dead-column fill and signs.
     """
-    # Lay each slice out column-major, as to_array() does, so that its
-    # numbers (the BLAS calls of _householder) do not depend on how the stack
-    # was built. A wide stack is factored as its transpose.
-    a = np.ascontiguousarray(a.transpose(0, 2, 1)).transpose(0, 2, 1)
+    # A wide stack is factored as its transpose. Each slice is laid out
+    # column-major, as _reflect needs, so that its numbers (the BLAS calls
+    # of _reflect) do not depend on how the stack was built.
     b, m, n = a.shape
     wide = m < n
     if wide:
         a = a.transpose(0, 2, 1)
         m, n = n, m
+    a = np.ascontiguousarray(a.transpose(0, 2, 1)).transpose(0, 2, 1)
     # Scale max|a| of each slice into [0.5, 1) by a power of two, which is
-    # exact, so the Gram sums cannot overflow; sigma is unscaled at the end.
+    # exact, so the Gram sums cannot overflow.
     exp = np.array([_scale_exponent(x) for x in a])
     a = np.ldexp(a, -exp[:, None, None])
     # A tall a = q @ r is rotated as its n x n r, whose Jacobi rotations
-    # give the same sigma and V; U is q times the rotated r's columns.
-    q = None
+    # give the same sigma and V; U is q times the rotated r's columns, formed
+    # from the reflectors without forming q. The scaled a is a new array, so
+    # each slice is reduced in place. r keeps the signs of its diagonal: its
+    # rows' signs change no Gram entry, and U comes out the same.
+    refl = None
     if m >= _QR_ASPECT * n and n >= _QR_MIN_COLS:
-        q, r = zip(*map(_householder, a))
-        a = np.stack(r)
+        refl = [_reflect(x) for x in a]
+        a = np.triu(a[:, :n])
     rows_a = a.shape[1]
     # wv[j, i] holds column j of slice i's W followed by column j of its V,
     # so one contiguous row rotation updates both; as rows j * b + i of
@@ -202,7 +238,12 @@ def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Every round has n // 2 pairs in each slice, so k rows on either side;
     # the rows of one side cycle through the slices.
     k = n // 2 * b
-    row_limit = np.tile(limit, n // 2)
+    row_limit2 = np.tile(limit, n // 2) ** 2
+    # One 2 x 2 rotation per pair, applied to the pair's two rows by one
+    # stacked matmul; turned gets the rotated rows in the order of the round.
+    rot = np.empty((k, 2, 2))
+    turned = np.empty((2, k, rows_a + n))
+    turned_pairs = turned.transpose(1, 0, 2)
     # hit marks the pairs that rotated in the current sweep. A slice with no
     # rotation in a sweep has converged: its rows no longer change, so it
     # sees only identity rotations until a sweep rotates no pair at all.
@@ -213,25 +254,27 @@ def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # one array step applies them all, in every slice.
         for pq in _round_robin(n, b):
             rows = stacked.take(pq, axis=0)
-            wp = rows[:k, :rows_a]
-            wq = rows[k:, :rows_a]
-            apq = np.einsum("ij,ij->i", wp, wq)
-            sq = np.einsum("ij,ij->i", rows[:, :rows_a], rows[:, :rows_a])
+            w = rows[:, :rows_a]
+            sq = np.einsum("ij,ij->i", w, w)
             app = sq[:k]
             aqq = sq[k:]
-            rotate = (np.abs(apq) > row_limit) | (apq * apq > rel2 * app * aqq)
+            apq = np.einsum("ij,ij->i", w[:k], w[k:])
+            # A pair rotates while |apq| > its slice's limit, or while apq is
+            # large relative to the pair's column norms: squared, one test.
+            rotate = apq * apq > np.minimum(row_limit2, rel2 * app * aqq)
             if not np.count_nonzero(rotate):
                 continue
             hit |= rotate
-            # A pair that does not rotate gets tau = +-inf, so t = 0, c = 1 and
-            # s = 0 (inf / 0 raises no division-by-zero flag).
+            # A pair that does not rotate gets tau = +-inf, so t = +-0, c = 1
+            # and s = +-0 (inf / 0 raises no division-by-zero flag).
             tau = np.where(rotate, aqq - app, np.inf) / (2.0 * apq)
-            t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
-            c = (1.0 / np.hypot(1.0, t))[:, None]
-            s = t[:, None] * c
-            bp = rows[:k]
-            bq = rows[k:]
-            stacked[pq] = np.concatenate((c * bp - s * bq, s * bp + c * bq))
+            t = 1.0 / (tau + np.copysign(np.hypot(1.0, tau), tau))
+            c = np.divide(1.0, np.hypot(1.0, t), out=rot[:, 0, 0])
+            s = np.multiply(t, c, out=rot[:, 1, 0])
+            rot[:, 1, 1] = c
+            np.negative(s, out=rot[:, 0, 1])
+            np.matmul(rot, rows.reshape(turned.shape).transpose(1, 0, 2), out=turned_pairs)
+            stacked[pq] = turned.reshape(-1, rows_a + n)
         if not hit.any():
             break
     # hit is all False unless the sweeps ran out; then moved marks the
@@ -247,7 +290,7 @@ def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
             if off > limit[i]:
                 on_slice = f" on slice {i + 1} of {b}" if b > 1 else ""
-                on_r = "" if q is None else f" (on the {n}x{n} R of a {m}x{n} input)"
+                on_r = "" if refl is None else f" (on the {n}x{n} R of a {m}x{n} input)"
                 raise NumericError(
                     f"jacobi svd did not converge in {_JACOBI_SWEEPS} sweeps{on_slice}{on_r} "
                     f"(max off-diagonal gram entry {off:.3e}, limit {limit[i]:.3e}, "
@@ -257,8 +300,8 @@ def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         order = np.argsort(-norms, kind="stable")
         norms = norms[order]
         w = wv[order, i, :rows_a].T
-        if q is not None:
-            w = q[i] @ w
+        if refl is not None:
+            w = _q_times(refl[i], w)
         v = wv[order, i, rows_a:].T
         # Sorted descending, so the zero-norm (dead) columns come last.
         live = int(np.count_nonzero(norms))
@@ -270,18 +313,27 @@ def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         u[:, flip] = -u[:, flip]
         v[:, flip] = -v[:, flip]
         us.append(u)
-        sigmas.append(np.ldexp(norms, exp[i]))
+        sigmas.append(norms)
         vs.append(v)
     u, sigma, v = np.stack(us), np.stack(sigmas), np.stack(vs)
-    return (v, sigma, u) if wide else (u, sigma, v)
+    return (v, sigma, u, exp) if wide else (u, sigma, v, exp)
+
+
+def _svd_at_scale(m: DenseTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """u (I, K) and v (J, K), column-major as svd returns them, and the
+    singular values of m as sigma * 2**e: sigma and e, so that a caller can
+    use them where m's own singular values lie beyond float range."""
+    _check_finite(m, "svd")
+    u, sigma, v, exp = _jacobi_svd(m.to_array()[None])
+    return np.asfortranarray(u[0]), sigma[0], np.asfortranarray(v[0]), int(exp[0])
 
 
 def svd(m: DenseTensor) -> SVDResult:
     """Economy SVD of any matrix: m = u @ diag(sigma) @ v.T, K = min(I, J)."""
     m = _as_tensor(m, "svd", 2)
-    _check_finite(m, "svd")
-    u, s, v = _jacobi_svd(m.to_array()[None])
-    return SVDResult(_from_rev(u[0].T), DenseTensor((s.shape[1],), s[0]), _from_rev(v[0].T))
+    u, s, v, e = _svd_at_scale(m)
+    sigma = _unscale(s, e, "svd singular values are")
+    return SVDResult(_from_rev(u.T), DenseTensor(sigma.shape, sigma), _from_rev(v.T))
 
 
 def truncated_svd(m: DenseTensor, k: int) -> SVDResult:
@@ -304,18 +356,21 @@ def numerical_rank(m: DenseTensor, tol: float | None = None) -> int:
     m = _as_tensor(m, "numerical_rank", 2)
     if tol is not None:
         tol = _as_tol(tol)
-    s = svd(m).sigma.data
+    _, s, _, e = _svd_at_scale(m)
     if tol is None:
-        tol = default_rank_tol(s, m.shape[0], m.shape[1])
-    return int((s > tol).sum())
+        # The default is relative, so it is taken at the svd's own scale.
+        return int((s > default_rank_tol(s, m.shape[0], m.shape[1])).sum())
+    # A singular value beyond float range becomes inf, which is above any tol.
+    with np.errstate(over="ignore"):
+        return int((np.ldexp(s, e) > tol).sum())
 
 
 def pinv(m: DenseTensor) -> DenseTensor:
     """Moore-Penrose pseudo-inverse via the SVD, zeroing sub-threshold sigmas."""
     m = _as_tensor(m, "pinv", 2)
-    res = svd(m)
-    s = res.sigma.data
-    tol = default_rank_tol(s, m.shape[0], m.shape[1])
-    inv = np.where(s > tol, 1.0 / np.where(s > tol, s, 1.0), 0.0)
-    out = res.v.to_array() @ (inv[:, None] * res.u.to_array().T)
-    return _from_rev(out.T)
+    u, s, v, e = _svd_at_scale(m)
+    # At the svd's scale max|m| is in [0.5, 1), so no kept 1 / s overflows;
+    # the product is scaled back by the same power of two.
+    keep = s > default_rank_tol(s, m.shape[0], m.shape[1])
+    inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+    return _from_rev(_unscale(v @ (inv[:, None] * u.T), -e, "pinv entries are").T)

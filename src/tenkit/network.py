@@ -47,11 +47,11 @@ __all__ = [
 ]
 
 _I64_MAX = 2**63 - 1
-_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _is_ident(value) -> bool:
-    return isinstance(value, str) and _IDENT_RE.match(value) is not None
+    return isinstance(value, str) and _IDENT_RE.fullmatch(value) is not None
 
 
 def _checked_product(extents) -> int:

@@ -473,6 +473,16 @@ NON_FINITE_CALLS = {
     "cp_als_nan": lambda: tk.cp_als(_NAN, 1),
 }
 
+# Finite inputs whose true result lies beyond float range: NumericError, and
+# no numpy warning (pytest turns RuntimeWarning into an error) before it.
+OUT_OF_RANGE_CALLS = {
+    "svd_sigma_2e308": lambda: tk.svd(tk.DenseTensor((2, 2), [1e308] * 4)),
+    "tt_svd_sigma": lambda: tk.tt_svd(tk.DenseTensor((2, 3, 2), [1e308] * 12)),
+    "qr_r_2e308": lambda: tk.qr(tk.DenseTensor((4, 1), [1e308] * 4)),
+    "pinv_1e320": lambda: tk.pinv(tk.DenseTensor.from_array(np.eye(3) * 1e-320 + 1e-321)),
+    "pinv_near_max": lambda: tk.pinv(tk.DenseTensor((1, 1), [2.0**-1024])),
+}
+
 
 @pytest.mark.parametrize("text", BAD_TN)
 def test_malformed_tn_raises_cleanly(text):
@@ -695,6 +705,12 @@ def test_non_finite_input_raises_numeric_error(call):
         call()
 
 
+@pytest.mark.parametrize("call", OUT_OF_RANGE_CALLS.values(), ids=OUT_OF_RANGE_CALLS.keys())
+def test_out_of_range_result_raises_numeric_error(call):
+    with pytest.raises(NumericError, match="beyond float range"):
+        call()
+
+
 def test_svd_near_overflow_stays_finite():
     a = np.array([[1e300, 3e300], [2e300, 4e300]])
     with np.errstate(all="raise"):
@@ -704,6 +720,26 @@ def test_svd_near_overflow_stays_finite():
     # Compare at unit scale: the Frobenius norm of a itself overflows.
     rec = (res.u.to_array() * (s / 1e300)) @ res.v.to_array().T
     assert np.linalg.norm(rec - a / 1e300) <= 1e-14 * np.linalg.norm(a / 1e300)
+
+
+def test_hosvd_stays_finite_when_its_unfoldings_sigma_is_not():
+    # sigma_1 of every unfolding is beyond float range, but hosvd returns no
+    # singular value, and its core and factors are in range.
+    x = 2e307 * np.random.default_rng(0).standard_normal((10, 10, 10))
+    assert np.linalg.norm(np.ldexp(x.reshape(10, -1), -1000), 2) >= 2.0**24
+    model = tk.hosvd(tk.DenseTensor.from_array(x))
+    rec = tk.tucker_reconstruct(model).to_array()
+    assert np.abs(rec - x).max() <= 1e-13 * np.abs(x).max()
+
+
+def test_rank_and_pinv_stay_finite_when_sigma_is_not():
+    # sigma_1 = 2e308 is beyond float range, but the rank and the
+    # pseudo-inverse (every entry 1 / 4e308, a subnormal) are not.
+    m = tk.DenseTensor((2, 2), [1e308] * 4)
+    assert tk.numerical_rank(m) == 1
+    assert tk.numerical_rank(m, tol=1e300) == 1
+    got = tk.pinv(m).data
+    assert np.abs(got - 0.25e-308).max() <= 1e-12 * 0.25e-308
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-310])

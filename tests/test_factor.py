@@ -230,16 +230,62 @@ def test_svd_matches_numpy_oracle(make):
     assert np.linalg.norm(u * s @ v.T - a) <= 1e-13 * np.linalg.norm(a)
 
 
+def _null_third_step(rng):
+    """400x20 whose first three columns are upper triangular, the third zero
+    from row 3 down: steps 1 and 2 reflect a multiple of e_k, and step 3 has
+    nothing left to reflect."""
+    a = rng.standard_normal((400, 20))
+    a[1:, 0] = 0.0
+    a[2:, 1:3] = 0.0
+    return a
+
+
+# Tall inputs, past the QR gate, whose Householder steps are null (zero
+# reflector columns, listed) or reflect rounding noise (the planted rank 4).
+NULL_STEP_MATRICES = {
+    "zero 64x16": (lambda rng: np.zeros((64, 16)), list(range(16))),
+    "400x20 with a null third step": (_null_third_step, [2]),
+    "planted rank 4 576x24": (lambda rng: _planted(rng, 576, 24, 4), []),
+}
+
+
+@pytest.mark.parametrize("make, null", NULL_STEP_MATRICES.values(), ids=NULL_STEP_MATRICES.keys())
+def test_qr_with_null_reflector_steps_matches_numpy(make, null):
+    a = make(np.random.default_rng(21))
+    n = a.shape[1]
+    assert np.flatnonzero(~factor._reflect(a.copy(order="F")).any(axis=0)).tolist() == null
+    res = tk.qr(tk.DenseTensor.from_array(a))
+    q, r = res.q.to_array(), res.r.to_array()
+    norm = np.linalg.norm(a)
+    assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-14
+    assert np.linalg.norm(q @ r - a) <= 1e-14 * norm
+    assert np.array_equal(np.triu(r), r) and (np.diag(r) >= 0.0).all()
+    assert np.abs(np.abs(r) - np.abs(np.linalg.qr(a, mode="r"))).max() <= 1e-14 * norm
+
+
+@pytest.mark.parametrize("make, null", NULL_STEP_MATRICES.values(), ids=NULL_STEP_MATRICES.keys())
+def test_tall_svd_with_null_reflector_steps_matches_numpy(make, null):
+    a = make(np.random.default_rng(21))
+    res = tk.svd(tk.DenseTensor.from_array(a))
+    u, s, v = res.u.to_array(), res.sigma.data, res.v.to_array()
+    n = a.shape[1]
+    want = np.linalg.svd(a, compute_uv=False)
+    assert np.abs(s - want).max() <= 1e-13 * want[0]
+    assert np.abs(u.T @ u - np.eye(n)).max() <= 1e-14
+    assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-14
+    assert np.linalg.norm(u * s @ v.T - a) <= 1e-13 * np.linalg.norm(a)
+
+
 @pytest.mark.parametrize("shape", AT_GATE + BELOW_GATE, ids=lambda s: f"{s[0]}x{s[1]}")
 def test_svd_rotates_r_only_at_or_past_the_gate(shape, monkeypatch):
     calls = []
-    householder = factor._householder
+    reflect = factor._reflect
 
     def spy(a):
         calls.append(a.shape)
-        return householder(a)
+        return reflect(a)
 
-    monkeypatch.setattr(factor, "_householder", spy)
+    monkeypatch.setattr(factor, "_reflect", spy)
     tk.svd(tk.DenseTensor.from_array(np.random.default_rng(17).standard_normal(shape)))
     assert calls == ([(max(shape), min(shape))] if shape in AT_GATE else [])
 
@@ -328,11 +374,11 @@ def _same_bits(x, y):
 @pytest.mark.parametrize("make", ORACLE_MATRICES.values(), ids=ORACLE_MATRICES.keys())
 def test_stacked_jacobi_slices_match_single_calls_bit_for_bit(make):
     slices = _mixed_stack(np.random.default_rng(19), make)
-    u, s, v = factor._jacobi_svd(np.stack(slices))
+    u, s, v, exp = factor._jacobi_svd(np.stack(slices))
     for i, a in enumerate(slices):
         one = tk.svd(tk.DenseTensor.from_array(a))
         assert _same_bits(u[i], one.u.to_array())
-        assert _same_bits(s[i], one.sigma.data)
+        assert _same_bits(np.ldexp(s[i], exp[i]), one.sigma.data)
         assert _same_bits(v[i], one.v.to_array())
 
 

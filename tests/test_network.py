@@ -306,6 +306,15 @@ NETWORK_ERRORS = {
         lambda: tk.TensorNetwork([("A", ("i",), _V2)], output=("i", "2x")), ArgumentError,
         "output label '2x' is not an identifier",
     ),
+    # re's $ matches before a trailing newline; an identifier is the whole string.
+    "label_trailing_newline": (
+        lambda: tk.TensorNetwork([("A", ("i\n",), _V2)], output=("i\n",)), ArgumentError,
+        "label 'i\\n' is not an identifier",
+    ),
+    "name_trailing_newline": (
+        lambda: tk.TensorNetwork([("A\n", ("i",), _V2)], output=("i",)), ArgumentError,
+        "node name 'A\\n' is not an identifier",
+    ),
     "unknown_extent_label": (lambda: _VECTORS13.extent("zz"), ArgumentError, "unknown label 'zz'"),
     "parse_no_nodes": (lambda: tk.parse_network("output []"), ParseError, "network has no nodes"),
     "output_unknown": (
