@@ -27,10 +27,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "tenkit"
-# Files not counted, with the reason.
-SKIPPED = {
-    "cli.py": "its tests run the CLI in subprocesses, which this tracer does not follow",
-}
 
 
 def body_lines(code) -> set[int]:
@@ -47,7 +43,7 @@ def body_lines(code) -> set[int]:
 
 
 def main(argv: list[str]) -> int:
-    files = {os.path.realpath(p): p for p in sorted(PACKAGE.glob("*.py")) if p.name not in SKIPPED}
+    files = {os.path.realpath(p): p for p in sorted(PACKAGE.glob("*.py"))}
     reached = {name: set() for name in files}
     seen = {}  # co_filename -> its set in reached, or None for other files
 
@@ -79,8 +75,6 @@ def main(argv: list[str]) -> int:
     if Path(tenkit.__file__).resolve().parent != PACKAGE:
         print(f"tenkit was imported from {tenkit.__file__}, not from {PACKAGE}")
         return 1
-    for name, reason in SKIPPED.items():
-        print(f"skipped {name}: {reason}")
     unreached = []
     total = 0
     for name, path in files.items():

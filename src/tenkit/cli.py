@@ -137,8 +137,6 @@ def _parse_strategy(text: str):
             if len(names) != 2 or not all(names):
                 raise ArgumentError(f"given step {part!r} must be two node names separated by ','")
             steps.append((names[0].strip(), names[1].strip()))
-        if not steps:
-            raise ArgumentError("given strategy needs at least one step")
         return steps
     raise ArgumentError(f"unknown strategy {text!r} (need exhaustive, greedy, or given:A,B;...)")
 

@@ -352,15 +352,16 @@ def tucker_reconstruct(m: TuckerModel) -> DenseTensor:
     return multi_mode_product(m.core, m.factors)
 
 
-def _tucker(x: DenseTensor, ranks: Sequence[int]) -> TuckerModel:
+def _tucker(x: DenseTensor, ranks: Sequence[int], what: str) -> TuckerModel:
     """Tucker model whose mode-n factor is the leading ranks[n] columns of the
     left singular basis (the svd u) of matricize(x, n), orthonormally filled
     past the basis's width.
 
     Unfoldings of one shape are factored together, as one stacked Jacobi
-    SVD; each gets the u that svd alone would give it.
+    SVD; each gets the u that svd alone would give it. A NaN or inf entry
+    raises NumericError naming the caller, `what`.
     """
-    _check_finite(x, "svd")
+    _check_finite(x, what)
     groups: dict[tuple[int, int], list[int]] = {}
     for n, extent in enumerate(x.shape, start=1):
         groups.setdefault((extent, x.size // extent), []).append(n)
@@ -378,13 +379,13 @@ def hosvd(x: DenseTensor) -> TuckerModel:
     """Tucker model whose mode-n factor is the left singular basis of
     matricize(x, n); the core is all-orthogonal and reconstruction is exact."""
     x = _as_tensor(x, "hosvd", min_order=2)
-    return _tucker(x, [min(extent, x.size // extent) for extent in x.shape])
+    return _tucker(x, [min(extent, x.size // extent) for extent in x.shape], "hosvd")
 
 
 def truncated_hosvd(x: DenseTensor, ranks: Sequence[int]) -> TuckerModel:
     """Tucker model keeping the leading ranks[n] singular vectors per mode."""
     x = _as_tensor(x, "truncated_hosvd", min_order=2)
-    return _tucker(x, _as_ints(ranks, "rank for mode", x.order, 1, x.shape))
+    return _tucker(x, _as_ints(ranks, "rank for mode", x.order, 1, x.shape), "truncated_hosvd")
 
 
 def tucker_orthogonalize(m: TuckerModel) -> TuckerModel:
@@ -440,6 +441,7 @@ def tt_svd(
     train's discarded_energy.
     """
     x = _as_tensor(x, "tt_svd", min_order=2)
+    _check_finite(x, "tt_svd")
     if tol is not None:
         tol = _as_tol(tol)
     n = x.order

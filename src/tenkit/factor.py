@@ -319,11 +319,12 @@ def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     return (v, sigma, u, exp) if wide else (u, sigma, v, exp)
 
 
-def _svd_at_scale(m: DenseTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _svd_at_scale(m: DenseTensor, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """u (I, K) and v (J, K), column-major as svd returns them, and the
     singular values of m as sigma * 2**e: sigma and e, so that a caller can
-    use them where m's own singular values lie beyond float range."""
-    _check_finite(m, "svd")
+    use them where m's own singular values lie beyond float range. A NaN or
+    inf entry raises NumericError naming the caller, `what`."""
+    _check_finite(m, what)
     u, sigma, v, exp = _jacobi_svd(m.to_array()[None])
     return np.asfortranarray(u[0]), sigma[0], np.asfortranarray(v[0]), int(exp[0])
 
@@ -331,7 +332,7 @@ def _svd_at_scale(m: DenseTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray, i
 def svd(m: DenseTensor) -> SVDResult:
     """Economy SVD of any matrix: m = u @ diag(sigma) @ v.T, K = min(I, J)."""
     m = _as_tensor(m, "svd", 2)
-    u, s, v, e = _svd_at_scale(m)
+    u, s, v, e = _svd_at_scale(m, "svd")
     sigma = _unscale(s, e, "svd singular values are")
     return SVDResult(_from_rev(u.T), DenseTensor(sigma.shape, sigma), _from_rev(v.T))
 
@@ -356,7 +357,7 @@ def numerical_rank(m: DenseTensor, tol: float | None = None) -> int:
     m = _as_tensor(m, "numerical_rank", 2)
     if tol is not None:
         tol = _as_tol(tol)
-    _, s, _, e = _svd_at_scale(m)
+    _, s, _, e = _svd_at_scale(m, "numerical_rank")
     if tol is None:
         # The default is relative, so it is taken at the svd's own scale.
         return int((s > default_rank_tol(s, m.shape[0], m.shape[1])).sum())
@@ -368,7 +369,7 @@ def numerical_rank(m: DenseTensor, tol: float | None = None) -> int:
 def pinv(m: DenseTensor) -> DenseTensor:
     """Moore-Penrose pseudo-inverse via the SVD, zeroing sub-threshold sigmas."""
     m = _as_tensor(m, "pinv", 2)
-    u, s, v, e = _svd_at_scale(m)
+    u, s, v, e = _svd_at_scale(m, "pinv")
     # At the svd's scale max|m| is in [0.5, 1), so no kept 1 / s overflows;
     # the product is scaled back by the same power of two.
     keep = s > default_rank_tol(s, m.shape[0], m.shape[1])

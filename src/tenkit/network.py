@@ -308,18 +308,36 @@ def _plan_level(masks, k, best, best_split, size, bond_free, bond_tables) -> Non
 
 
 def _plan_exhaustive(net: TensorNetwork) -> list[tuple[str, str]]:
+    """Steps of the subset DP's plan; on int64 tables the greedy plan's cost
+    C caps which masks it splits.
+
+    A split's product covers the open labels of both parts, so it is at
+    least size[part] for each part. A mask whose size exceeds C (never the
+    full one, which the last step of the greedy plan covers) is not split:
+    its best reads 0, but every split it is part of costs over C anyway.
+    So by induction over the levels, a kept mask whose optimum is at most C
+    gets it exactly, every other split of a kept mask costs over C, and the
+    argmin with its largest-`sub` tie rule picks the same splits as the full
+    DP. No computed best exceeds the mask's true optimum, so every sum
+    stays within the (n - 1) * P bound that chose int64. Python-int tables
+    run the full DP, so each of its splits is checked for overflow."""
     names = net.node_names
     n = len(names)
     if n > 12:
         raise ArgumentError(f"exhaustive planning supports at most 12 nodes, got {n}")
     tables = _split_tables(net)
+    size = tables[0]
     popcount = np.zeros(1 << n, dtype=np.int64)
     for i in range(n):
         popcount[1 << i : 2 << i] = popcount[: 1 << i] + 1
-    best = np.zeros(1 << n, dtype=tables[0].dtype)
+    best = np.zeros(1 << n, dtype=size.dtype)
     splits = np.zeros(1 << n, dtype=np.int64)
+    cap = _plan_greedy(net)[0] if size.dtype == np.int64 else None
     for k in range(2, n + 1):
-        _plan_level(np.flatnonzero(popcount == k), k, best, splits, *tables)
+        masks = np.flatnonzero(popcount == k)
+        if cap is not None:
+            masks = masks[size[masks] <= cap]
+        _plan_level(masks, k, best, splits, *tables)
     best_split = splits.tolist()
 
     def build(mask: int) -> tuple[list[tuple[str, str]], str]:
@@ -336,20 +354,81 @@ def _plan_exhaustive(net: TensorNetwork) -> list[tuple[str, str]]:
     return steps
 
 
-def _plan_greedy(net: TensorNetwork) -> list[tuple[str, str]]:
-    state = {name: set(net.labels(name)) for name in net.node_names}
-    steps = []
-    while len(state) > 1:
-        best = None
-        for a, b in itertools.combinations(sorted(state), 2):
-            cost = _checked_product(net.extent(l) for l in state[a] | state[b])
-            if best is None or (cost, a, b) < best:
-                best = (cost, a, b)
-        _, a, b = best
-        steps.append((a, b))
-        state[a] = state[a] ^ state[b]
-        del state[b]
-    return steps
+def _by_cost(cost, growth, unshared):
+    return (cost,)
+
+
+def _by_growth(cost, growth, unshared):
+    return (unshared, growth, cost)
+
+
+def _greedy_scan(size, bond, rule):
+    """(total cost, steps) of one greedy order, with nodes as indices in name order.
+
+    size[i] is node i's element count and bond[i, j] (i < j) the product of
+    the extents that nodes i and j share, for each pair that shares a label.
+    A pair then costs size[i] * size[j] // bond, the product of the union of
+    its labels, and leaves a node of cost // bond elements. Each round
+    contracts the pair with the least key rule(cost, growth, unshared) + (i,
+    j), where growth is the result's size less the two operands' sizes;
+    node j merges into node i, so only the pairs that touch i or j are keyed
+    again. Raises NumericError when it keys a pair that costs more than
+    2**63 - 1."""
+    size = list(size)
+    bond = dict(bond)
+    keys = {}
+
+    def key(i, j):
+        b = bond.get((i, j), 1)
+        cost = size[i] * size[j] // b
+        if cost > _I64_MAX:
+            raise NumericError("contraction cost overflows 64-bit integers")
+        keys[i, j] = (*rule(cost, cost // b - size[i] - size[j], (i, j) not in bond), i, j)
+
+    for i, j in itertools.combinations(range(len(size)), 2):
+        key(i, j)
+    alive = set(range(len(size)))
+    total, steps = 0, []
+    while keys:
+        i, j = min(keys.values())[-2:]
+        b = bond.pop((i, j), 1)
+        cost = size[i] * size[j] // b
+        total += cost
+        steps.append((i, j))
+        size[i] = cost // b
+        alive.remove(j)
+        del keys[i, j]
+        for k in alive - {i}:
+            jk, ik = (min(j, k), max(j, k)), (min(i, k), max(i, k))
+            del keys[jk]
+            if jk in bond:
+                bond[ik] = bond.get(ik, 1) * bond.pop(jk)
+            key(*ik)
+    return total, steps
+
+
+def _plan_greedy(net: TensorNetwork) -> tuple[int, list[tuple[str, str]]]:
+    """(total cost, steps) of the cheaper of the two greedy orders, _by_cost's on a tie.
+
+    _by_cost's scan keys every pair that any of its rounds holds, so it
+    raises NumericError on the same networks as a scan of every pair per
+    round; a _by_growth scan that meets such a pair is dropped."""
+    names = sorted(net.node_names)
+    size = [math.prod(net.extent(label) for label in net.labels(name)) for name in names]
+    holder, bond = {}, {}
+    for i, name in enumerate(names):
+        for label in net.labels(name):
+            if label in holder:
+                pair = (holder[label], i)
+                bond[pair] = bond.get(pair, 1) * net.extent(label)
+            holder[label] = i
+    best = _greedy_scan(size, bond, _by_cost)
+    try:
+        other = _greedy_scan(size, bond, _by_growth)
+    except NumericError:
+        other = best
+    total, steps = other if other[0] < best[0] else best
+    return total, [(names[i], names[j]) for i, j in steps]
 
 
 def plan(net: TensorNetwork, strategy="exhaustive") -> ContractionPlan:
@@ -367,15 +446,24 @@ def plan(net: TensorNetwork, strategy="exhaustive") -> ContractionPlan:
     has the larger mask wins. It takes at most 12 nodes and does 3**n work
     in numpy, one subset size at a time, so memory holds the splits of one
     size only. It raises NumericError if any split costs more than
-    2**63 - 1.
-    "greedy" repeatedly contracts the cheapest pair, ties broken by the
-    lexicographically smallest name pair.
+    2**63 - 1. On int64 costs the greedy plan's cost C caps the search: a
+    subset whose node has more than C elements is in no plan costing C or
+    less, so it is not split, and the plan is the same as without the cap.
+    "greedy" builds two orders and keeps the cheaper, the first on a tie.
+    Each round of the first contracts the pair of least cost; each round of
+    the second contracts, among pairs that share a label if any do, the
+    pair of least size(result) - size(a) - size(b) in elements (Smith &
+    Gray, opt_einsum, JOSS 3(26) 753, 2018), then of least cost.
+    Both break ties by the lexicographically smallest name pair, and the
+    merged node keeps the first name. It raises NumericError if the first
+    order meets a pair costing more than 2**63 - 1; the second is dropped
+    if it meets one.
     """
     _as_instance(net, TensorNetwork, "plan")
     if strategy == "exhaustive":
         steps = _plan_exhaustive(net)
     elif strategy == "greedy":
-        steps = _plan_greedy(net)
+        steps = _plan_greedy(net)[1]
     elif isinstance(strategy, str):
         raise ArgumentError(f"unknown strategy {strategy!r} (need exhaustive, greedy, or a step list)")
     else:

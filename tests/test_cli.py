@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 import tenkit as tk
+from tenkit import cli
 
 from helpers import planted_cp_factors, planted_tt_train, rand_tensor
 
@@ -14,6 +17,24 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
 def run_cli(*args, cwd=None):
+    """tenkit.cli.main(args) run in this process, in the directory cwd if
+    given, with stdout and stderr captured: a CompletedProcess like that of
+    run_module, without an interpreter start per call."""
+    argv = [str(a) for a in args]
+    out, err = io.StringIO(), io.StringIO()
+    home = os.getcwd()
+    try:
+        os.chdir(cwd or home)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        os.chdir(home)
+    return subprocess.CompletedProcess(["tenkit", *argv], code, out.getvalue(), err.getvalue())
+
+
+def run_module(*args, cwd=None):
+    """`python -m tenkit args` in a fresh interpreter: the exit status and
+    stderr as a user sees them."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
@@ -82,7 +103,7 @@ def test_undecodable_input_is_a_user_error(tmp_path):
     ten.write_bytes(b"order 1\nshape 2\ndata\n1 \xff\n")
     tn = tmp_path / "bad.tn"
     tn.write_bytes(b"node A [i=2] = 1 2 \xff\noutput [i]\n")
-    for res in (run_cli("info", ten), run_cli("contract", tn)):
+    for res in (run_module("info", ten), run_module("contract", tn)):
         assert res.returncode == 1
         assert res.stderr.startswith("tenkit: error: cannot read") and "Traceback" not in res.stderr
 
@@ -417,6 +438,42 @@ def test_cli_bad_usage_exits_one():
 def test_cli_numeric_failure_exits_two(tmp_path):
     src = tmp_path / "huge.ten"
     tk.write_tensor(src, tk.DenseTensor((2, 2, 2), [1e308] * 8))
-    res = run_cli("decompose", src, "cp", "2", "--outdir", tmp_path / "m")
+    res = run_module("decompose", src, "cp", "2", "--outdir", tmp_path / "m")
     assert res.returncode == 2
     assert "numeric failure" in res.stderr
+
+
+# The CLI's arguments ({ramp}, {net}, {huge} and {tmp} stand for files the
+# test writes), the exit code and a piece of stderr. Each row reaches one
+# rejection in the CLI's own argument handling, or its OSError or
+# NumericError exit, in this process.
+CLI_FAILURES = {
+    "permute_not_int": (["reshape", "{ramp}", "permute", "1", "x", "3", "--out", "{tmp}/p.ten"], 1, "permutation entries must be integers, got 'x'"),
+    "unfold_two_modes": (["reshape", "{ramp}", "unfold", "1", "2", "--out", "{tmp}/u.ten"], 1, "unfold takes exactly one mode number"),
+    "kunfold_no_split": (["reshape", "{ramp}", "kunfold", "--out", "{tmp}/k.ten"], 1, "kunfold takes exactly one split point"),
+    "hosvd_extra": (["decompose", "{ramp}", "hosvd", "3", "--outdir", "{tmp}/h"], 1, "hosvd takes no extra arguments"),
+    "cp_no_rank": (["decompose", "{ramp}", "cp", "--outdir", "{tmp}/c"], 1, "cp takes exactly one rank argument"),
+    "tt_bad_tol": (["decompose", "{ramp}", "tt", "1e-3x", "--outdir", "{tmp}/t"], 1, "tt tolerance must be a float, got '1e-3x'"),
+    "given_one_name": (["contract", "{net}", "--strategy", "given:A"], 1, "given step 'A' must be two node names separated by ','"),
+    "unknown_strategy": (["contract", "{net}", "--strategy", "best"], 1, "unknown strategy 'best' (need exhaustive, greedy, or given:A,B;...)"),
+    "out_dir_missing": (["reshape", "{ramp}", "permute", "1", "2", "3", "--out", "{tmp}/no/p.ten"], 1, "No such file or directory"),
+    "cp_overflow": (["decompose", "{huge}", "cp", "2", "--outdir", "{tmp}/m"], 2, "tenkit: numeric failure: "),
+}
+
+
+@pytest.mark.parametrize("argv, code, message", CLI_FAILURES.values(), ids=CLI_FAILURES.keys())
+def test_cli_failures_exit_with_their_code(tmp_path, ramp_file, argv, code, message):
+    huge = tmp_path / "huge.ten"
+    tk.write_tensor(huge, tk.DenseTensor((2, 2, 2), [1e308] * 8))
+    files = {"ramp": ramp_file, "net": write_abv(tmp_path), "huge": huge, "tmp": tmp_path}
+    res = run_cli(*[arg.format(**files) for arg in argv])
+    assert res.returncode == code
+    assert message in res.stderr and res.stdout == ""
+    assert not (tmp_path / "h").exists() and not (tmp_path / "m").exists()
+
+
+def test_decompose_tt_with_bond_caps(tmp_path, ramp_file):
+    # The ramp's unfoldings have rank 2; caps (1, 2) keep bonds 1 and 2.
+    res = run_cli("decompose", ramp_file, "tt", "1", "2", "--outdir", tmp_path / "ttm")
+    assert res.returncode == 0
+    assert machine_lines(res.stdout)["ranks"] == ["1", "1", "2", "1"]

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -461,16 +462,17 @@ _NAN_TRAIN = tk.TTTrain((
     tk.DenseTensor((1, 2, 2), [1.0, 2.0, 3.0, float("nan")]),
     tk.DenseTensor((2, 2, 1), [1.0, 2.0, 3.0, 4.0]),
 ))
+# Each call and its full message, which names the function the caller called.
 NON_FINITE_CALLS = {
-    "tt_svd_nan": lambda: tk.tt_svd(_NAN),
-    "hosvd_inf": lambda: tk.hosvd(_INF),
-    "truncated_hosvd_nan": lambda: tk.truncated_hosvd(_NAN, (1, 1, 1)),
-    "svd_nan": lambda: tk.svd(tk.matricize(_NAN, 1)),
-    "qr_inf": lambda: tk.qr(tk.k_unfold(_INF, 2)),
-    "pinv_inf": lambda: tk.pinv(tk.matricize(_INF, 1)),
-    "numerical_rank_nan": lambda: tk.numerical_rank(tk.matricize(_NAN, 3)),
-    "tt_orthogonalize_nan": lambda: tk.tt_orthogonalize(_NAN_TRAIN, 2),
-    "cp_als_nan": lambda: tk.cp_als(_NAN, 1),
+    "tt_svd_nan": (lambda: tk.tt_svd(_NAN), "tt_svd input has non-finite entries (nan or inf)"),
+    "hosvd_inf": (lambda: tk.hosvd(_INF), "hosvd input has non-finite entries (nan or inf)"),
+    "truncated_hosvd_nan": (lambda: tk.truncated_hosvd(_NAN, (1, 1, 1)), "truncated_hosvd input has non-finite entries (nan or inf)"),
+    "svd_nan": (lambda: tk.svd(tk.matricize(_NAN, 1)), "svd input has non-finite entries (nan or inf)"),
+    "qr_inf": (lambda: tk.qr(tk.k_unfold(_INF, 2)), "qr input has non-finite entries (nan or inf)"),
+    "pinv_inf": (lambda: tk.pinv(tk.matricize(_INF, 1)), "pinv input has non-finite entries (nan or inf)"),
+    "numerical_rank_nan": (lambda: tk.numerical_rank(tk.matricize(_NAN, 3)), "numerical_rank input has non-finite entries (nan or inf)"),
+    "tt_orthogonalize_nan": (lambda: tk.tt_orthogonalize(_NAN_TRAIN, 2), "tt_orthogonalize input has non-finite entries (nan or inf)"),
+    "cp_als_nan": (lambda: tk.cp_als(_NAN, 1), "cp_als objective became non-finite"),
 }
 
 # Finite inputs whose true result lies beyond float range: NumericError, and
@@ -699,9 +701,9 @@ def test_failed_write_model_leaves_no_readable_model(tmp_path, monkeypatch):
         tk.read_model(tmp_path)
 
 
-@pytest.mark.parametrize("call", NON_FINITE_CALLS.values(), ids=NON_FINITE_CALLS.keys())
-def test_non_finite_input_raises_numeric_error(call):
-    with pytest.raises(NumericError, match="non-finite"):
+@pytest.mark.parametrize("call, message", NON_FINITE_CALLS.values(), ids=NON_FINITE_CALLS.keys())
+def test_non_finite_input_raises_numeric_error(call, message):
+    with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
         call()
 
 

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -663,4 +666,117 @@ def test_split_tables_are_int64_exactly_when_cost_sums_fit(build, dtype):
     net = build(np.random.default_rng(20))
     size, _, bond_tables = tn._split_tables(net)
     assert [t.dtype for t in (size, *bond_tables)] == [np.dtype(dtype)] * (1 + len(bond_tables))
+    assert_plan_matches_oracle(net)
+
+
+def reference_greedy(net, key):
+    """(total cost, steps) of a greedy order built from label sets: each
+    round looks at every pair and contracts the one with the least key(cost,
+    growth, unshared) + (a, b), where growth is the result's size less the
+    two operands' sizes. None if it looks at a pair costing over 2**63 - 1."""
+    nodes = {name: set(net.labels(name)) for name in net.node_names}
+
+    def size(labels):
+        return math.prod(net.extent(l) for l in labels)
+
+    total, steps = 0, []
+    while len(nodes) > 1:
+        options = []
+        for a, b in itertools.combinations(sorted(nodes), 2):
+            cost = size(nodes[a] | nodes[b])
+            if cost > 2**63 - 1:
+                return None
+            growth = size(nodes[a] ^ nodes[b]) - size(nodes[a]) - size(nodes[b])
+            options.append((*key(cost, growth, not nodes[a] & nodes[b]), a, b))
+        *_, a, b = min(options)
+        total += size(nodes[a] | nodes[b])
+        steps.append((a, b))
+        nodes[a] ^= nodes.pop(b)
+    return total, steps
+
+
+def by_cost(cost, growth, unshared):
+    return (cost,)
+
+
+def by_growth(cost, growth, unshared):
+    return (unshared, growth, cost)
+
+
+def test_greedy_is_the_cheaper_of_two_reference_orders():
+    # On equal cost the least-cost order's plan is kept, so no greedy plan
+    # costs more than that order alone.
+    rng = np.random.default_rng(22)
+    ties = 0
+    for _ in range(300):
+        net = random_network(rng, max_nodes=8)
+        first, second = reference_greedy(net, by_cost), reference_greedy(net, by_growth)
+        want = second if second[0] < first[0] else first
+        got = tk.plan(net, "greedy")
+        assert (got.total_cost, list(got.steps)) == want
+        ties += second[0] == first[0] and second[1] != first[1]
+        assert list(tk.plan(net, "exhaustive").steps) == exhaustive_plan_oracle(net)
+    assert ties > 0
+
+
+def test_greedy_drops_the_growth_order_when_it_meets_a_cost_overflow():
+    # Only the growth order builds a node whose pair with another costs over
+    # 2**63 - 1; the cost order meets no such pair, so "greedy" gives its plan.
+    log2 = {"b0": 0, "b1": 3, "b2": 2, "b3": 0, "b4": 6, "b5": 0}
+    log2.update({"f6": 10, "f7": 8, "f8": 5, "f9": 6, "f10": 12, "f11": 9, "f12": 11})
+    node_labels = [
+        ("b0", "f6"), ("b0", "b1", "b2", "f7"), ("b1", "f8"), ("b2", "b3", "b4", "f9"),
+        ("b3", "f10"), ("b4", "b5", "f11"), ("b5", "f12"),
+    ]
+    rng = np.random.default_rng(23)
+    net = tk.TensorNetwork(
+        [(f"n{k}", labels, rand_tensor(rng, tuple(2 ** log2[l] for l in labels))) for k, labels in enumerate(node_labels)],
+        tuple(f"f{k}" for k in range(6, 13)),
+    )
+    assert reference_greedy(net, by_growth) is None
+    want = reference_greedy(net, by_cost)
+    got = tk.plan(net, "greedy")
+    assert (got.total_cost, list(got.steps)) == want
+    # Six vectors of 2**11: every order meets their outer product, 2**66.
+    vectors = tk.TensorNetwork(
+        [(f"v{k}", (f"i{k}",), rand_tensor(rng, (2**11,))) for k in range(6)], tuple(f"i{k}" for k in range(6))
+    )
+    assert reference_greedy(vectors, by_cost) is None
+    with pytest.raises(NumericError, match="overflows"):
+        tk.plan(vectors, "greedy")
+
+
+def open_label_product(net, subset):
+    """Element count of the node a subset of nodes merges into, from label sets."""
+    count = {}
+    for name in subset:
+        for label in net.labels(name):
+            count[label] = count.get(label, 0) + 1
+    return math.prod(net.extent(l) for l, c in count.items() if c == 1)
+
+
+@pytest.mark.parametrize(
+    "build, tight, dropped",
+    [
+        (lambda rng: ring_network(rng, 10, (2, 3), 2), True, 0.4),
+        (lambda rng: ladder_network(rng, 6, (3, 2), 2), False, 0.75),
+    ],
+    ids=["ring10-tight", "ladder2x6"],
+)
+def test_exhaustive_under_the_greedy_cap_matches_python_dp(build, tight, dropped, monkeypatch):
+    # A subset whose node has more elements than the greedy plan costs is in
+    # no plan that costs as little, and the DP splits only the other subsets;
+    # the ring's greedy plan is optimal, so its cap is tight, and the
+    # ladder's cap rules out most subsets.
+    net = build(np.random.default_rng(24))
+    greedy = tk.plan(net, "greedy").total_cost
+    names = net.node_names
+    inner = [s for k in range(2, len(names)) for s in itertools.combinations(names, k)]
+    over = sum(open_label_product(net, s) > greedy for s in inner)
+    assert over >= dropped * len(inner)
+    split = []
+    level = tn._plan_level
+    monkeypatch.setattr(tn, "_plan_level", lambda masks, *rest: split.append(len(masks)) or level(masks, *rest))
+    assert (greedy == tk.plan(net, "exhaustive").total_cost) is tight
+    assert sum(split) == len(inner) - over + 1
     assert_plan_matches_oracle(net)
