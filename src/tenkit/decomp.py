@@ -186,20 +186,29 @@ def cp_reconstruct(m: CPModel) -> DenseTensor:
     return DenseTensor(m.shape, _khatri_rao([f.to_array() for f in reversed(m.factors)]) @ m.weights.data)
 
 
+def _solve_lu(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """rhs @ inv(gram) by one batched LU solve of gram @ F.T = rhs.T, with no
+    rank test: gram (..., R, R) and rhs (..., I, R)."""
+    return np.linalg.solve(gram, rhs.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
 def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """rhs @ inv(gram) for a symmetric positive semidefinite gram, or for
     each slice of a stack: gram (..., R, R) and rhs (..., I, R).
 
     Cholesky is only the rank test: once every gram of the stack factors,
-    gram @ F.T = rhs.T is solved by one batched LU solve, which costs less
-    than two triangular solves through numpy's wrappers. When some gram is
-    rank-deficient (Cholesky fails, or it passes on a tiny positive pivot
-    and LU meets an exact zero), every slice is solved on its own, so only
-    the failing ones fall back to the SVD pseudo-inverse.
+    the stack is solved by _solve_lu, which costs less than two triangular
+    solves through numpy's wrappers. When some gram is rank-deficient
+    (Cholesky fails, or it passes on a tiny positive pivot and LU meets an
+    exact zero), every slice is solved on its own, so only the failing ones
+    fall back to the SVD pseudo-inverse. cp_als calls this only from the
+    sweep whose stacked rank test or LU solve failed, replayed from its
+    start, to the end of the fit; so the pseudo-inverse stands in for the
+    same normal matrices as when every mode of every sweep called this.
     """
     try:
         np.linalg.cholesky(gram)
-        return np.linalg.solve(gram, rhs.swapaxes(-1, -2)).swapaxes(-1, -2)
+        return _solve_lu(gram, rhs)
     except np.linalg.LinAlgError:
         if gram.ndim > 2:
             return np.stack([_solve_gram(g, b) for g, b in zip(gram, rhs)])
@@ -220,9 +229,15 @@ def cp_als(
     Each sweep solves the matricized least-squares subproblem for every
     mode in turn: the normal matrix, the Hadamard product of the other
     factors' Gram matrices, is solved against the matricized tensor times
-    their Khatri-Rao product. A Cholesky factorization only tests the
-    normal matrix's rank; one batched solve follows, and the SVD
-    pseudo-inverse stands in when the normal matrix is rank-deficient.
+    their Khatri-Rao product. Each mode's normal matrices are solved by one
+    batched LU solve, and one Cholesky factorization of all the sweep's
+    normal matrices, stacked, then tests their rank. When it passes, each
+    factor holds the same bits as when every mode is tested before its
+    solve. When it fails, or an LU solve does, the sweep is replayed from
+    its start through _solve_gram, mode by mode: the Cholesky test runs
+    before each solve, and the SVD pseudo-inverse stands in for every
+    rank-deficient normal matrix. The rest of the fit stays on that path,
+    so a fit wastes at most one sweep.
     No product is formed twice: each factor's Gram is formed once, right
     after the factor's update, and the Khatri-Rao of modes N..2 built for
     the residual is the next sweep's mode-1 one.
@@ -239,7 +254,8 @@ def cp_als(
     [0.5, 1), and the weights and trace are scaled back. This is exact,
     so the fit of 2^k * x is that of x with weights and trace times 2^k.
     An x whose norm, or a fit whose weights, lie beyond float range
-    raises NumericError.
+    raises NumericError, and so does a fit whose iterates overflow, at the
+    end of the sweep and with no numpy warning before it.
 
     Restart r starts from standard-normal factors drawn from
     default_rng([seed, r]). The restarts run as one stacked fit: factors
@@ -278,54 +294,77 @@ def cp_als(
     done_factors = [np.empty_like(f) for f in factors]
     done_weights = np.empty((restarts, rank))
     converged = np.zeros(restarts, dtype=bool)
-    history = []  # per sweep, every restart's residual (NaN once stopped)
-    prev_rel = None
+    history = []  # per sweep, the running restarts' ids and residuals
+    prev_rel = np.inf
     # Khatri-Rao of modes N..2, shared by the residual and the next mode-1
     # update, and each factor's Gram stack, formed after the factor's update.
     kr1 = _khatri_rao(factors[:0:-1])
     grams = [f.swapaxes(1, 2) @ f for f in factors]
-    for sweep in range(1, max_sweeps + 1):
+    # Every normal matrix of a sweep, mode by mode, for the stacked rank test.
+    normal = np.empty((x.order, restarts, rank, rank))
+
+    def update(solve):
+        # One sweep of mode updates. factors and grams are lists of stacks
+        # that each update rebinds, never writes into.
         for n in range(x.order):
             others = [m for m in range(x.order) if m != n]
             kr = kr1 if n == 0 else _khatri_rao([factors[m] for m in reversed(others)])
-            gram = grams[others[0]] * grams[others[1]]
+            gram = np.multiply(grams[others[0]], grams[others[1]], out=normal[n])
             for m in others[2:]:
                 gram *= grams[m]
-            factors[n] = _solve_gram(gram, mats[n] @ kr)
+            factors[n] = solve(gram, mats[n] @ kr)
             grams[n] = factors[n].swapaxes(1, 2) @ factors[n]
-        kr1 = _khatri_rao(factors[:0:-1])
-        resid = np.sqrt(((mats[0] - factors[0] @ kr1.swapaxes(1, 2)) ** 2).sum(axis=(1, 2)))
-        if not np.isfinite(resid).all():
-            raise NumericError("cp_als objective became non-finite")
-        history.append(np.full(restarts, np.nan))
-        history[-1][ids] = resid
-        rel = resid / norm_x if norm_x > 0.0 else resid
-        stop = np.zeros(ids.size, dtype=bool) if prev_rel is None else np.abs(prev_rel - rel) < tol
-        converged[ids[stop]] = True
-        if sweep == max_sweeps:
-            stop[:] = True
-        if stop.any():
-            gone = ids[stop]
-            weights = np.ones((gone.size, rank))
-            for done, f in zip(done_factors, factors):
-                f = f[stop]
-                norms = np.sqrt((f * f).sum(axis=1))
-                done[gone] = f / np.where(norms > 0.0, norms, 1.0)[:, None, :]
-                weights *= norms
-            done_weights[gone] = weights
-            keep = ~stop
-            factors = [f[keep] for f in factors]
-            grams = [g[keep] for g in grams]
-            kr1 = kr1[keep]
-            ids, rel = ids[keep], rel[keep]
-            if not ids.size:
-                break
-        prev_rel = rel
-    # A running restart's residuals are finite, and NaN once it stops, so its
-    # sweeps are its non-NaN residuals.
-    history = np.array(history)
-    sweeps = np.count_nonzero(~np.isnan(history), axis=0)
-    best = int(np.argmin(history[sweeps - 1, np.arange(restarts)]))
+
+    stacked = True  # False once a sweep has been replayed through _solve_gram
+    # A diverging fit overflows long before its residual is checked; the
+    # check below raises NumericError in place of numpy's warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sweep in range(1, max_sweeps + 1):
+            if stacked:
+                start = factors[:], grams[:]
+                try:
+                    update(_solve_lu)
+                    np.linalg.cholesky(normal.reshape(-1, rank, rank))
+                except np.linalg.LinAlgError:
+                    factors[:], grams[:] = start
+                    stacked = False
+            if not stacked:
+                update(_solve_gram)
+            kr1 = _khatri_rao(factors[:0:-1])
+            resid = np.sqrt(((mats[0] - factors[0] @ kr1.swapaxes(1, 2)) ** 2).sum(axis=(1, 2)))
+            if not np.isfinite(resid).all():
+                raise NumericError("cp_als objective became non-finite")
+            history.append((ids, resid))
+            rel = resid / norm_x if norm_x > 0.0 else resid
+            stop = np.abs(prev_rel - rel) < tol
+            if stop.any() or sweep == max_sweeps:
+                converged[ids[stop]] = True
+                if sweep == max_sweeps:
+                    stop[:] = True
+                gone = ids[stop]
+                weights = np.ones((gone.size, rank))
+                for done, f in zip(done_factors, factors):
+                    f = f[stop]
+                    norms = np.sqrt((f * f).sum(axis=1))
+                    done[gone] = f / np.where(norms > 0.0, norms, 1.0)[:, None, :]
+                    weights *= norms
+                done_weights[gone] = weights
+                keep = ~stop
+                factors = [f[keep] for f in factors]
+                grams = [g[keep] for g in grams]
+                normal = normal[:, keep]
+                kr1 = kr1[keep]
+                ids, rel = ids[keep], rel[keep]
+                if not ids.size:
+                    break
+            prev_rel = rel
+    # Each restart's residuals, NaN once it has stopped; its sweeps are its
+    # non-NaN entries, since every running restart's residual is finite.
+    resids = np.full((len(history), restarts), np.nan)
+    for row, (running, resid) in zip(resids, history):
+        row[running] = resid
+    sweeps = np.count_nonzero(~np.isnan(resids), axis=0)
+    best = int(np.argmin(resids[sweeps - 1, np.arange(restarts)]))
     with np.errstate(over="ignore"):
         weights = np.ldexp(done_weights[best], exp)
     if not np.isfinite(weights).all():
@@ -336,7 +375,7 @@ def cp_als(
     )
     return CPFit(
         model=model,
-        trace=tuple(np.ldexp(history[: sweeps[best], best], exp).tolist()),
+        trace=tuple(np.ldexp(resids[: sweeps[best], best], exp).tolist()),
         restart=best,
         sweeps=tuple(int(s) for s in sweeps),
         converged=tuple(bool(c) for c in converged),

@@ -121,19 +121,23 @@ def read_tensor(path: str | os.PathLike) -> DenseTensor:
 
 def _write_atomic(path: str | os.PathLike, text: str) -> None:
     """Write text to a fresh temporary file beside path, then rename it over
-    path; if writing fails, remove it and leave an existing path as it was."""
+    path; if writing fails, remove it and leave an existing path as it was.
+    An OSError names path, not the temporary file."""
     path = os.fspath(path)
     head, tail = os.path.split(path)
     tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
-    fh = open(tmp, "x", encoding="utf-8")
     try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
-        raise
+        fh = open(tmp, "x", encoding="utf-8")
+        try:
+            with fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def write_tensor(path: str | os.PathLike, t: DenseTensor) -> None:

@@ -456,7 +456,8 @@ CLI_FAILURES = {
     "tt_bad_tol": (["decompose", "{ramp}", "tt", "1e-3x", "--outdir", "{tmp}/t"], 1, "tt tolerance must be a float, got '1e-3x'"),
     "given_one_name": (["contract", "{net}", "--strategy", "given:A"], 1, "given step 'A' must be two node names separated by ','"),
     "unknown_strategy": (["contract", "{net}", "--strategy", "best"], 1, "unknown strategy 'best' (need exhaustive, greedy, or given:A,B;...)"),
-    "out_dir_missing": (["reshape", "{ramp}", "permute", "1", "2", "3", "--out", "{tmp}/no/p.ten"], 1, "No such file or directory"),
+    "out_dir_missing": (["reshape", "{ramp}", "permute", "1", "2", "3", "--out", "{tmp}/no/p.ten"], 1, "tenkit: error: [Errno 2] No such file or directory: '{tmp}/no/p.ten'\n"),
+    "out_is_a_dir": (["reshape", "{ramp}", "permute", "1", "2", "3", "--out", "{tmp}/adir"], 1, "tenkit: error: [Errno 21] Is a directory: '{tmp}/adir'\n"),
     "cp_overflow": (["decompose", "{huge}", "cp", "2", "--outdir", "{tmp}/m"], 2, "tenkit: numeric failure: "),
 }
 
@@ -465,11 +466,14 @@ CLI_FAILURES = {
 def test_cli_failures_exit_with_their_code(tmp_path, ramp_file, argv, code, message):
     huge = tmp_path / "huge.ten"
     tk.write_tensor(huge, tk.DenseTensor((2, 2, 2), [1e308] * 8))
+    (tmp_path / "adir").mkdir()
     files = {"ramp": ramp_file, "net": write_abv(tmp_path), "huge": huge, "tmp": tmp_path}
     res = run_cli(*[arg.format(**files) for arg in argv])
     assert res.returncode == code
-    assert message in res.stderr and res.stdout == ""
+    assert message.format(**files) in res.stderr and res.stdout == ""
     assert not (tmp_path / "h").exists() and not (tmp_path / "m").exists()
+    # A failed write leaves no temporary file behind, under any name.
+    assert not list(tmp_path.rglob(".*.tmp")) and not list((tmp_path / "adir").iterdir())
 
 
 def test_decompose_tt_with_bond_caps(tmp_path, ramp_file):

@@ -243,10 +243,83 @@ _RANK_ONE = tk.outer([tk.DenseTensor((3,), v) for v in ([1, 2, 3], [1, 1, 1], [1
 
 @pytest.mark.parametrize("rank", [2, 3])
 @pytest.mark.parametrize("seed", range(6))
-def test_cp_als_fits_a_rank_deficient_tensor(rank, seed):
+def test_cp_als_fits_a_rank_deficient_tensor(monkeypatch, rank, seed):
+    # Some normal matrix of the first sweep is singular, so its stacked rank
+    # test (or an LU solve before it) fails and the sweep is replayed.
+    replayed = []
+
+    def spy(gram, rhs):
+        replayed.append(gram.shape)
+        return solve_gram(gram, rhs)
+
+    solve_gram = decomp._solve_gram
+    monkeypatch.setattr(decomp, "_solve_gram", spy)
     fit = tk.cp_als(_RANK_ONE, rank, seed=seed)
+    assert replayed
     approx = tk.cp_reconstruct(fit.model)
     assert tk.frobenius_norm(tk.subtract(_RANK_ONE, approx)) <= 1e-14 * tk.frobenius_norm(_RANK_ONE)
+    xa = _RANK_ONE.to_array()
+    want = numpy_cp_als_trace(xa, rank, 200, seed=seed, restart=fit.restart, tol=1e-8)
+    assert len(fit.trace) == len(want)
+    assert np.abs(np.array(fit.trace) - want).max() <= 1e-9 * np.linalg.norm(xa)
+
+
+def test_cp_als_diverging_fit_raises_before_numpy_warns():
+    # This restart's factors overflow within a sweep; under the suite's
+    # RuntimeWarning filter a warning would surface before the residual check.
+    with pytest.raises(tk.NumericError, match="^cp_als objective became non-finite$"):
+        tk.cp_als(_RANK_ONE, 2, seed=14, tol=0.0)
+
+
+def _well_conditioned_fit_input():
+    rng = np.random.default_rng(12)
+    factors = planted_cp_factors(rng, (4, 4, 4), 3)
+    return tk.DenseTensor.from_array(np.einsum("ir,jr,kr->ijk", *factors))
+
+
+def _fit_bytes(fit):
+    return (
+        np.array(fit.trace).tobytes(),
+        fit.model.weights.to_array().tobytes(),
+        tuple(f.to_array().tobytes() for f in fit.model.factors),
+        fit.restart,
+        fit.sweeps,
+        fit.converged,
+    )
+
+
+def test_cp_als_tests_every_normal_matrix_of_a_sweep_in_one_cholesky(monkeypatch):
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def spy(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    fit = tk.cp_als(_well_conditioned_fit_input(), 3, tol=0.0, max_sweeps=20)
+    assert fit.sweeps == (20, 20, 20)
+    # N = 3 modes times B = 3 restarts of 3x3 normal matrices, once a sweep.
+    assert calls == [(9, 3, 3)] * 20
+
+
+def test_cp_als_replayed_sweep_gives_the_same_fit(monkeypatch):
+    x = _well_conditioned_fit_input()
+    base = tk.cp_als(x, 3, tol=0.0, max_sweeps=20)
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def fail_first(a):
+        calls.append(a.shape)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail_first)
+    fit = tk.cp_als(x, 3, tol=0.0, max_sweeps=20)
+    # After the failed stacked test every mode of every sweep is tested on its own.
+    assert calls == [(9, 3, 3)] + [(3, 3, 3)] * 60
+    assert _fit_bytes(fit) == _fit_bytes(base)
 
 
 def test_cp_als_falls_back_to_pinv_when_the_solve_fails(monkeypatch):
