@@ -186,6 +186,13 @@ def cp_reconstruct(m: CPModel) -> DenseTensor:
     return DenseTensor(m.shape, _khatri_rao([f.to_array() for f in reversed(m.factors)]) @ m.weights.data)
 
 
+# cp_als tests the rank of the normal matrices of up to _CP_BLOCK_SWEEPS
+# sweeps in one stacked Cholesky, fewer where they would take more than
+# _CP_BLOCK_FLOATS floats (64 KiB), but always at least one sweep's.
+_CP_BLOCK_SWEEPS = 16
+_CP_BLOCK_FLOATS = 8192
+
+
 def _solve_lu(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """rhs @ inv(gram) by one batched LU solve of gram @ F.T = rhs.T, with no
     rank test: gram (..., R, R) and rhs (..., I, R)."""
@@ -201,10 +208,12 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     solves through numpy's wrappers. When some gram is rank-deficient
     (Cholesky fails, or it passes on a tiny positive pivot and LU meets an
     exact zero), every slice is solved on its own, so only the failing ones
-    fall back to the SVD pseudo-inverse. cp_als calls this only from the
-    sweep whose stacked rank test or LU solve failed, replayed from its
-    start, to the end of the fit; so the pseudo-inverse stands in for the
-    same normal matrices as when every mode of every sweep called this.
+    fall back to the SVD pseudo-inverse. cp_als calls this only once the
+    stacked rank test of a block of sweeps, or an LU solve in it, has
+    failed: from the block's first sweep, replayed, to the end of the fit.
+    The block's sweeps before the failing one pass this test too and get
+    the same bits, so the pseudo-inverse stands in for the same normal
+    matrices as when every mode of every sweep called this.
     """
     try:
         np.linalg.cholesky(gram)
@@ -230,14 +239,17 @@ def cp_als(
     mode in turn: the normal matrix, the Hadamard product of the other
     factors' Gram matrices, is solved against the matricized tensor times
     their Khatri-Rao product. Each mode's normal matrices are solved by one
-    batched LU solve, and one Cholesky factorization of all the sweep's
-    normal matrices, stacked, then tests their rank. When it passes, each
-    factor holds the same bits as when every mode is tested before its
-    solve. When it fails, or an LU solve does, the sweep is replayed from
-    its start through _solve_gram, mode by mode: the Cholesky test runs
+    batched LU solve and kept, and one Cholesky factorization of a block's
+    normal matrices, stacked, tests their rank. A block ends after 16
+    sweeps (fewer when a sweep's normal matrices are large, down to one
+    sweep), at a sweep where some restart stops, and at a non-finite
+    residual, which is tested before it raises. When the test passes, each factor holds the same
+    bits as when every mode is tested before its solve. When it fails, or
+    an LU solve does, the fit goes back to the block's first sweep and
+    replays it through _solve_gram, mode by mode: the Cholesky test runs
     before each solve, and the SVD pseudo-inverse stands in for every
     rank-deficient normal matrix. The rest of the fit stays on that path,
-    so a fit wastes at most one sweep.
+    so a fit wastes at most one block of sweeps.
     No product is formed twice: each factor's Gram is formed once, right
     after the factor's update, and the Khatri-Rao of modes N..2 built for
     the residual is the next sweep's mode-1 one.
@@ -283,6 +295,8 @@ def cp_als(
     x = DenseTensor(x.shape, np.ldexp(x.data, -exp))
     norm_x = frobenius_norm(x)
     mats = [matricize(x, n).to_array() for n in range(1, x.order + 1)]
+    others = [[m for m in range(x.order) if m != n] for n in range(x.order)]
+    reversed_others = [o[::-1] for o in others]
     starts = []
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
@@ -295,49 +309,66 @@ def cp_als(
     done_weights = np.empty((restarts, rank))
     converged = np.zeros(restarts, dtype=bool)
     history = []  # per sweep, the running restarts' ids and residuals
-    prev_rel = np.inf
+    prev_rel = [math.inf] * restarts
     # Khatri-Rao of modes N..2, shared by the residual and the next mode-1
     # update, and each factor's Gram stack, formed after the factor's update.
     kr1 = _khatri_rao(factors[:0:-1])
     grams = [f.swapaxes(1, 2) @ f for f in factors]
-    # Every normal matrix of a sweep, mode by mode, for the stacked rank test.
-    normal = np.empty((x.order, restarts, rank, rank))
+    # Every normal matrix of a block's sweeps, sweep by sweep and mode by
+    # mode, for the stacked rank test; filled sweeps of it are untested.
+    block_sweeps = max(1, min(_CP_BLOCK_SWEEPS, _CP_BLOCK_FLOATS // (x.order * restarts * rank * rank)))
+    normal = np.empty((block_sweeps, x.order, restarts, rank, rank))
+    filled = 0
 
-    def update(solve):
-        # One sweep of mode updates. factors and grams are lists of stacks
-        # that each update rebinds, never writes into.
+    def update(solve, slot):
+        # One sweep of mode updates, each normal matrix written into slot[n].
+        # factors and grams are lists of stacks that each update rebinds,
+        # never writes into, so a shallow copy of the lists is a checkpoint.
         for n in range(x.order):
-            others = [m for m in range(x.order) if m != n]
-            kr = kr1 if n == 0 else _khatri_rao([factors[m] for m in reversed(others)])
-            gram = np.multiply(grams[others[0]], grams[others[1]], out=normal[n])
-            for m in others[2:]:
+            o = others[n]
+            kr = kr1 if n == 0 else _khatri_rao([factors[m] for m in reversed_others[n]])
+            gram = np.multiply(grams[o[0]], grams[o[1]], out=slot[n])
+            for m in o[2:]:
                 gram *= grams[m]
             factors[n] = solve(gram, mats[n] @ kr)
             grams[n] = factors[n].swapaxes(1, 2) @ factors[n]
 
-    stacked = True  # False once a sweep has been replayed through _solve_gram
+    stacked = True  # False once the fit has been replayed through _solve_gram
+    sweep = 1
     # A diverging fit overflows long before its residual is checked; the
     # check below raises NumericError in place of numpy's warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        for sweep in range(1, max_sweeps + 1):
-            if stacked:
-                start = factors[:], grams[:]
-                try:
-                    update(_solve_lu)
-                    np.linalg.cholesky(normal.reshape(-1, rank, rank))
-                except np.linalg.LinAlgError:
-                    factors[:], grams[:] = start
-                    stacked = False
-            if not stacked:
-                update(_solve_gram)
-            kr1 = _khatri_rao(factors[:0:-1])
-            resid = np.sqrt(((mats[0] - factors[0] @ kr1.swapaxes(1, 2)) ** 2).sum(axis=(1, 2)))
-            if not np.isfinite(resid).all():
+        while True:
+            try:
+                if stacked:
+                    if not filled:
+                        block = sweep, factors[:], grams[:], kr1, len(history), prev_rel
+                    update(_solve_lu, normal[filled])
+                    filled += 1
+                else:
+                    update(_solve_gram, normal[0])
+                kr1 = _khatri_rao(factors[:0:-1])
+                resid = np.sqrt(((mats[0] - factors[0] @ kr1.swapaxes(1, 2)) ** 2).sum(axis=(1, 2)))
+                # Python floats round as numpy's do, at a fraction of the
+                # per-call cost for a few restarts.
+                values = resid.tolist()
+                finite = all(map(math.isfinite, values))
+                rel = [v / norm_x for v in values] if norm_x > 0.0 else values
+                stop = [abs(p - r) < tol for p, r in zip(prev_rel, rel)]
+                stops = any(stop) or sweep == max_sweeps
+                if filled and (filled == block_sweeps or stops or not finite):
+                    tested, filled = filled, 0
+                    np.linalg.cholesky(normal[:tested].reshape(-1, rank, rank))
+            except np.linalg.LinAlgError:
+                sweep, factors[:], grams[:], kr1, kept, prev_rel = block
+                del history[kept:]
+                stacked, filled = False, 0
+                continue
+            if not finite:
                 raise NumericError("cp_als objective became non-finite")
             history.append((ids, resid))
-            rel = resid / norm_x if norm_x > 0.0 else resid
-            stop = np.abs(prev_rel - rel) < tol
-            if stop.any() or sweep == max_sweeps:
+            if stops:
+                stop = np.array(stop)
                 converged[ids[stop]] = True
                 if sweep == max_sweeps:
                     stop[:] = True
@@ -352,12 +383,14 @@ def cp_als(
                 keep = ~stop
                 factors = [f[keep] for f in factors]
                 grams = [g[keep] for g in grams]
-                normal = normal[:, keep]
+                normal = normal[:, :, keep]
                 kr1 = kr1[keep]
-                ids, rel = ids[keep], rel[keep]
+                ids = ids[keep]
+                rel = [r for r, k in zip(rel, keep) if k]
                 if not ids.size:
                     break
             prev_rel = rel
+            sweep += 1
     # Each restart's residuals, NaN once it has stopped; its sweeps are its
     # non-NaN entries, since every running restart's residual is finite.
     resids = np.full((len(history), restarts), np.nan)

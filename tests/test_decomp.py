@@ -244,16 +244,9 @@ _RANK_ONE = tk.outer([tk.DenseTensor((3,), v) for v in ([1, 2, 3], [1, 1, 1], [1
 @pytest.mark.parametrize("rank", [2, 3])
 @pytest.mark.parametrize("seed", range(6))
 def test_cp_als_fits_a_rank_deficient_tensor(monkeypatch, rank, seed):
-    # Some normal matrix of the first sweep is singular, so its stacked rank
-    # test (or an LU solve before it) fails and the sweep is replayed.
-    replayed = []
-
-    def spy(gram, rhs):
-        replayed.append(gram.shape)
-        return solve_gram(gram, rhs)
-
-    solve_gram = decomp._solve_gram
-    monkeypatch.setattr(decomp, "_solve_gram", spy)
+    # Some normal matrix of the first block is singular, so its stacked rank
+    # test (or an LU solve before it) fails and the block is replayed.
+    replayed = _spy_solve_gram(monkeypatch)
     fit = tk.cp_als(_RANK_ONE, rank, seed=seed)
     assert replayed
     approx = tk.cp_reconstruct(fit.model)
@@ -288,38 +281,155 @@ def _fit_bytes(fit):
     )
 
 
-def test_cp_als_tests_every_normal_matrix_of_a_sweep_in_one_cholesky(monkeypatch):
+def _spy_cholesky(monkeypatch, reject=lambda call, a: False):
+    """Shapes np.linalg.cholesky is called on; reject(call, a) makes call number
+    `call` (from 1) raise, as for a matrix that is not positive definite."""
     calls = []
     cholesky = np.linalg.cholesky
 
     def spy(a):
         calls.append(a.shape)
-        return cholesky(a)
-
-    monkeypatch.setattr(np.linalg, "cholesky", spy)
-    fit = tk.cp_als(_well_conditioned_fit_input(), 3, tol=0.0, max_sweeps=20)
-    assert fit.sweeps == (20, 20, 20)
-    # N = 3 modes times B = 3 restarts of 3x3 normal matrices, once a sweep.
-    assert calls == [(9, 3, 3)] * 20
-
-
-def test_cp_als_replayed_sweep_gives_the_same_fit(monkeypatch):
-    x = _well_conditioned_fit_input()
-    base = tk.cp_als(x, 3, tol=0.0, max_sweeps=20)
-    calls = []
-    cholesky = np.linalg.cholesky
-
-    def fail_first(a):
-        calls.append(a.shape)
-        if len(calls) == 1:
+        if reject(len(calls), a):
             raise np.linalg.LinAlgError("Matrix is not positive definite")
         return cholesky(a)
 
-    monkeypatch.setattr(np.linalg, "cholesky", fail_first)
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    return calls
+
+
+def _spy_solve_gram(monkeypatch):
+    """Shapes of the normal matrices cp_als hands to _solve_gram."""
+    calls = []
+    solve_gram = decomp._solve_gram
+
+    def spy(gram, rhs):
+        calls.append(gram.shape)
+        return solve_gram(gram, rhs)
+
+    monkeypatch.setattr(decomp, "_solve_gram", spy)
+    return calls
+
+
+def test_cp_als_tests_every_normal_matrix_of_a_block_in_one_cholesky(monkeypatch):
+    calls = _spy_cholesky(monkeypatch)
+    fit = tk.cp_als(_well_conditioned_fit_input(), 3, tol=0.0, max_sweeps=20)
+    assert fit.sweeps == (20, 20, 20)
+    # A block of 16 sweeps, then the last 4; each sweep holds N = 3 modes
+    # times B = 3 restarts of 3x3 normal matrices.
+    assert calls == [(144, 3, 3), (36, 3, 3)]
+
+
+def test_cp_als_replayed_block_gives_the_same_fit(monkeypatch):
+    x = _well_conditioned_fit_input()
+    base = tk.cp_als(x, 3, tol=0.0, max_sweeps=20)
+    replayed = _spy_solve_gram(monkeypatch)
+    calls = _spy_cholesky(monkeypatch, lambda call, a: call == 2)
     fit = tk.cp_als(x, 3, tol=0.0, max_sweeps=20)
-    # After the failed stacked test every mode of every sweep is tested on its own.
-    assert calls == [(9, 3, 3)] + [(3, 3, 3)] * 60
+    # The second block failed its test, so sweeps 17-20 are replayed, and
+    # each of their modes is tested on its own.
+    assert calls == [(144, 3, 3), (36, 3, 3)] + [(3, 3, 3)] * 12
+    assert replayed == [(3, 3, 3)] * 12
     assert _fit_bytes(fit) == _fit_bytes(base)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-8])
+@pytest.mark.parametrize("sweep,block_start", [(1, 1), (5, 1), (17, 17), (20, 17)])
+def test_cp_als_failed_lu_solve_replays_its_block_with_the_same_fit(monkeypatch, sweep, block_start, tol):
+    # At tol 1e-8 restart 1 stops at sweep 43, which ends the block it is in.
+    x = _well_conditioned_fit_input()
+    base = tk.cp_als(x, 3, tol=tol, max_sweeps=50)
+    assert base.sweeps == ((50, 43, 50) if tol else (50, 50, 50))
+    calls = []
+    solve_lu = decomp._solve_lu
+
+    def flaky(gram, rhs):
+        # Mode 1 of `sweep` raises; _solve_gram's solves count on past it.
+        calls.append(gram.shape)
+        if len(calls) == 3 * (sweep - 1) + 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve_lu(gram, rhs)
+
+    monkeypatch.setattr(decomp, "_solve_lu", flaky)
+    replayed = _spy_solve_gram(monkeypatch)
+    fit = tk.cp_als(x, 3, tol=tol, max_sweeps=50)
+    assert len(replayed) == 3 * (50 - block_start + 1)
+    assert _fit_bytes(fit) == _fit_bytes(base)
+
+
+def test_cp_als_tests_a_block_before_a_restart_stops(monkeypatch):
+    x = _well_conditioned_fit_input()
+    base = tk.cp_als(x, 3)
+    assert base.sweeps == (74, 43, 113)
+    calls = _spy_cholesky(monkeypatch)
+    tk.cp_als(x, 3)
+    # Blocks end at sweeps 16, 32, then 43, where restart 1 stops: its 11
+    # sweeps are tested with all three restarts still in the stack.
+    assert calls[:3] == [(144, 3, 3), (144, 3, 3), (99, 3, 3)]
+    # Failing that test replays sweeps 33-43 before the stop is recorded.
+    calls = _spy_cholesky(monkeypatch, lambda call, a: call == 3)
+    assert _fit_bytes(tk.cp_als(x, 3)) == _fit_bytes(base)
+
+
+def test_cp_als_tests_a_block_before_a_non_finite_residual_raises(monkeypatch):
+    # Sweep 3's first solve overflows, as an LU solve of a singular normal
+    # matrix can; the block's test rejects it, so the fit is replayed from
+    # sweep 1 instead of raising "objective became non-finite".
+    x = _well_conditioned_fit_input()
+    base = tk.cp_als(x, 3, tol=0.0, max_sweeps=20)
+    solves = []
+    solve_lu = decomp._solve_lu
+
+    def overflowing(gram, rhs):
+        solves.append(gram.shape)
+        out = solve_lu(gram, rhs)
+        return np.full_like(out, np.inf) if len(solves) == 7 else out
+
+    monkeypatch.setattr(decomp, "_solve_lu", overflowing)
+    calls = _spy_cholesky(monkeypatch, lambda call, a: call == 1)
+    fit = tk.cp_als(x, 3, tol=0.0, max_sweeps=20)
+    assert calls[0] == (27, 3, 3)
+    assert _fit_bytes(fit) == _fit_bytes(base)
+
+
+def test_cp_als_block_path_matches_the_per_mode_path(monkeypatch):
+    # Planted fits at ranks above and below the true one, the rank-one
+    # tensor whose normal matrices are singular, and order-4/5 fits.
+    rng = np.random.default_rng(0)
+    fits = []
+    for k in range(28):
+        order = 3 if k < 20 else 4 + k % 2
+        shape = rng.integers(2, 6 if order == 3 else 4, size=order)
+        true_rank = int(rng.integers(1, 4))
+        modes = "ijklm"[:order]
+        x = np.einsum(
+            ",".join(m + "r" for m in modes) + "->" + modes,
+            *(rng.standard_normal((e, true_rank)) for e in shape),
+        )
+        fits.append((tk.DenseTensor.from_array(x), int(rng.integers(1, 5)), k, (1e-8, 0.0)[k // 2 % 2]))
+    fits += [(_RANK_ONE, rank, seed, (1e-8, 0.0)[seed % 2]) for rank in (2, 3) for seed in range(6)]
+
+    def fit_all():
+        return [_fit_bytes(tk.cp_als(x, r, seed=s, tol=t, max_sweeps=24)) for x, r, s, t in fits]
+
+    block = fit_all()
+    # Rejecting every stacked test (a stack of more than one mode's three
+    # restarts) replays each fit from sweep 1, mode by mode.
+    _spy_cholesky(monkeypatch, lambda call, a: a.ndim == 3 and a.shape[0] > 3)
+    per_mode = fit_all()
+    assert len(fits) == 40
+    assert [k for k, (b, p) in enumerate(zip(block, per_mode)) if b != p] == []
+
+
+def test_cp_als_large_rank_tests_one_sweep_per_cholesky(monkeypatch):
+    # 3 modes times 3 restarts of 40x40 normal matrices are 14400 floats,
+    # above the 64 KiB bound, so every block is one sweep. (At 6x6x6 each
+    # rank-40 normal matrix is singular: a Hadamard product of two rank-6
+    # Grams has rank at most 36.)
+    x = tk.DenseTensor.from_array(np.random.default_rng(3).standard_normal((8, 8, 8)))
+    calls = _spy_cholesky(monkeypatch)
+    fit = tk.cp_als(x, 40, max_sweeps=3, tol=0.0)
+    assert fit.sweeps == (3, 3, 3)
+    assert calls == [(9, 40, 40)] * 3
 
 
 def test_cp_als_falls_back_to_pinv_when_the_solve_fails(monkeypatch):
