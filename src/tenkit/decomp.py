@@ -22,7 +22,7 @@ from .core import DenseTensor, _as_int, _as_ints, _as_seq, _as_tensor, _as_tol, 
 from .core import _as_instance, _scale_exponent, matricize, permute, subtensor, vec
 from .elementwise import frobenius_norm
 from .errors import ArgumentError, ModelError, NumericError, ParseError
-from .factor import _check_finite, _householder, _jacobi_svd, _orthonormal_fill, default_rank_tol, pinv, qr, svd
+from .factor import _check_finite, _householder, _jacobi_svd, _orthonormal_fill, _svd, default_rank_tol, pinv, qr
 from .io import _PATH, _read_text, _write_atomic, read_tensor, write_tensor
 from .products import _khatri_rao, mode_product, multi_mode_product, tt_pair_product
 
@@ -430,8 +430,11 @@ def _tucker(x: DenseTensor, ranks: Sequence[int], what: str) -> TuckerModel:
     past the basis's width.
 
     Unfoldings of one shape are factored together, as one stacked Jacobi
-    SVD; each gets the u that svd alone would give it. A NaN or inf entry
-    raises NumericError naming the caller, `what`.
+    SVD that keeps ranks[n] triplets of each: an unfolding whose trailing
+    columns come to be dominated (_jacobi_svd) stops rotating them, and its
+    factor equals svd's leading columns to rounding; any other (every one
+    of hosvd's full ranks) gets the u that svd alone would give it, bit for
+    bit. A NaN or inf entry raises NumericError naming the caller, `what`.
     """
     _check_finite(x, what)
     groups: dict[tuple[int, int], list[int]] = {}
@@ -439,7 +442,7 @@ def _tucker(x: DenseTensor, ranks: Sequence[int], what: str) -> TuckerModel:
         groups.setdefault((extent, x.size // extent), []).append(n)
     factors = [None] * x.order
     for modes in groups.values():
-        u = _jacobi_svd(np.stack([matricize(x, n).to_array() for n in modes]))[0]
+        u = _jacobi_svd(np.stack([matricize(x, n).to_array() for n in modes]), [ranks[n - 1] for n in modes])[0]
         for n, un in zip(modes, u):
             p = ranks[n - 1]
             factors[n - 1] = _from_rev((un[:, :p] if un.shape[1] >= p else _orthonormal_fill(un, p)).T)
@@ -511,6 +514,13 @@ def tt_svd(
     internal bonds; tol drops singular values below it at every split.
     The squared mass of everything dropped accumulates in the returned
     train's discarded_energy.
+
+    With max_ranks and no tol, each split's Jacobi SVD keeps only its cap's
+    worth of triplets: once the trailing columns are dominated it stops
+    rotating them (_jacobi_svd), so the cores equal those of full SVDs to
+    rounding, and discarded_energy, the trailing columns' squared norms,
+    still sums the dropped squared singular values. With tol, or exact,
+    every split is a full svd.
     """
     x = _as_tensor(x, "tt_svd", min_order=2)
     _check_finite(x, "tt_svd")
@@ -527,7 +537,7 @@ def tt_svd(
     for k in range(n - 1):
         rows = bond * x.shape[k]
         mat = fold(vec(remainder), (rows, remainder.size // rows))
-        res = svd(mat)
+        res = _svd(mat, max_ranks[k] if max_ranks is not None and tol is None else None)
         s = res.sigma.data
         if truncating:
             keep = s.size

@@ -1,4 +1,9 @@
-"""Entry-wise arithmetic with broadcasting, reductions, and norms."""
+"""Entry-wise arithmetic with broadcasting, reductions, and norms.
+
+A result that overflows from finite inputs (add of two entries near 1e308,
+a sum, a product of 1e200s) raises NumericError instead of returning inf or
+NaN; non-finite inputs pass through as numpy computes them.
+"""
 
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ from .core import (
     DenseTensor, _as_ints, _as_real, _as_seq, _as_tensor, _check_order, _fmt_shape, _from_rev, _rev, _scale_exponent,
     multi_index
 )
-from .errors import ArgumentError, DivisionError, ShapeError
+from .errors import ArgumentError, DivisionError, NumericError, ShapeError
 
 __all__ = [
     "broadcast_shapes",
@@ -45,6 +50,21 @@ def broadcast_shapes(left: Sequence[int], right: Sequence[int]) -> tuple[int, ..
 _OPS = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.divide}
 
 
+def _finite(what: str, compute, *inputs):
+    """compute(), whose result is non-finite for finite inputs only where it
+    raised numpy's overflow or invalid flag: then NumericError naming `what`
+    if every input is finite, else compute() again with the flags off. So a
+    finite result costs no pass over it."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return compute()
+    except FloatingPointError:
+        if all(np.isfinite(x).all() for x in inputs):
+            raise NumericError(f"{what} result is beyond float range") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        return compute()
+
+
 def _ew(op: str, x: DenseTensor, y: DenseTensor, what: str) -> DenseTensor:
     # On the reversed-shape views (core._rev) the right-padding of
     # broadcast_shapes is numpy's own left-padding broadcast.
@@ -58,7 +78,7 @@ def _ew(op: str, x: DenseTensor, y: DenseTensor, what: str) -> DenseTensor:
             raise DivisionError(f"divisor entry {where} is exactly zero")
     if not isinstance(op, str) or op not in _OPS:
         raise ArgumentError(f"unknown entry-wise op {op!r} (need add|sub|mul|div)")
-    return _from_rev(_OPS[op](_rev(x), _rev(y)))
+    return _from_rev(_finite(what, lambda: _OPS[op](_rev(x), _rev(y)), x.data, y.data))
 
 
 def ew_binary(op: str, x: DenseTensor, y: DenseTensor) -> DenseTensor:
@@ -85,7 +105,8 @@ def divide(x: DenseTensor, y: DenseTensor) -> DenseTensor:
 def scale(a: float, x: DenseTensor) -> DenseTensor:
     """Multiply every entry by the scalar a."""
     x = _as_tensor(x, "scale")
-    return _from_rev(_as_real(a, "scale factor") * _rev(x))
+    a = _as_real(a, "scale factor")
+    return _from_rev(_finite("scale", lambda: a * _rev(x), x.data))
 
 
 def inner(x: DenseTensor, y: DenseTensor) -> float:
@@ -138,7 +159,8 @@ def frobenius_norm(x: DenseTensor) -> float:
 
 
 def sum_all(x: DenseTensor) -> float:
-    return float(_as_tensor(x, "sum_all").data.sum())
+    x = _as_tensor(x, "sum_all")
+    return float(_finite("sum_all", x.data.sum, x.data))
 
 
 def outer(vs: Sequence[DenseTensor]) -> DenseTensor:

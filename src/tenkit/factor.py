@@ -20,6 +20,14 @@ rotated columns, without forming Q. Both kernels work at a power-of-two
 scale; a result beyond float range (a singular value, an entry of R or of
 the pseudo-inverse) raises NumericError. Jacobi is slow for large matrices
 but very accurate at the desk scale this library targets.
+
+A caller that uses only the leading p triplets of a slice (truncated_svd,
+truncated HOSVD, TT-SVD with bond caps) passes p. A sweep that starts with
+the slice's n - p smallest squared column norms summing to at most its p-th
+largest tests only the pairs touching its p largest columns; the trailing
+block is dominated, so once those pairs are orthogonal the p columns are
+the leading triplets, and its own rotations would be thrown away. Where
+that bound never holds, the slice gets the bits of the full sweeps.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -192,7 +201,29 @@ def _round_robin(n: int, stack: int = 1) -> tuple[np.ndarray, ...]:
     return tuple(rounds)
 
 
-def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _top_columns(w: np.ndarray, keep: Sequence[int], top: np.ndarray) -> bool:
+    """Mark in top (n, B) the columns whose pairs a sweep tests; True if some are unmarked.
+
+    w holds the stack's columns as rows, column j of slice i at row j * B + i.
+    A slice that keeps p < n triplets and whose n - p smallest squared column
+    norms sum to at most its p-th largest has only its p largest marked (the
+    first by index among equal norms); every other slice has all n marked.
+    """
+    n, b = top.shape
+    sq = np.einsum("ij,ij->i", w, w).reshape(n, b)
+    top[:] = True
+    for i, p in enumerate(keep):
+        if p < n:
+            order = np.argsort(-sq[:, i], kind="stable")
+            s = sq[order, i]
+            if s[p:].sum() <= s[p - 1]:
+                top[order[p:], i] = False
+    return not top.all()
+
+
+def _jacobi_svd(
+    a: np.ndarray, keep: Sequence[int] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Economy SVD of every slice of a stack a (B, m, n): u (B, m, k),
     sigma (B, k), v (B, n, k) and exp (B,), k = min(m, n). Slice i's
     singular values are sigma[i] * 2**exp[i]; they are left scaled, because
@@ -200,6 +231,18 @@ def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
 
     Each slice gets exactly the numbers it would get alone (B = 1): its own
     scaling, QR step, limit, convergence, dead-column fill and signs.
+
+    keep, if given, holds the number p of leading triplets each slice's
+    caller uses. A sweep that starts with a slice's n - p smallest squared
+    column norms summing to at most its p-th largest tests only the pairs
+    of that slice that touch its p largest columns. When such a sweep
+    rotates nothing, those p columns are orthogonal to each other and to the
+    rest, whose spectral norm is at most their Frobenius norm, so at most
+    the least of the p: they are the leading p triplets, to rounding. The
+    other k - p are the rest's columns, not its singular triplets, though
+    their squared norms still sum to the squared singular values they stand
+    for. A slice whose bound never holds (or p >= k) gets every bit it
+    gets without keep.
     """
     # A wide stack is factored as its transpose. Each slice is laid out
     # column-major, as _reflect needs, so that its numbers (the BLAS calls
@@ -247,9 +290,14 @@ def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     # hit marks the pairs that rotated in the current sweep. A slice with no
     # rotation in a sweep has converged: its rows no longer change, so it
     # sees only identity rotations until a sweep rotates no pair at all.
+    # top marks the columns whose pairs the sweep tests, as rows of stacked
+    # once flattened; a pair that is not tested does not rotate.
     hit = np.zeros(k, dtype=bool)
+    top = np.ones((n, b), dtype=bool)
+    tested = top.reshape(-1)
     for _ in range(_JACOBI_SWEEPS):
         hit[:] = False
+        narrow = keep is not None and _top_columns(stacked[:, :rows_a], keep, top)
         # The pairs of a round are disjoint, so their rotations commute and
         # one array step applies them all, in every slice.
         for pq in _round_robin(n, b):
@@ -262,6 +310,8 @@ def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
             # A pair rotates while |apq| > its slice's limit, or while apq is
             # large relative to the pair's column norms: squared, one test.
             rotate = apq * apq > np.minimum(row_limit2, rel2 * app * aqq)
+            if narrow:
+                rotate &= tested[pq[:k]] | tested[pq[k:]]
             if not np.count_nonzero(rotate):
                 continue
             hit |= rotate
@@ -284,10 +334,11 @@ def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     for i in range(b):
         w = wv[:, i, :rows_a]
         if moved[i]:
-            # The last sweep still rotated; verify the Gram matrix directly.
-            # q has orthonormal columns, so q @ W has the Gram matrix of W.
+            # The last sweep still rotated; verify the Gram matrix directly,
+            # on the rows of the columns that sweep tested. q has orthonormal
+            # columns, so q @ W has the Gram matrix of W.
             gram = w @ w.T
-            off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))))
+            off = float(np.max(np.abs(gram - np.diag(np.diag(gram)))[top[:, i]]))
             if off > limit[i]:
                 on_slice = f" on slice {i + 1} of {b}" if b > 1 else ""
                 on_r = "" if refl is None else f" (on the {n}x{n} R of a {m}x{n} input)"
@@ -319,29 +370,40 @@ def _jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.n
     return (v, sigma, u, exp) if wide else (u, sigma, v, exp)
 
 
-def _svd_at_scale(m: DenseTensor, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _svd_at_scale(
+    m: DenseTensor, what: str, keep: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """u (I, K) and v (J, K), column-major as svd returns them, and the
     singular values of m as sigma * 2**e: sigma and e, so that a caller can
     use them where m's own singular values lie beyond float range. A NaN or
-    inf entry raises NumericError naming the caller, `what`."""
+    inf entry raises NumericError naming the caller, `what`. keep, if given,
+    is the number of leading triplets the caller uses (_jacobi_svd)."""
     _check_finite(m, what)
-    u, sigma, v, exp = _jacobi_svd(m.to_array()[None])
+    u, sigma, v, exp = _jacobi_svd(m.to_array()[None], None if keep is None else [keep])
     return np.asfortranarray(u[0]), sigma[0], np.asfortranarray(v[0]), int(exp[0])
 
 
-def svd(m: DenseTensor) -> SVDResult:
-    """Economy SVD of any matrix: m = u @ diag(sigma) @ v.T, K = min(I, J)."""
-    m = _as_tensor(m, "svd", 2)
-    u, s, v, e = _svd_at_scale(m, "svd")
+def _svd(m: DenseTensor, keep: int | None = None) -> SVDResult:
+    """svd of a checked matrix, keeping keep triplets if given (_jacobi_svd)."""
+    u, s, v, e = _svd_at_scale(m, "svd", keep)
     sigma = _unscale(s, e, "svd singular values are")
     return SVDResult(_from_rev(u.T), DenseTensor(sigma.shape, sigma), _from_rev(v.T))
 
 
+def svd(m: DenseTensor) -> SVDResult:
+    """Economy SVD of any matrix: m = u @ diag(sigma) @ v.T, K = min(I, J)."""
+    return _svd(_as_tensor(m, "svd", 2))
+
+
 def truncated_svd(m: DenseTensor, k: int) -> SVDResult:
-    """Leading-k SVD triples (the best rank-k approximation)."""
+    """Leading-k SVD triples (the best rank-k approximation).
+
+    The Jacobi sweeps stop rotating the trailing columns once their squared
+    norms sum to at most the k-th largest, so the result equals svd's
+    leading k triples to rounding, not bit for bit, once that holds."""
     m = _as_tensor(m, "truncated_svd", 2)
     k = _as_int(k, f"target rank for shape {_fmt_shape(m.shape)}", 1, min(m.shape))
-    full = svd(m)
+    full = _svd(m, k)
     # The rows of a matrix's reversed view are its columns, so the leading k are contiguous.
     u, v = (_from_rev(_rev(f)[:k]) for f in (full.u, full.v))
     return SVDResult(u, DenseTensor((k,), full.sigma.data[:k]), v)

@@ -507,7 +507,7 @@ _TN_TOKEN_RE = re.compile(
 )
 
 
-_TN_CUT_RE = re.compile(r"[\[\],=;@]")
+_TN_CUTS = ";[],=@"
 _TN_VALUE_RE = re.compile(r"[^ \t]+")
 
 
@@ -515,9 +515,10 @@ def _tn_tokens(text: str):
     """Token stream of (kind, text, line, col) split into statements.
 
     The values after a "] =" are split in bulk: the line up to the next
-    character of "[],=;@" becomes one ("run", (values, segment), line, col)
-    item when space and tab are its only whitespace, and _expand_runs
-    gives back the word tokens it stands for."""
+    character of _TN_CUTS becomes one ("run", (values, segment), line, col)
+    item when it is ASCII with space and tab its only whitespace, and
+    _expand_runs gives back the word tokens it stands for; any other
+    segment is read token by token, which gives the same tokens."""
     statements = []
     current = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -538,13 +539,21 @@ def _tn_tokens(text: str):
                 continue
             current.append(tok)
             if tok[1] == "=" and len(current) > 1 and current[-2][1] == "]":
-                cut = _TN_CUT_RE.search(line, pos)
-                end = cut.start() if cut else len(line)
+                # Each find stops at the earliest cut so far, and ";" comes
+                # first, so a line of many statements is scanned once.
+                end = len(line)
+                for cut in _TN_CUTS:
+                    at = line.find(cut, pos, end)
+                    if at >= 0:
+                        end = at
                 segment = line[pos:end]
-                values = segment.split()
-                if values and len("".join(values)) + segment.count(" ") + segment.count("\t") == len(segment):
-                    current.append(("run", (values, segment), lineno, pos + 1))
-                    pos = end
+                # Inside an ASCII line from splitlines, "\x1f" is the only
+                # whitespace of str.split besides space and tab.
+                if segment.isascii() and "\x1f" not in segment:
+                    values = segment.split()
+                    if values:
+                        current.append(("run", (values, segment), lineno, pos + 1))
+                        pos = end
         if current:
             statements.append(current)
             current = []

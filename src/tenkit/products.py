@@ -24,6 +24,7 @@ import numpy as np
 
 from .core import DenseTensor, _as_int, _as_ints, _as_seq, _as_tensor, _check_order, _fmt_shape, _from_rev, _rev
 from .core import element_count
+from .elementwise import _finite
 from .errors import ArgumentError, ShapeError
 
 __all__ = [
@@ -58,7 +59,7 @@ def kronecker(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     a = _as_tensor(a, "kronecker", 2)
     b = _as_tensor(b, "kronecker", 2)
     # kron(A, B)^T = kron(A^T, B^T), and _rev of a matrix is its transpose.
-    return _from_rev(np.kron(_rev(a), _rev(b)))
+    return _from_rev(_finite("kronecker", lambda: np.kron(_rev(a), _rev(b)), a.data, b.data))
 
 
 def _khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Shared oracles and generators, independent of the library's own index math."""
+"""Shared oracles and generators, independent of the library's own index math, and test spies."""
 
 import itertools
 import math
@@ -210,6 +210,20 @@ def planted_tt_train(rng, extents, bonds):
                 break
         if ok:
             return train, x
+
+
+def narrow_spy(monkeypatch):
+    """Record, sweep by sweep, whether the Jacobi kernel tested only some
+    pairs (the truncated path of factor._jacobi_svd)."""
+    seen = []
+    real = tk.factor._top_columns
+
+    def spy(w, keep, top):
+        seen.append(real(w, keep, top))
+        return seen[-1]
+
+    monkeypatch.setattr(tk.factor, "_top_columns", spy)
+    return seen
 
 
 def exhaustive_plan_oracle(net):

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 import tenkit as tk
-from tenkit import decomp
+from tenkit import decomp, factor
 from tenkit import ArgumentError, ModelError, ShapeError
 
 from helpers import (
+    narrow_spy,
     numpy_cp_als_trace,
     planted_cp_factors,
     planted_tt_train,
@@ -1055,3 +1056,132 @@ def test_model_dir_corrupt_manifest(tmp_path):
         tk.read_model(path)
     with pytest.raises(ModelError):
         tk.read_model(tmp_path / "does-not-exist")
+
+
+# --- truncating decompositions on the truncated Jacobi path -----------------
+
+
+
+def _unfold(a, n):
+    """Mode-n unfolding of a natural-shape array, up to a column order
+    (which changes no left singular vector)."""
+    return np.moveaxis(a, n, 0).reshape(a.shape[n], -1)
+
+
+def _leading_u(a, p):
+    return np.linalg.svd(a, full_matrices=False)[0][:, :p]
+
+
+def _same_up_to_sign(f, u):
+    return np.abs(f - u * np.sign((f * u).sum(axis=0))).max()
+
+
+def test_truncated_hosvd_of_a_planted_tucker_matches_numpy(monkeypatch):
+    rng = np.random.default_rng(50)
+    # Ranks 3 and 4 planted in modes 1 and 3 of a cube, under noise; mode 2
+    # is full (its 12 x 12 core unfolding is random), so its bound never
+    # holds. The three unfoldings are one stacked group, kept at 3, 4 and 4.
+    core = rng.standard_normal((3, 12, 4))
+    factors = [np.linalg.qr(rng.standard_normal((12, r)))[0] for r in core.shape]
+    a = np.einsum("abc,ia,jb,kc->ijk", core, *factors) + 1e-7 * rng.standard_normal((12, 12, 12))
+    x = tk.DenseTensor.from_array(a)
+    narrow = narrow_spy(monkeypatch)
+    model = tk.truncated_hosvd(x, (3, 4, 4))
+    assert any(narrow)
+    for n, p in enumerate((3, 4, 4)):
+        f = model.factors[n].to_array()
+        assert f.shape == (12, p)
+        assert _same_up_to_sign(f, _leading_u(_unfold(a, n), p)) <= 1e-12
+        assert np.abs(f.T @ f - np.eye(p)).max() <= 1e-12
+    # The full mode takes the plain path: the leading columns of svd's u.
+    assert model.factors[1].to_array().tobytes() == tk.svd(tk.matricize(x, 2)).u.to_array()[:, :4].tobytes()
+    want_core = np.einsum("ijk,ia,jb,kc->abc", a, *(f.to_array() for f in model.factors))
+    assert np.abs(model.core.to_array() - want_core).max() <= 1e-12 * np.abs(want_core).max()
+
+
+def _numpy_tt_svd(a, caps):
+    """TT-SVD of a natural-shape array by numpy's SVD: its cores, in the
+    column-major storage order, and its discarded squared singular values."""
+    cores, rem, bond, energy = [], a.reshape(-1, order="F"), 1, 0.0
+    for k, cap in enumerate(caps):
+        u, s, vt = np.linalg.svd(rem.reshape(bond * a.shape[k], -1, order="F"), full_matrices=False)
+        energy += float((s[cap:] ** 2).sum())
+        cores.append(u[:, :cap].reshape(bond, a.shape[k], cap, order="F"))
+        rem, bond = s[:cap, None] * vt[:cap], cap
+    cores.append(rem.reshape(bond, a.shape[-1], 1, order="F"))
+    return cores, energy
+
+
+def _chain(cores):
+    full = cores[0]
+    for c in cores[1:]:
+        full = np.tensordot(full, c, axes=(-1, 0))
+    return full[0, ..., 0]
+
+
+def test_capped_tt_svd_of_a_planted_train_matches_numpy(monkeypatch):
+    rng = np.random.default_rng(51)
+    train, _ = planted_tt_train(rng, (6, 5, 4, 6), (1, 2, 3, 2, 1))
+    a = _chain([c.to_array() for c in train.cores])
+    a = a + 1e-6 * np.abs(a).max() * rng.standard_normal(a.shape)
+    narrow = narrow_spy(monkeypatch)
+    got = tk.tt_svd(tk.DenseTensor.from_array(a), max_ranks=[2, 3, 2])
+    assert any(narrow)
+    assert got.bond_ranks == (1, 2, 3, 2, 1)
+    cores, energy = _numpy_tt_svd(a, (2, 3, 2))
+    # The first core is the leading left singular basis of the first unfolding.
+    g1 = got.cores[0].to_array().reshape(6, 2)
+    assert _same_up_to_sign(g1, cores[0].reshape(6, 2)) <= 1e-12
+    for c in got.cores[:-1]:
+        r0, i, r1 = c.shape
+        left = c.to_array().reshape(r0 * i, r1, order="F")
+        assert np.abs(left.T @ left - np.eye(r1)).max() <= 1e-12
+    # Each split's signs are its own, so the trains are compared whole.
+    want = _chain(cores)
+    assert np.abs(_chain([c.to_array() for c in got.cores]) - want).max() <= 1e-12 * np.abs(want).max()
+    sigma1 = np.linalg.norm(a)
+    assert abs(got.discarded_energy - energy) <= 1e-14 * sigma1 * np.sqrt(energy)
+    assert energy > 0.0
+
+
+def test_tt_svd_with_caps_and_tol_runs_full_svds(monkeypatch):
+    rng = np.random.default_rng(52)
+    _, x = planted_tt_train(rng, (6, 5, 4, 6), (1, 2, 3, 2, 1))
+    x = tk.DenseTensor.from_array(x.to_array() + 1e-9 * rng.standard_normal(x.shape))
+    narrow = narrow_spy(monkeypatch)
+    tk.tt_svd(x, max_ranks=[2, 3, 2])
+    assert any(narrow)
+    del narrow[:]
+    got = tk.tt_svd(x, max_ranks=[2, 3, 2], tol=1e-12)
+    assert narrow == []
+    # The same split, with every svd the full one.
+    monkeypatch.setattr(decomp, "_svd", lambda m, keep=None: factor._svd(m))
+    want = tk.tt_svd(x, max_ranks=[2, 3, 2], tol=1e-12)
+    assert got.bond_ranks == want.bond_ranks == (1, 2, 3, 2, 1)
+    assert all(g.to_array().tobytes() == w.to_array().tobytes() for g, w in zip(got.cores, want.cores))
+    assert got.discarded_energy == want.discarded_energy
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: tk.hosvd(tk.DenseTensor.from_array(np.arange(1.0, 61.0).reshape(3, 4, 5) ** 0.5)),
+        lambda: tk.tt_svd(tk.DenseTensor.from_array(np.arange(1.0, 61.0).reshape(3, 4, 5) ** 0.5)),
+        lambda: tk.tt_svd(tk.DenseTensor.from_array(np.arange(1.0, 61.0).reshape(3, 4, 5) ** 0.5), tol=1e-3),
+        lambda: tk.cp_als(_RANK_ONE, 2, seed=0),
+    ],
+    ids=["hosvd", "tt_svd_exact", "tt_svd_tol", "cp_als_pinv"],
+)
+def test_full_decompositions_never_narrow_the_sweeps(call, monkeypatch):
+    narrow = narrow_spy(monkeypatch)
+    calls = []
+    real = factor._jacobi_svd
+
+    def spy(a, keep=None):
+        calls.append(keep)
+        return real(a, keep)
+
+    monkeypatch.setattr(factor, "_jacobi_svd", spy)
+    monkeypatch.setattr(decomp, "_jacobi_svd", spy)
+    call()
+    assert calls and not any(narrow)

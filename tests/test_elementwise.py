@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import tenkit as tk
-from tenkit import ArgumentError, DivisionError, ShapeError
+from tenkit import ArgumentError, DivisionError, NumericError, ShapeError
 
 from helpers import enumerate_indices, rand_tensor
 
@@ -286,3 +286,47 @@ def test_ew_binary_with_order_zero_operands(op):
 def test_division_by_an_order_zero_zero():
     with pytest.raises(DivisionError, match=r"^divisor entry \(\) is exactly zero$"):
         tk.divide(tk.all_ones((2,)), tk.DenseTensor((), [0.0]))
+
+
+_NEAR_MAX = tk.DenseTensor((2, 2), [1e308, -1.0, 2.0, 1e308])
+_TINY = tk.DenseTensor((2, 2), [1e-10, 1.0, 1.0, 1.0])
+_E200 = tk.DenseTensor((1, 2), [1e200, 3.0])
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("add", lambda: tk.add(_NEAR_MAX, _NEAR_MAX)),
+        ("subtract", lambda: tk.subtract(_NEAR_MAX, tk.scale(-1.0, _NEAR_MAX))),
+        ("multiply", lambda: tk.multiply(_E200, _E200)),
+        ("divide", lambda: tk.divide(_NEAR_MAX, _TINY)),
+        ("ew_binary", lambda: tk.ew_binary("mul", _NEAR_MAX, tk.DenseTensor((), [10.0]))),
+        ("scale", lambda: tk.scale(10.0, _NEAR_MAX)),
+        ("sum_all", lambda: tk.sum_all(_NEAR_MAX)),
+        ("kronecker", lambda: tk.kronecker(_E200, _E200)),
+    ],
+)
+def test_finite_inputs_that_overflow_raise(name, call):
+    # Under the suite's RuntimeWarning filter a numpy overflow warning would
+    # surface first, so this also shows that none is raised.
+    with pytest.raises(NumericError, match=rf"^{name} result is beyond float range$"):
+        call()
+
+
+def test_sum_all_that_overflows_midway_to_nan_raises():
+    # numpy's pairwise summation adds the first two and the next two
+    # entries apart and then meets inf + -inf: finite inputs, a NaN result.
+    x = tk.DenseTensor((8,), [1e308, 1e308, -1e308, -1e308, 0.0, 0.0, 0.0, 0.0])
+    with pytest.raises(NumericError, match="^sum_all result is beyond float range$"):
+        tk.sum_all(x)
+
+
+def test_non_finite_inputs_pass_through_entry_wise_ops():
+    x = tk.DenseTensor((3,), [math.inf, -math.inf, math.nan])
+    got = tk.add(x, tk.DenseTensor((3,), [-math.inf, 1.0, 1.0]))
+    assert np.isnan(got.data[0]) and got.data[1] == -math.inf and np.isnan(got.data[2])
+    assert np.isnan(tk.sum_all(x))
+    assert tk.scale(2.0, x).data[0] == math.inf
+    assert tk.kronecker(tk.DenseTensor((1, 1), [math.inf]), tk.DenseTensor((1, 1), [2.0])).data[0] == math.inf
+    # A result near the top of the range, but finite, is returned as is.
+    assert tk.sum_all(tk.DenseTensor((2,), [1e308, 7e307])) == 1.7e308

@@ -7,7 +7,7 @@ import tenkit as tk
 from tenkit import ArgumentError, NumericError, ShapeError
 from tenkit import factor
 
-from helpers import rand_tensor, sym3_eigvals
+from helpers import narrow_spy, rand_tensor, sym3_eigvals
 
 
 def test_qr_random_residual_and_invariants():
@@ -420,3 +420,137 @@ def test_round_robin_of_a_stack_lists_each_columns_rows_together(n):
     # Column j of matrix i of a stack of 3 is row 3 * j + i.
     for pq, rows in zip(factor._round_robin(n), factor._round_robin(n, 3)):
         assert rows.tolist() == [3 * j + i for j in pq.tolist() for i in range(3)]
+
+
+# --- the truncated Jacobi path ---------------------------------------------
+
+
+def _planted_spectrum(rng, shape, sigmas, noise):
+    """A matrix with leading singular values near sigmas plus noise * a
+    standard normal matrix; bases from numpy's QR."""
+    k = len(sigmas)
+    u = np.linalg.qr(rng.standard_normal((shape[0], k)))[0]
+    v = np.linalg.qr(rng.standard_normal((shape[1], k)))[0]
+    return u * np.asarray(sigmas) @ v.T + noise * rng.standard_normal(shape)
+
+
+
+def _assert_leading_triplets(u, s, v, a, k, tol=1e-12):
+    """u (m, k), s (k,), v (n, k) against numpy's SVD of a: sigma relative
+    to sigma_1, the columns up to sign, and orthonormality."""
+    nu, ns, nvt = np.linalg.svd(a, full_matrices=False)
+    assert np.abs(s[:k] - ns[:k]).max() <= tol * ns[0]
+    signs = np.sign((u[:, :k] * nu[:, :k]).sum(axis=0))
+    assert np.abs(u[:, :k] - nu[:, :k] * signs).max() <= tol
+    assert np.abs(v[:, :k] - nvt[:k].T * signs).max() <= tol
+    for f in (u[:, :k], v[:, :k]):
+        assert np.abs(f.T @ f - np.eye(k)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(30, 12), (12, 30), (80, 16)], ids=["30x12", "12x30", "80x16_on_r"])
+def test_truncated_svd_of_planted_low_rank_matches_numpy(shape, monkeypatch):
+    narrow = narrow_spy(monkeypatch)
+    a = _planted_spectrum(np.random.default_rng(40), shape, [9.0, 5.0, 3.0], 1e-6)
+    res = tk.truncated_svd(tk.DenseTensor.from_array(a), 3)
+    assert any(narrow)
+    _assert_leading_triplets(res.u.to_array(), res.sigma.data, res.v.to_array(), a, 3)
+
+
+def test_truncated_jacobi_stops_rotating_the_dominated_block(monkeypatch):
+    narrow = narrow_spy(monkeypatch)
+    a = _planted_spectrum(np.random.default_rng(41), (24, 24), [8.0, 4.0, 2.0, 1.0], 1e-6)
+    full = factor._jacobi_svd(a[None])
+    assert narrow == []
+    # keep >= n is the plain path, bit for bit, one bound test per sweep.
+    assert all(_same_bits(x, y) for x, y in zip(factor._jacobi_svd(a[None], [24]), full))
+    sweeps = len(narrow)
+    assert not any(narrow)
+    del narrow[:]
+    u, s, v, exp = factor._jacobi_svd(a[None], [4])
+    # Fewer sweeps, the last of them testing only the pairs that touch the
+    # four leading columns.
+    assert len(narrow) < sweeps and narrow[-1]
+    _assert_leading_triplets(u[0], np.ldexp(s[0], exp[0]), v[0], a, 4)
+    assert np.abs(u[0, :, :4] - full[0][0, :, :4]).max() <= 1e-12
+    # The trailing columns are not rotated to singular vectors, but their
+    # squared norms still sum to the trailing squared singular values, to
+    # rounding at the scale of sigma_1.
+    ns = np.linalg.svd(a, compute_uv=False)
+    tail2 = float((ns[4:] ** 2).sum())
+    assert abs(float((np.ldexp(s[0, 4:], exp[0]) ** 2).sum()) - tail2) <= 1e-14 * ns[0] * math.sqrt(tail2)
+
+
+def test_stacked_truncated_jacobi_keeps_each_slices_own_count(monkeypatch):
+    rng = np.random.default_rng(42)
+    slices = [
+        _planted_spectrum(rng, (20, 14), [6.0, 3.0], 1e-7),
+        _planted_spectrum(rng, (20, 14), [5.0, 4.0, 2.0, 1.0, 0.5], 1e-7),
+        rng.standard_normal((20, 14)),
+    ]
+    keep = [2, 5, 3]
+    narrow = narrow_spy(monkeypatch)
+    u, s, v, exp = factor._jacobi_svd(np.stack(slices), keep)
+    assert any(narrow)
+    for i, (a, p) in enumerate(zip(slices, keep)):
+        one = factor._jacobi_svd(a[None], [p])
+        assert all(_same_bits(x[i], y[0]) for x, y in zip((u, s, v, exp), one))
+        _assert_leading_triplets(u[i], np.ldexp(s[i], exp[i]), v[i], a, p)
+    # The random slice's bound never holds: it gets the bits of svd.
+    plain = tk.svd(tk.DenseTensor.from_array(slices[2]))
+    assert _same_bits(u[2], plain.u.to_array()) and _same_bits(v[2], plain.v.to_array())
+
+
+def test_truncated_jacobi_resumes_full_sweeps_when_the_bound_breaks(monkeypatch):
+    # Columns x and x + 0.01 y lead, two correlated columns of squared norm
+    # 0.1 trail, with keep 2: the bound holds for the first sweep (0.2 <= 1),
+    # whose rotation of the two leading columns leaves one of squared norm
+    # about 5e-5. Then the trailing pair is no longer dominated, and the
+    # full sweeps must resume to find the second singular value, 0.1 (1 +
+    # cos 1) in square, in that pair.
+    a = np.zeros((6, 4))
+    a[0, :2] = 1.0
+    a[1, 1] = 0.01
+    a[2, 2] = math.sqrt(0.1)
+    a[2:4, 3] = math.sqrt(0.1) * np.array([math.cos(1.0), math.sin(1.0)])
+    narrow = narrow_spy(monkeypatch)
+    res = tk.truncated_svd(tk.DenseTensor.from_array(a), 2)
+    assert narrow[:2] == [True, False]
+    _assert_leading_triplets(res.u.to_array(), res.sigma.data, res.v.to_array(), a, 2)
+    assert abs(res.sigma.data[1] ** 2 - 0.1 * (1.0 + math.cos(1.0))) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: tk.svd(m),
+        lambda m: tk.pinv(m),
+        lambda m: tk.numerical_rank(m),
+        lambda m: tk.truncated_svd(m, min(m.shape)),
+    ],
+    ids=["svd", "pinv", "numerical_rank", "truncated_svd_full"],
+)
+def test_full_svd_callers_never_narrow_the_sweeps(call, monkeypatch):
+    narrow = narrow_spy(monkeypatch)
+    call(tk.DenseTensor.from_array(_planted_spectrum(np.random.default_rng(43), (20, 12), [4.0, 2.0], 1e-9)))
+    assert not any(narrow)
+
+
+def test_truncated_jacobi_verifies_only_the_tested_pairs_when_sweeps_run_out(monkeypatch):
+    # The leading column and a column of norm 1e-10 have a Gram entry of
+    # 1e-16: below the absolute limit but large for their norms, so that pair
+    # still rotates in the one sweep allowed, and the Gram matrix is checked.
+    # The three correlated trailing columns are dominated (0.3 <= 1) and are
+    # never rotated; only the leading column's pairs are checked.
+    monkeypatch.setattr(factor, "_JACOBI_SWEEPS", 1)
+    a = np.zeros((8, 5))
+    a[0, 0] = 1.0
+    a[0, 1] = 1e-16
+    a[7, 1] = 1e-10
+    t = np.array([[3.0, 1.0, 2.0], [1.0, 2.0, 1.0], [2.0, 1.0, 3.0]])
+    a[2:5, 2:5] = math.sqrt(0.1) * t / np.linalg.norm(t, axis=0)
+    narrow = narrow_spy(monkeypatch)
+    u, s, v, exp = factor._jacobi_svd(a[None], [1])
+    assert narrow == [True] and v[0, 1, 0] != 0.0
+    _assert_leading_triplets(u[0], np.ldexp(s[0], exp[0]), v[0], a, 1)
+    with pytest.raises(NumericError, match="did not converge in 1 sweeps"):
+        factor._jacobi_svd(a[None])

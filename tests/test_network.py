@@ -195,6 +195,12 @@ TN_CORPUS = [
     "node A [i=2] = 1 2\x0c3\noutput [i]",
     "node A [i=2] = 1 2\u2003\noutput [i]",
     "foo\nnode A [i=2] = 1\xa02\noutput [i]",
+    # "\x1f", the one other str.split whitespace an ASCII line can hold, and
+    # a non-ASCII run without whitespace, which is read token by token
+    "node A [i=2] = 1\x1f2\noutput [i]",
+    "node A [i=2] = 1 2\x1f\noutput [i]",
+    "node A [i=2] = 1 2\u00e9\noutput [i]",
+    "node A [i=2] = \u00e9 2; output [i]",
     # empty runs and statements that fail before their values
     "node A [i=2] =\noutput [i]",
     "node A [i=2] = \t \noutput [i]",
