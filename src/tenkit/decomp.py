@@ -22,7 +22,7 @@ from .core import DenseTensor, _as_int, _as_ints, _as_seq, _as_tensor, _as_tol, 
 from .core import _as_instance, _scale_exponent, matricize, permute, subtensor, vec
 from .elementwise import frobenius_norm
 from .errors import ArgumentError, ModelError, NumericError, ParseError
-from .factor import _check_finite, _householder, _jacobi_svd, _orthonormal_fill, _svd, default_rank_tol, pinv, qr
+from .factor import _check_finite, _householder, _jacobi_svd, _orthonormal_fill, _pinv_stack, _svd, default_rank_tol, qr
 from .io import _PATH, _read_text, _write_atomic, read_tensor, write_tensor
 from .products import _khatri_rao, mode_product, multi_mode_product, tt_pair_product
 
@@ -207,8 +207,9 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     the stack is solved by _solve_lu, which costs less than two triangular
     solves through numpy's wrappers. When some gram is rank-deficient
     (Cholesky fails, or it passes on a tiny positive pivot and LU meets an
-    exact zero), every slice is solved on its own, so only the failing ones
-    fall back to the SVD pseudo-inverse. cp_als calls this only once the
+    exact zero), every slice is tested and solved on its own, and the
+    failing ones fall back to the SVD pseudo-inverse, all of them in one
+    stacked call with the bits each gets alone. cp_als calls this only once the
     stacked rank test of a block of sweeps, or an LU solve in it, has
     failed: from the block's first sweep, replayed, to the end of the fit.
     The block's sweeps before the failing one pass this test too and get
@@ -219,9 +220,20 @@ def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         np.linalg.cholesky(gram)
         return _solve_lu(gram, rhs)
     except np.linalg.LinAlgError:
-        if gram.ndim > 2:
-            return np.stack([_solve_gram(g, b) for g, b in zip(gram, rhs)])
-        return rhs @ pinv(_from_rev(gram.T)).to_array()
+        pass
+    grams = gram.reshape(-1, *gram.shape[-2:])
+    rhss = rhs.reshape(-1, *rhs.shape[-2:])
+    out = np.empty(rhss.shape)
+    deficient = []
+    for k, (g, b) in enumerate(zip(grams, rhss)):
+        try:
+            np.linalg.cholesky(g)
+            out[k] = _solve_lu(g, b)
+        except np.linalg.LinAlgError:
+            deficient.append(k)
+    for k, p in zip(deficient, _pinv_stack(grams[deficient])):
+        out[k] = rhss[k] @ p
+    return out.reshape(rhs.shape)
 
 
 def cp_als(
@@ -436,7 +448,7 @@ def _tucker(x: DenseTensor, ranks: Sequence[int], what: str) -> TuckerModel:
     of hosvd's full ranks) gets the u that svd alone would give it, bit for
     bit. A NaN or inf entry raises NumericError naming the caller, `what`.
     """
-    _check_finite(x, what)
+    _check_finite(x.data, what)
     groups: dict[tuple[int, int], list[int]] = {}
     for n, extent in enumerate(x.shape, start=1):
         groups.setdefault((extent, x.size // extent), []).append(n)
@@ -523,7 +535,7 @@ def tt_svd(
     every split is a full svd.
     """
     x = _as_tensor(x, "tt_svd", min_order=2)
-    _check_finite(x, "tt_svd")
+    _check_finite(x.data, "tt_svd")
     if tol is not None:
         tol = _as_tol(tol)
     n = x.order
@@ -569,7 +581,7 @@ def tt_orthogonalize(t: TTTrain, pivot: int) -> TTTrain:
     n = len(t.cores)
     pivot = _as_int(pivot, "pivot", 1, n)
     for core in t.cores:
-        _check_finite(core, "tt_orthogonalize")
+        _check_finite(core.data, "tt_orthogonalize")
     cores = list(t.cores)
     # A numpy matrix m is the tensor _from_rev(m.T).
     for k in range(pivot - 1):

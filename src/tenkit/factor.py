@@ -145,15 +145,15 @@ def _householder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _q_times(vs, np.diag(signs)), np.triu(r * signs[:, None])
 
 
-def _check_finite(m: DenseTensor, what: str) -> None:
-    if not np.isfinite(m.data).all():
+def _check_finite(a: np.ndarray, what: str) -> None:
+    if not np.isfinite(a).all():
         raise NumericError(f"{what} input has non-finite entries (nan or inf)")
 
 
 def qr(m: DenseTensor) -> QRResult:
     """QR of a tall (or square) matrix; wide inputs are rejected."""
     m = _as_tensor(m, "qr", 2)
-    _check_finite(m, "qr")
+    _check_finite(m.data, "qr")
     if m.shape[0] < m.shape[1]:
         raise ShapeError(f"qr needs a tall matrix, got {_fmt_shape(m.shape)}; transpose first")
     q, r = _householder(m.to_array())
@@ -378,7 +378,7 @@ def _svd_at_scale(
     use them where m's own singular values lie beyond float range. A NaN or
     inf entry raises NumericError naming the caller, `what`. keep, if given,
     is the number of leading triplets the caller uses (_jacobi_svd)."""
-    _check_finite(m, what)
+    _check_finite(m.data, what)
     u, sigma, v, exp = _jacobi_svd(m.to_array()[None], None if keep is None else [keep])
     return np.asfortranarray(u[0]), sigma[0], np.asfortranarray(v[0]), int(exp[0])
 
@@ -409,9 +409,11 @@ def truncated_svd(m: DenseTensor, k: int) -> SVDResult:
     return SVDResult(u, DenseTensor((k,), full.sigma.data[:k]), v)
 
 
-def default_rank_tol(sigma: np.ndarray, rows: int, cols: int) -> float:
-    """Relative threshold replacing the exact-zero rank test in floating point."""
-    return float(sigma[0]) * max(rows, cols) * _EPS
+def default_rank_tol(sigma: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Relative threshold replacing the exact-zero rank test in floating point,
+    for the nonincreasing singular values (..., k) of a rows x cols matrix or
+    of each matrix of a stack: shape (..., 1)."""
+    return sigma[..., :1] * max(rows, cols) * _EPS
 
 
 def numerical_rank(m: DenseTensor, tol: float | None = None) -> int:
@@ -431,9 +433,21 @@ def numerical_rank(m: DenseTensor, tol: float | None = None) -> int:
 def pinv(m: DenseTensor) -> DenseTensor:
     """Moore-Penrose pseudo-inverse via the SVD, zeroing sub-threshold sigmas."""
     m = _as_tensor(m, "pinv", 2)
-    u, s, v, e = _svd_at_scale(m, "pinv")
-    # At the svd's scale max|m| is in [0.5, 1), so no kept 1 / s overflows;
-    # the product is scaled back by the same power of two.
-    keep = s > default_rank_tol(s, m.shape[0], m.shape[1])
+    return _from_rev(_pinv_stack(m.to_array()[None])[0].T)
+
+
+def _pinv_stack(a: np.ndarray) -> np.ndarray:
+    """pinv of every slice of a stack a (B, m, n), as a (B, n, m) stack of
+    column-major slices; each slice gets the bits pinv gives it alone, from
+    one stacked _jacobi_svd."""
+    _check_finite(a, "pinv")
+    u, s, v, e = _jacobi_svd(a)
+    # At the svd's scale max|a| is in [0.5, 1), so no kept 1 / s overflows;
+    # each product is scaled back by its slice's power of two.
+    keep = s > default_rank_tol(s, *a.shape[1:])
     inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    return _from_rev(_unscale(v @ (inv[:, None] * u.T), -e, "pinv entries are").T)
+    out = []
+    for ui, vi, wi, ei in zip(u, v, inv, e.tolist()):
+        p = np.asfortranarray(vi) @ (wi[:, None] * np.asfortranarray(ui).T)
+        out.append(_unscale(p, -ei, "pinv entries are").T)
+    return np.stack(out).transpose(0, 2, 1)

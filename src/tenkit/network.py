@@ -34,7 +34,7 @@ import numpy as np
 from .core import DenseTensor, _as_instance, _as_seq, permute
 from .errors import ArgumentError, NumericError, ParseError, PlanError
 from .io import _PATH, _format_rows, _parse_floats, read_tensor
-from .products import _pair_gemm
+from .products import _gemm_copies, _pair_gemm
 
 __all__ = [
     "TensorNetwork",
@@ -184,12 +184,17 @@ def pair_cost(net: TensorNetwork, a: str, b: str) -> int:
 
 
 def _replay(net: TensorNetwork, steps: Sequence[tuple[str, str]], tensors: bool = False):
-    """Validate and replay steps; return (step_costs, peak_intermediate, (labels, tensor))
-    of the node left. Tensors are contracted only if `tensors` is set, else they are None.
+    """Validate and replay steps. Without `tensors`, return the step costs
+    and the peak intermediate's element count, which plan reports; with it,
+    contract the tensors and return (labels, tensor) of the node left.
 
     Each step puts first the operand that holds the earliest output label
-    (an operand with none ranks last; a tie keeps the plan's order), so the
-    node left is in output order unless the plan interleaves it."""
+    (an operand with none ranks last; a tie keeps the plan's order). When
+    the output is one last operand's free labels followed by the other's,
+    the last GEMM takes each operand's free labels in output order, in the
+    copy that makes its matrix, so the node left is in output order. An
+    operand that GEMM would not copy otherwise is reordered only when it
+    holds fewer entries than the result."""
     state = {name: (net.labels(name), net.tensor(name) if tensors else None) for name in net.node_names}
     rank = {label: k for k, label in enumerate(net.output)}
 
@@ -210,16 +215,41 @@ def _replay(net: TensorNetwork, steps: Sequence[tuple[str, str]], tensors: bool 
         rest_b = tuple(l for l in lb if l not in shared)
         swap = first(lb) < first(la)
         merged = rest_b + rest_a if swap else rest_a + rest_b
-        costs.append(_checked_product(net.extent(l) for l in la + rest_b))
-        peak_inter = max(peak_inter, _checked_product(net.extent(l) for l in merged))
         if tensors:
-            ta = _pair_gemm(ta, tb, [la.index(l) + 1 for l in shared], [lb.index(l) + 1 for l in shared], swap)
+            ns = [la.index(l) + 1 for l in shared]
+            ms = [lb.index(l) + 1 for l in shared]
+            if len(state) == 2:  # the last step
+                want_a = tuple(l for l in net.output if l in rest_a)
+                want_b = tuple(l for l in net.output if l in rest_b)
+                size = math.prod(net.extent(l) for l in merged)
+                if (
+                    net.output == (want_b + want_a if swap else want_a + want_b)
+                    and _cheap_reorder(ta, la, rest_a, want_a, ns, size)
+                    and _cheap_reorder(tb, lb, rest_b, want_b, ms, size)
+                ):
+                    rest_a, rest_b, merged = want_a, want_b, net.output
+            fa = [la.index(l) + 1 for l in rest_a]
+            fb = [lb.index(l) + 1 for l in rest_b]
+            ta = _pair_gemm("evaluate", ta, tb, ns, ms, fa, fb, swap)
+        else:
+            costs.append(_checked_product(net.extent(l) for l in la + rest_b))
+            peak_inter = max(peak_inter, _checked_product(net.extent(l) for l in merged))
         state[a] = (merged, ta)
         del state[b]
     if len(state) != 1:
         raise PlanError(f"plan leaves {len(state)} nodes; a complete plan leaves exactly one")
-    (last,) = state.values()
-    return costs, peak_inter, last
+    if tensors:
+        (last,) = state.values()
+        return last
+    return costs, peak_inter
+
+
+def _cheap_reorder(t: DenseTensor, labels, rest, want, paired: list[int], size: int) -> bool:
+    """Whether the last GEMM can take t's free labels `rest` in the order
+    `want` for less than a closing permute of the `size`-entry result costs:
+    they are in that order already, the GEMM copies t anyway, or t holds
+    fewer entries than the result."""
+    return want == rest or t.size < size or _gemm_copies(t, [labels.index(l) + 1 for l in rest], paired)
 
 
 def _product_table(extents: Sequence[int], dtype) -> np.ndarray:
@@ -471,7 +501,7 @@ def plan(net: TensorNetwork, strategy="exhaustive") -> ContractionPlan:
         for k, step in enumerate(_as_seq(strategy, "strategy"), start=1):
             a, b = _as_seq(step, f"strategy step {k}", 2)
             steps.append((str(a), str(b)))
-    costs, peak_inter, _ = _replay(net, steps)
+    costs, peak_inter = _replay(net, steps)
     return ContractionPlan(
         steps=tuple(steps),
         step_costs=tuple(costs),
@@ -484,14 +514,20 @@ def plan(net: TensorNetwork, strategy="exhaustive") -> ContractionPlan:
 def evaluate(net: TensorNetwork, contraction: ContractionPlan) -> DenseTensor:
     """Execute a plan with pairwise tensor products; modes follow the output order.
 
-    Each step puts first the operand holding the earliest output label, so
-    the result is copied into output order only when the plan interleaves
-    the output labels of the last operands; otherwise the closing permute is
-    the identity and copies nothing.
+    Each step puts first the operand holding the earliest output label, and
+    the last GEMM writes the output order when the output is one last
+    operand's free labels followed by the other's (see _replay). A closing
+    permute copies the result into output order only when the output
+    interleaves the last operands' free labels, when a last operand too
+    large to reorder would need it, or when a one-node network's labels are
+    not in output order. Finite inputs whose result is beyond float range
+    raise NumericError.
     """
     _as_instance(net, TensorNetwork, "evaluate")
     _as_instance(contraction, ContractionPlan, "evaluate")
-    _, _, (labels, result) = _replay(net, contraction.steps, tensors=True)
+    labels, result = _replay(net, contraction.steps, tensors=True)
+    if labels == net.output:
+        return result
     return permute(result, [labels.index(l) + 1 for l in net.output])
 
 

@@ -11,8 +11,14 @@ shape (I_N, ..., I_1), whose axis k is mode N - k. matmul, mode_product and
 tensor_product contract these reversed-shape views (core._rev) as plain
 GEMMs: contracting the reversed views of b and a in that order gives the
 C-order array of the reversed result, which is already the result's
-buffer (core._from_rev). No result is transposed, and an operand is
-copied only when its paired modes are not adjacent in pairing order.
+buffer (core._from_rev). No result is transposed. An operand is copied
+only when its matrix is not a view: when its paired modes, in pairing
+order, or its free modes, in the order the result takes them, do not run
+in storage order (extent-1 modes aside). network.evaluate chooses that
+free-mode order to write its output order. A tensor_product or
+tt_pair_product of finite operands whose result is beyond float range
+raises NumericError (elementwise._finite), from the GEMM's overflow flag,
+with no pass over the result.
 """
 
 from __future__ import annotations
@@ -138,34 +144,62 @@ def tensor_product(a: DenseTensor, b: DenseTensor, pairing: Sequence[tuple[int, 
                 f"pair ({n},{m}): extent {a.shape[n - 1]} of left mode {n} "
                 f"!= extent {b.shape[m - 1]} of right mode {m}"
             )
-    return _pair_gemm(a, b, ns, ms)
+    return _pair_gemm("tensor_product", a, b, ns, ms, _free(a.order, ns), _free(b.order, ms))
 
 
-def _pair_gemm(a: DenseTensor, b: DenseTensor, ns: list[int], ms: list[int], swap: bool = False) -> DenseTensor:
+def _free(order: int, paired: list[int]) -> list[int]:
+    """The modes of an order-`order` tensor that are not paired, ascending."""
+    return [k for k in range(1, order + 1) if k not in paired]
+
+
+def _pair_gemm(
+    what: str, a: DenseTensor, b: DenseTensor, ns: list[int], ms: list[int], fa: list[int], fb: list[int],
+    swap: bool = False,
+) -> DenseTensor:
     """The GEMM of tensor_product, for checked modes ns of a paired with ms of b.
 
-    Mode k of a is axis a.order - k of _rev(a). As np.tensordot(_rev(b),
-    _rev(a)) does, x holds (free axes of _rev(b), paired axes) and y holds
-    (paired axes, free axes of _rev(a)); x @ y is the C-order array of
-    (free axes of _rev(b), free axes of _rev(a)), the storage order of
-    (free modes of a, free modes of b). With swap, y.T @ x.T gives (free
-    modes of b, free modes of a) from the same two matrices: the BLAS reads
-    them transposed, so a swap copies nothing more.
+    The result holds the free modes fa of a, in that order, then the free
+    modes fb of b; with swap, fb then fa. Mode k of a is axis a.order - k
+    of _rev(a). x holds (free axes of _rev(b), paired axes) and y holds
+    (paired axes, free axes of _rev(a)), the free axes in the reverse of
+    fb's and fa's order, so x @ y is the C-order array of the reversed
+    result, which is its buffer. With swap, y.T @ x.T gives (fb, fa) from
+    the same two matrices: the BLAS reads them transposed, so a swap copies
+    nothing more. Each entry is the same dot product, over the paired axes
+    in pairing order, whatever fa, fb and swap are. `what` names the caller
+    in the NumericError raised when finite operands give a result beyond
+    float range (elementwise._finite).
     """
-    _check_order(a.order + b.order - 2 * len(ns))
+    _check_order(len(fa) + len(fb))
     rb, ra = _rev(b), _rev(a)
-    pb = [b.order - m for m in ms]
-    pa = [a.order - n for n in ns]
-    fb = [k for k in range(b.order) if k not in pb]
-    fa = [k for k in range(a.order) if k not in pa]
-    sb = [rb.shape[k] for k in fb]
-    sa = [ra.shape[k] for k in fa]
+    pb, free_b = _gemm_axes(b, fb, ms)
+    pa, free_a = _gemm_axes(a, fa, ns)
     paired = math.prod(ra.shape[k] for k in pa)
-    x = rb.transpose(fb + pb).reshape(math.prod(sb), paired)
-    y = ra.transpose(pa + fa).reshape(paired, math.prod(sa))
-    if swap:
-        return _from_rev(np.dot(y.T, x.T).reshape(sa + sb))
-    return _from_rev(np.dot(x, y).reshape(sb + sa))
+    sb = [rb.shape[k] for k in free_b]
+    sa = [ra.shape[k] for k in free_a]
+    x = rb.transpose(free_b + pb).reshape(math.prod(sb), paired)
+    y = ra.transpose(pa + free_a).reshape(paired, math.prod(sa))
+    left, right, shape = (y.T, x.T, sa + sb) if swap else (x, y, sb + sa)
+    return _from_rev(_finite(what, lambda: np.matmul(left, right), a.data, b.data).reshape(shape))
+
+
+def _gemm_axes(t: DenseTensor, free: list[int], paired: list[int]) -> tuple[list[int], list[int]]:
+    """Axes of _rev(t) for its paired modes, in pairing order, and for its
+    free modes, in the reverse of the order `free` gives them in the result."""
+    return [t.order - m for m in paired], [t.order - m for m in reversed(free)]
+
+
+def _gemm_copies(t: DenseTensor, free: list[int], paired: list[int]) -> bool:
+    """Whether _pair_gemm copies t to make its matrix, for these free and
+    paired modes of t. The matrix is a view exactly when each of its two
+    axis groups folds into one axis: in the C-order _rev(t), each axis of
+    extent above 1 in a group is the next such axis after the one before."""
+    shape = _rev(t).shape
+    for axes in _gemm_axes(t, free, paired):
+        live = [k for k in axes if shape[k] > 1]
+        if any(j < i or math.prod(shape[i + 1 : j]) > 1 for i, j in zip(live, live[1:])):
+            return True
+    return False
 
 
 def tt_pair_product(x: DenseTensor, y: DenseTensor) -> DenseTensor:
@@ -178,4 +212,4 @@ def tt_pair_product(x: DenseTensor, y: DenseTensor) -> DenseTensor:
         raise ShapeError(
             f"tt_pair_product mismatch: last extent {x.shape[-1]} != first extent {y.shape[0]}"
         )
-    return tensor_product(x, y, [(x.order, 1)])
+    return _pair_gemm("tt_pair_product", x, y, [x.order], [1], _free(x.order, [x.order]), _free(y.order, [1]))

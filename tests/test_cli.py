@@ -476,6 +476,16 @@ def test_cli_failures_exit_with_their_code(tmp_path, ramp_file, argv, code, mess
     assert not list(tmp_path.rglob(".*.tmp")) and not list((tmp_path / "adir").iterdir())
 
 
+def test_contract_whose_result_overflows_exits_two(tmp_path):
+    e200 = tk.DenseTensor((2, 2), [1e200] * 4)
+    net = tk.TensorNetwork([("A", ("i", "j"), e200), ("B", ("j", "k"), e200)], ("i", "k"))
+    (tmp_path / "big.tn").write_text(tk.format_network(net))
+    res = run_cli("contract", tmp_path / "big.tn", "--out", tmp_path / "o.ten")
+    assert res.returncode == 2
+    assert "tenkit: numeric failure: evaluate result is beyond float range" in res.stderr
+    assert not (tmp_path / "o.ten").exists()
+
+
 def test_decompose_tt_with_bond_caps(tmp_path, ramp_file):
     # The ramp's unfoldings have rank 2; caps (1, 2) keep bonds 1 and 2.
     res = run_cli("decompose", ramp_file, "tt", "1", "2", "--outdir", tmp_path / "ttm")

@@ -441,15 +441,15 @@ def test_cp_als_falls_back_to_pinv_when_the_solve_fails(monkeypatch):
 
     calls = []
 
-    def counted_pinv(m):
-        calls.append(m.shape)
-        return tk.pinv(m)
+    def counted_pinv(a):
+        calls.extend(m.shape for m in a)
+        return factor._pinv_stack(a)
 
     rng = np.random.default_rng(4)
     x = tk.DenseTensor.from_array(np.einsum("ir,jr,kr->ijk", *(rng.standard_normal((4, 2)) for _ in range(3))))
     base = tk.cp_als(x, 2, seed=0, tol=1e-12)
     monkeypatch.setattr(np.linalg, "solve", singular)
-    monkeypatch.setattr(decomp, "pinv", counted_pinv)
+    monkeypatch.setattr(decomp, "_pinv_stack", counted_pinv)
     fit = tk.cp_als(x, 2, seed=0, tol=1e-12)
     assert calls and set(calls) == {(2, 2)}
     assert fit.sweeps == base.sweeps and fit.restart == base.restart
@@ -472,11 +472,11 @@ def test_cp_fit_constructs_without_restart_fields():
 def test_solve_gram_singular_falls_back_to_pinv(monkeypatch):
     calls = []
 
-    def spy(m):
-        calls.append(m)
-        return tk.pinv(m)
+    def spy(a):
+        calls.append(a)
+        return factor._pinv_stack(a)
 
-    monkeypatch.setattr(decomp, "pinv", spy)
+    monkeypatch.setattr(decomp, "_pinv_stack", spy)
     gram = np.array([[1.0, 1.0], [1.0, 1.0]])
     rhs = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]])
     got = decomp._solve_gram(gram, rhs)
@@ -516,22 +516,23 @@ def test_solve_gram_makes_one_solve_after_the_cholesky_test(monkeypatch):
 def test_solve_gram_stack_solves_each_slice_as_one_matrix(monkeypatch):
     calls = []
 
-    def spy(m):
-        calls.append(m)
-        return tk.pinv(m)
+    def spy(a):
+        calls.append(a)
+        return factor._pinv_stack(a)
 
-    monkeypatch.setattr(decomp, "pinv", spy)
+    monkeypatch.setattr(decomp, "_pinv_stack", spy)
     rng = np.random.default_rng(14)
     a = rng.standard_normal((6, 3))
     singular = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
-    grams = np.stack([singular, a.T @ a])
-    rhs = rng.standard_normal((2, 4, 3))
+    grams = np.stack([singular, a.T @ a, np.outer(a[0], a[0])])
+    rhs = rng.standard_normal((3, 4, 3))
     got = decomp._solve_gram(grams, rhs)
-    assert got.shape == (2, 4, 3)
-    assert len(calls) == 1
-    for k in range(2):
+    assert got.shape == (3, 4, 3)
+    # Both rank-deficient slices in one stacked pseudo-inverse.
+    assert [len(c) for c in calls] == [2]
+    for k in range(3):
         assert np.array_equal(got[k], decomp._solve_gram(grams[k], rhs[k]))
-    assert len(calls) == 2
+    assert [len(c) for c in calls] == [2, 1, 1]
 
 
 # --- Tucker ------------------------------------------------------------------

@@ -291,6 +291,8 @@ def test_division_by_an_order_zero_zero():
 _NEAR_MAX = tk.DenseTensor((2, 2), [1e308, -1.0, 2.0, 1e308])
 _TINY = tk.DenseTensor((2, 2), [1e-10, 1.0, 1.0, 1.0])
 _E200 = tk.DenseTensor((1, 2), [1e200, 3.0])
+_E200_CUBE = tk.DenseTensor((1, 1, 1), [1e200])
+_E200_NET = tk.TensorNetwork([("A", ("i", "j"), _E200), ("B", ("k", "j"), _E200)], ("i", "k"))
 
 
 @pytest.mark.parametrize(
@@ -304,6 +306,9 @@ _E200 = tk.DenseTensor((1, 2), [1e200, 3.0])
         ("scale", lambda: tk.scale(10.0, _NEAR_MAX)),
         ("sum_all", lambda: tk.sum_all(_NEAR_MAX)),
         ("kronecker", lambda: tk.kronecker(_E200, _E200)),
+        ("tensor_product", lambda: tk.tensor_product(_E200, _E200, [(2, 2)])),
+        ("tt_pair_product", lambda: tk.tt_pair_product(_E200_CUBE, _E200_CUBE)),
+        ("evaluate", lambda: tk.evaluate(_E200_NET, tk.plan(_E200_NET))),
     ],
 )
 def test_finite_inputs_that_overflow_raise(name, call):

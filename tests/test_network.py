@@ -473,6 +473,79 @@ def test_evaluate_matches_loop_oracle():
         assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-30)
 
 
+def einsum_oracle(net):
+    """numpy's einsum of the network, one subscript per label."""
+    ids, operands = {}, []
+    for name in net.node_names:
+        operands += [net.tensor(name).to_array(), [ids.setdefault(l, len(ids)) for l in net.labels(name)]]
+    return np.einsum(*operands, [ids[l] for l in net.output])
+
+
+_EXTENTS = {"i": 2, "j": 3, "k": 4, "l": 2, "m": 3}
+
+# (nodes as name and labels, output, permute calls). Small integer entries
+# make every product and sum exact, so evaluate must equal einsum exactly.
+INT_NETWORKS = {
+    # Each last operand's free labels in the reverse of their mode order.
+    "in-block-reorder": ([("A", "ijk"), ("B", "klm")], "jiml", 0),
+    "interleaved": ([("A", "ikj"), ("B", "kl")], "ilj", 1),
+    # The last step is an outer product, the later node's labels first.
+    "outer-product-last": ([("A", "ij"), ("B", "jk"), ("C", "l")], "lki", 0),
+    # A last operand with more entries than the result is reordered only
+    # when its GEMM matrix is a copy anyway: k between i and j makes it one.
+    "large-operand-view": ([("A", "ijk"), ("B", "k")], "ji", 1),
+    "large-operand-copied": ([("A", "ikj"), ("B", "k")], "ji", 0),
+    "one-node": ([("A", "ijk")], "kij", 1),
+    "scalar": ([("A", "ij"), ("B", "ji")], "", 0),
+}
+
+
+@pytest.mark.parametrize("strategy", ["exhaustive", "greedy"])
+@pytest.mark.parametrize("nodes, output, permutes", INT_NETWORKS.values(), ids=INT_NETWORKS.keys())
+def test_evaluate_of_integer_networks_equals_einsum(nodes, output, permutes, strategy, monkeypatch):
+    rng = np.random.default_rng(30)
+    net = tk.TensorNetwork(
+        [
+            (name, tuple(labels), tk.DenseTensor.from_array(rng.integers(-4, 5, [_EXTENTS[l] for l in labels]) * 1.0))
+            for name, labels in nodes
+        ],
+        tuple(output),
+    )
+    perms = []
+    monkeypatch.setattr(tn, "permute", lambda x, p: perms.append(list(p)) or tk.permute(x, p))
+    got = tk.evaluate(net, tk.plan(net, strategy)).to_array()
+    want = einsum_oracle(net)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert len(perms) == permutes
+
+
+def test_evaluate_power_of_two_scaling_is_exact():
+    # Entries of magnitude in [1, 2) are multiples of 2**-52, and so is every
+    # value of a one-GEMM product; each further step shrinks that grain by
+    # at most 2**-52, so no nonzero value of a 6-node network (5 steps)
+    # falls below 2**-260, and none reaches 2**21 (at most 20000 terms of
+    # 6 factors). Scaled by 2**k for k in [-700, 900], no value is
+    # subnormal or overflows, and the result scales bit for bit.
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        net = random_network(rng, max_nodes=6)
+        nodes = []
+        for name in net.node_names:
+            t = net.tensor(name)
+            data = rng.choice([-1.0, 1.0], t.size) * rng.uniform(1.0, 2.0, t.size)
+            nodes.append((name, net.labels(name), tk.DenseTensor(t.shape, data)))
+        scaled_node = int(rng.integers(len(nodes)))
+        steps = random_plan_steps(net, rng)
+        for strategy in ("exhaustive", "greedy", steps):
+            base = tk.evaluate(tk.TensorNetwork(nodes, net.output), tk.plan(net, strategy)).data
+            for k in (-700, -300, -1, 1, 300, 900):
+                name, labels, t = nodes[scaled_node]
+                scaled = list(nodes)
+                scaled[scaled_node] = (name, labels, tk.DenseTensor(t.shape, np.ldexp(t.data, k)))
+                got = tk.evaluate(tk.TensorNetwork(scaled, net.output), tk.plan(net, strategy)).data
+                assert got.tobytes() == np.ldexp(base, k).tobytes()
+
+
 def test_exhaustive_never_worse_than_greedy_or_random():
     rng = np.random.default_rng(13)
     for _ in range(30):
@@ -535,31 +608,51 @@ def star_network(rng, leaves, bond, free):
     return tk.TensorNetwork(nodes, tuple(f"f{k}" for k in range(leaves)))
 
 
-# Networks small enough for the loop oracle, with the plans whose output
-# labels come out in order: there, evaluate's closing permute must be the
-# identity. Other plans may leave the last two operands' output labels
-# interleaved (as a ring's plan does when its cheapest cut wraps round).
+# Networks small enough for the loop oracle. Under both planned orders the
+# ladder's and the star's output is one last operand's free labels followed
+# by the other's; a ring's cheapest cut can wrap round and interleave them.
 OUTPUT_ORDER_CASES = {
-    "star": (lambda rng: star_network(rng, 4, 2, 3), {"exhaustive", "greedy"}),
-    "ring": (lambda rng: ring_network(rng, 6, (2, 3), 2), {"exhaustive"}),
-    "ladder": (lambda rng: ladder_network(rng, 3, (2,), 2), set()),
+    "star": (lambda rng: star_network(rng, 4, 2, 3), True),
+    "ring": (lambda rng: ring_network(rng, 6, (2, 3), 2), False),
+    "ladder": (lambda rng: ladder_network(rng, 3, (2,), 2), True),
 }
 
 
+def last_operands(net, steps):
+    """Label sets of the last step's two operands: a step leaves the labels
+    its operands do not share."""
+    labels = {name: set(net.labels(name)) for name in net.node_names}
+    for a, b in steps[:-1]:
+        labels[a] ^= labels.pop(b)
+    a, b = steps[-1]
+    return labels[a], labels[b]
+
+
 @pytest.mark.parametrize("strategy", ["exhaustive", "greedy", "random"])
-@pytest.mark.parametrize("build, in_order", OUTPUT_ORDER_CASES.values(), ids=OUTPUT_ORDER_CASES.keys())
-def test_evaluate_puts_the_earliest_output_label_first(build, in_order, strategy, monkeypatch):
+@pytest.mark.parametrize("build, planned_blocks", OUTPUT_ORDER_CASES.values(), ids=OUTPUT_ORDER_CASES.keys())
+def test_evaluate_puts_the_earliest_output_label_first(build, planned_blocks, strategy, monkeypatch):
+    # The last GEMM writes the output order when the output is the last
+    # operands' free labels block by block, so no permute runs; an
+    # interleaved output takes exactly one.
     rng = np.random.default_rng(21)
     net = build(rng)
-    steps = random_plan_steps(net, rng) if strategy == "random" else strategy
+    contraction = tk.plan(net, random_plan_steps(net, rng) if strategy == "random" else strategy)
     perms = []
     monkeypatch.setattr(tn, "permute", lambda x, p: perms.append(list(p)) or tk.permute(x, p))
-    got = tk.evaluate(net, tk.plan(net, steps)).to_array()
+    got = tk.evaluate(net, contraction).to_array()
     want = network_loop_oracle(net)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    assert len(perms) == 1
-    if strategy in in_order:
-        assert perms[0] == list(range(1, len(net.output) + 1))
+    la, lb = last_operands(net, contraction.steps)
+    blocked = any(set(net.output[: len(free)]) == free for free in (la - lb, lb - la))
+    entries = [math.prod(net.extent(l) for l in ls) for ls in (la, lb, la ^ lb)]
+    if planned_blocks and strategy != "random":
+        assert blocked and perms == []
+    elif not blocked:
+        assert len(perms) == 1
+    elif max(entries[:2]) < entries[2]:
+        assert perms == []
+    else:  # an operand at least the result's size is reordered only if it is copied anyway
+        assert len(perms) <= 1
 
 
 def assert_plan_matches_oracle(net):

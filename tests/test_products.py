@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -260,10 +262,62 @@ def test_swapped_pair_gemm_puts_free_modes_of_b_first(shape_a, shape_b, pairing)
     free_a = "".join(c for c in sa if c not in sb)
     free_b = "".join(c for c in sb if c not in sa)
     want = np.einsum(f"{sa},{sb}->{free_b}{free_a}", a.to_array(), b.to_array())
-    got = _pair_gemm(a, b, ns, ms, swap=True)
+    fa = [k for k in range(1, a.order + 1) if k not in ns]
+    fb = [k for k in range(1, b.order + 1) if k not in ms]
+    got = _pair_gemm("tensor_product", a, b, ns, ms, fa, fb, swap=True)
     assert got.shape == want.shape
     assert np.abs(got.to_array() - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
-    assert _pair_gemm(a, b, ns, ms) == tk.tensor_product(a, b, pairing)
+    assert _pair_gemm("tensor_product", a, b, ns, ms, fa, fb) == tk.tensor_product(a, b, pairing)
+    # Free modes taken in reverse: the same dot products, written in that order.
+    for swap, spec in ((False, free_a[::-1] + free_b[::-1]), (True, free_b[::-1] + free_a[::-1])):
+        want = np.einsum(f"{sa},{sb}->{spec}", a.to_array(), b.to_array())
+        got = _pair_gemm("tensor_product", a, b, ns, ms, fa[::-1], fb[::-1], swap)
+        assert got.shape == want.shape
+        assert np.abs(got.to_array() - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+
+
+def test_gemm_copies_matches_numpy_reshape():
+    # numpy's own verdict: whether the matrix _pair_gemm reshapes from the
+    # C-order array of the reversed shape (axis order - m is mode m) shares
+    # the tensor's buffer.
+    from tenkit.products import _gemm_copies
+
+    rng = np.random.default_rng(32)
+    for _ in range(400):
+        shape = rand_shape(rng, max_order=5, max_extent=3, min_order=0)
+        t = rand_tensor(rng, shape)
+        modes = [int(m) + 1 for m in rng.permutation(len(shape))]
+        cut = int(rng.integers(0, len(shape) + 1))
+        free, paired = modes[:cut], modes[cut:]
+        axes = [len(shape) - m for m in reversed(free)] + [len(shape) - m for m in paired]
+        rows = math.prod(shape[m - 1] for m in free)
+        matrix = t.data.reshape(shape[::-1]).transpose(axes).reshape(rows, -1)
+        assert _gemm_copies(t, free, paired) == (not np.shares_memory(matrix, t.data))
+
+
+def test_tensor_product_power_of_two_scaling_is_exact():
+    # Entries of magnitude in [1, 2) are multiples of 2**-52, and so is each
+    # entry of one GEMM; sums of at most 4**4 products stay below 2**10. At
+    # the scales below no value is subnormal or overflows, so scaling the
+    # operands scales the result bit for bit.
+    rng = np.random.default_rng(33)
+    for _ in range(100):
+        shape_a = rand_shape(rng, max_order=4, max_extent=4, min_order=0)
+        shape_b = list(rand_shape(rng, max_order=4, max_extent=4, min_order=0))
+        count = int(rng.integers(0, min(len(shape_a), len(shape_b)) + 1))
+        pairing = list(zip(rng.permutation(len(shape_a))[:count] + 1, rng.permutation(len(shape_b))[:count] + 1))
+        for n, m in pairing:
+            shape_b[m - 1] = shape_a[n - 1]
+        a, b = (
+            rng.choice([-1.0, 1.0], shape) * rng.uniform(1.0, 2.0, shape) for shape in (shape_a, tuple(shape_b))
+        )
+        pairing = [(int(n), int(m)) for n, m in pairing]
+        base = tk.tensor_product(tk.DenseTensor.from_array(a), tk.DenseTensor.from_array(b), pairing).data
+        for j, k in ((-960, 0), (0, 960), (-500, -460), (480, 480), (-1, 1)):
+            got = tk.tensor_product(
+                tk.DenseTensor.from_array(np.ldexp(a, j)), tk.DenseTensor.from_array(np.ldexp(b, k)), pairing
+            ).data
+            assert got.tobytes() == np.ldexp(base, j + k).tobytes()
 
 
 def test_tensor_product_errors():
