@@ -8,18 +8,24 @@ round-robin parallel ordering (Brent & Luk) orthogonalize the columns of a
 working copy, accumulating the rotations in V; singular values are the
 final column norms. Each round of a sweep pairs disjoint columns, so one
 test marks the pairs that rotate and one stacked matmul of 2 x 2 rotations
-rotates the whole round. The kernel factors a stack of same-shape matrices
-at once (HOSVD passes the unfoldings that share a shape) and svd is its
-one-matrix call: each matrix keeps its own scaling, convergence test and
-results, bit for bit, and a pair that needs no rotation, or a matrix that
-has converged, gets the identity rotation until the whole stack is done. A
-tall input (at least _QR_ASPECT times as many rows as columns, and at least
-_QR_MIN_COLS columns) is first reduced by Householder steps, the sweeps
-rotate its small square R, and U comes from applying the reflectors to the
-rotated columns, without forming Q. Both kernels work at a power-of-two
-scale; a result beyond float range (a singular value, an entry of R or of
-the pseudo-inverse) raises NumericError. Jacobi is slow for large matrices
-but very accurate at the desk scale this library targets.
+rotates the whole round. During a sweep the columns are kept as rows in the
+current round's order, in one of two preallocated buffers: a round takes
+its Gram entries from two stacked matmuls of row views, rotates its pairs
+into the other buffer, and one take moves the rows into the next round's
+order; a round with no rotation is that take alone. The rows go back to
+their natural order once per sweep. The kernel factors a stack of
+same-shape matrices at once (HOSVD passes the unfoldings that share a
+shape) and svd is its one-matrix call: each matrix keeps its own scaling,
+convergence test and results, bit for bit, and a pair that needs no
+rotation, or a matrix that has converged, gets the identity rotation until
+the whole stack is done. A tall input (at least _QR_ASPECT times as many
+rows as columns, and at least _QR_MIN_COLS columns) is first reduced by
+Householder steps, the sweeps rotate its small square R, and U comes from
+applying the reflectors to the rotated columns, without forming Q. Both
+kernels work at a power-of-two scale; a result beyond float range (a
+singular value, an entry of R or of the pseudo-inverse) raises
+NumericError. Jacobi is slow for large matrices but very accurate at the
+desk scale this library targets.
 
 A caller that uses only the leading p triplets of a slice (truncated_svd,
 truncated HOSVD, TT-SVD with bond caps) passes p. A sweep that starts with
@@ -173,31 +179,38 @@ def _orthonormal_fill(u: np.ndarray, width: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _round_robin(n: int, stack: int = 1) -> tuple[np.ndarray, ...]:
-    """Brent-Luk parallel ordering of the column pairs of an n-column matrix.
+def _round_robin(n: int, stack: int = 1) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Brent-Luk parallel ordering of the column pairs of an n-column matrix,
+    as the row order of each round and the step from one round's order to
+    the next.
 
     n is padded to an even count; each of the padded count - 1 rounds pairs
     every column with one other, and pairs touching the pad are dropped.
-    Every pair (p, q), p < q, appears in exactly one round, which lists the
-    p of its pairs, then their q. For a stack of matrices kept with column j
-    of matrix i at row j * stack + i, a round lists those rows instead, each
-    column's rows together. The arrays are read-only because the cache hands
-    them to every caller.
+    Every pair (p, q), p < q, appears in exactly one round. A round's order
+    lists the p of its pairs, then their q, then, when n is odd, the idle
+    column that the pad paired. For a stack of matrices kept with column j
+    of matrix i at row j * stack + i, the order lists those rows instead,
+    each column's rows together. Each round is (order, step): rows in this
+    round's order, taken at step, are in the next round's order, and the
+    last round's step leads back to the first round's order. The arrays are
+    read-only because the cache hands them to every caller.
     """
     players = list(range(n + n % 2))
     half = len(players) // 2
-    rounds = []
+    orders = []
     for _ in range(len(players) - 1):
-        pairs = sorted(
-            (min(a, b), max(a, b))
-            for a, b in zip(players[:half], reversed(players[half:]))
-            if a < n and b < n
-        )
-        pq = np.array([p for p, _ in pairs] + [q for _, q in pairs], dtype=np.intp)
-        pq = (pq[:, None] * stack + np.arange(stack)).ravel()
-        pq.flags.writeable = False
-        rounds.append(pq)
+        pairs = sorted((min(a, b), max(a, b)) for a, b in zip(players[:half], reversed(players[half:])))
+        cols = [p for p, q in pairs if q < n] + [q for _, q in pairs if q < n] + [p for p, q in pairs if q == n]
+        orders.append((np.array(cols, dtype=np.intp)[:, None] * stack + np.arange(stack)).ravel())
         players.insert(1, players.pop())
+    rounds = []
+    for order, following in zip(orders, orders[1:] + orders[:1]):
+        # where[r] is the position of row r in this round's order.
+        where = np.empty_like(order)
+        where[order] = np.arange(order.size)
+        step = where[following]
+        order.flags.writeable = step.flags.writeable = False
+        rounds.append((order, step))
     return tuple(rounds)
 
 
@@ -267,26 +280,43 @@ def _jacobi_svd(
         refl = [_reflect(x) for x in a]
         a = np.triu(a[:, :n])
     rows_a = a.shape[1]
+    cols = rows_a + n
     # wv[j, i] holds column j of slice i's W followed by column j of its V,
     # so one contiguous row rotation updates both; as rows j * b + i of
-    # stacked, the whole stack is one matrix of rows and a round one gather.
+    # stacked, the whole stack is one matrix of rows in natural order.
     # Adding 0.0 turns -0.0 into +0.0; without -0.0 entries, the identity
     # rotation (c = 1, s = 0) leaves a row bit-identical.
-    wv = np.empty((n, b, rows_a + n))
+    wv = np.empty((n, b, cols))
     np.add(a.transpose(2, 0, 1), 0.0, out=wv[:, :, :rows_a])
     wv[:, :, rows_a:] = np.eye(n)[:, None, :]
-    stacked = wv.reshape(n * b, rows_a + n)
+    stacked = wv.reshape(n * b, cols)
     limit = np.array([_JACOBI_TOL * float((w * w).sum()) for w in wv[:, :, :rows_a].transpose(1, 0, 2)])
     rel2 = _JACOBI_REL_TOL**2
     # Every round has n // 2 pairs in each slice, so k rows on either side;
     # the rows of one side cycle through the slices.
     k = n // 2 * b
     row_limit2 = np.tile(limit, n // 2) ** 2
-    # One 2 x 2 rotation per pair, applied to the pair's two rows by one
-    # stacked matmul; turned gets the rotated rows in the order of the round.
+    # During a sweep the rows live in one of two buffers, in the order of the
+    # current round: its k p rows, its k q rows, then the idle column's rows
+    # when n is odd. For each buffer: its pairs, pair i being rows i and
+    # k + i, and the operands of the Gram entries as stacked 1 x m by m x 1
+    # matmuls, each a dot product of two rows.
+    rounds = _round_robin(n, b)
+    bufs = np.empty((2, n * b, cols))
+    views = []
+    for buf in bufs:
+        w = buf[: 2 * k, :rows_a]
+        pairs = buf[: 2 * k].reshape(2, k, cols).transpose(1, 0, 2)
+        views.append((buf, pairs, w[:, None, :], w[:, :, None], w[:k, None, :], w[k:, :, None]))
+    # Each round writes with out= into arrays made here, once: the Gram
+    # entries app, aqq and apq of its pairs, the rotate test, and one 2 x 2
+    # rotation per pair, applied to the pair's two rows by one stacked matmul.
+    entries = np.empty((3, k))
+    app, aqq, apq = entries
+    sq_out, apq_out = entries[:2].reshape(2 * k, 1, 1), apq.reshape(k, 1, 1)
     rot = np.empty((k, 2, 2))
-    turned = np.empty((2, k, rows_a + n))
-    turned_pairs = turned.transpose(1, 0, 2)
+    bound, tau, hyp = np.empty((3, k))
+    rotate, still = np.empty((2, k), dtype=bool)
     # hit marks the pairs that rotated in the current sweep. A slice with no
     # rotation in a sweep has converged: its rows no longer change, so it
     # sees only identity rotations until a sweep rotates no pair at all.
@@ -295,38 +325,59 @@ def _jacobi_svd(
     hit = np.zeros(k, dtype=bool)
     top = np.ones((n, b), dtype=bool)
     tested = top.reshape(-1)
+    # take writes into out directly, not through a buffer, unless its mode is
+    # "raise"; every index is in range.
+    stacked.take(rounds[0][0], axis=0, out=bufs[0], mode="clip")
+    natural = np.argsort(rounds[0][0])
+    cur = 0
     for _ in range(_JACOBI_SWEEPS):
         hit[:] = False
         narrow = keep is not None and _top_columns(stacked[:, :rows_a], keep, top)
         # The pairs of a round are disjoint, so their rotations commute and
         # one array step applies them all, in every slice.
-        for pq in _round_robin(n, b):
-            rows = stacked.take(pq, axis=0)
-            w = rows[:, :rows_a]
-            sq = np.einsum("ij,ij->i", w, w)
-            app = sq[:k]
-            aqq = sq[k:]
-            apq = np.einsum("ij,ij->i", w[:k], w[k:])
+        for order, step in rounds:
+            buf, pairs, w_row, w_col, p_row, q_col = views[cur]
+            dest, dest_pairs = views[1 - cur][:2]
+            np.matmul(w_row, w_col, out=sq_out)
+            np.matmul(p_row, q_col, out=apq_out)
             # A pair rotates while |apq| > its slice's limit, or while apq is
             # large relative to the pair's column norms: squared, one test.
-            rotate = apq * apq > np.minimum(row_limit2, rel2 * app * aqq)
+            np.multiply(rel2, app, out=bound)
+            bound *= aqq
+            np.minimum(row_limit2, bound, out=bound)
+            np.greater(np.multiply(apq, apq, out=tau), bound, out=rotate)
             if narrow:
-                rotate &= tested[pq[:k]] | tested[pq[k:]]
+                rotate &= tested[order[:k]] | tested[order[k : 2 * k]]
             if not np.count_nonzero(rotate):
+                buf.take(step, axis=0, out=dest, mode="clip")
+                cur = 1 - cur
                 continue
             hit |= rotate
             # A pair that does not rotate gets tau = +-inf, so t = +-0, c = 1
             # and s = +-0 (inf / 0 raises no division-by-zero flag).
-            tau = np.where(rotate, aqq - app, np.inf) / (2.0 * apq)
-            t = 1.0 / (tau + np.copysign(np.hypot(1.0, tau), tau))
-            c = np.divide(1.0, np.hypot(1.0, t), out=rot[:, 0, 0])
-            s = np.multiply(t, c, out=rot[:, 1, 0])
+            np.subtract(aqq, app, out=tau)
+            np.copyto(tau, np.inf, where=np.logical_not(rotate, out=still))
+            tau /= np.multiply(2.0, apq, out=hyp)
+            # t = 1 / (tau + copysign(hypot(1, tau), tau)), left in hyp.
+            np.hypot(1.0, tau, out=hyp)
+            np.copysign(hyp, tau, out=hyp)
+            hyp += tau
+            np.divide(1.0, hyp, out=hyp)
+            c = np.divide(1.0, np.hypot(1.0, hyp, out=tau), out=rot[:, 0, 0])
+            s = np.multiply(hyp, c, out=rot[:, 1, 0])
             rot[:, 1, 1] = c
             np.negative(s, out=rot[:, 0, 1])
-            np.matmul(rot, rows.reshape(turned.shape).transpose(1, 0, 2), out=turned_pairs)
-            stacked[pq] = turned.reshape(-1, rows_a + n)
+            # Rotate into the other buffer, then take the rows back in the
+            # next round's order.
+            np.matmul(rot, pairs, out=dest_pairs)
+            if n % 2:
+                dest[2 * k :] = buf[2 * k :]
+            dest.take(step, axis=0, out=buf, mode="clip")
         if not hit.any():
             break
+        # A sweep ends in the first round's order; stacked gets the rows back
+        # in natural order for the next sweep's _top_columns and the results.
+        views[cur][0].take(natural, axis=0, out=stacked, mode="clip")
     # hit is all False unless the sweeps ran out; then moved marks the
     # slices that still rotated in the last one.
     moved = hit.reshape(-1, b).any(axis=0)

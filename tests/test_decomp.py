@@ -258,11 +258,25 @@ def test_cp_als_fits_a_rank_deficient_tensor(monkeypatch, rank, seed):
     assert np.abs(np.array(fit.trace) - want).max() <= 1e-9 * np.linalg.norm(xa)
 
 
-def test_cp_als_diverging_fit_raises_before_numpy_warns():
-    # This restart's factors overflow within a sweep; under the suite's
-    # RuntimeWarning filter a warning would surface before the residual check.
+def test_cp_als_diverging_fit_raises_before_numpy_warns(monkeypatch):
+    # From the first sweep's last mode update on, every solve comes out 2**600
+    # times too large: that factor's Gram and the residual's squares overflow
+    # within the sweep, while the sweep's normal matrices, formed before it
+    # from a well-conditioned fit, stay finite and pass the rank test. Under
+    # the suite's RuntimeWarning filter a warning would surface before the
+    # residual check.
+    calls = []
+    solve_lu = decomp._solve_lu
+
+    def diverging(gram, rhs):
+        calls.append(gram.shape)
+        out = solve_lu(gram, rhs)
+        return out * 2.0**600 if len(calls) >= 3 else out
+
+    monkeypatch.setattr(decomp, "_solve_lu", diverging)
     with pytest.raises(tk.NumericError, match="^cp_als objective became non-finite$"):
-        tk.cp_als(_RANK_ONE, 2, seed=14, tol=0.0)
+        tk.cp_als(_well_conditioned_fit_input(), 2, seed=14, tol=0.0)
+    assert calls == [(3, 2, 2)] * 3
 
 
 def _well_conditioned_fit_input():

@@ -770,13 +770,79 @@ def test_tt_orthogonalize_far_above_unit_scale():
     assert np.abs(rec - x.data).max() <= 1e-13 * np.abs(x.data).max()
 
 
-@pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 4)])
+# The factorizations work at a power-of-two scale of their input, so f(2**k x)
+# is f(x) with its exponents shifted, bit for bit, wherever no subnormal appears.
+_SHIFTS = (-1000, -7, 9, 1000)
+
+
+def _assert_shifted(parts, base, k):
+    """parts and base hold the same arrays, each with the power p by which it
+    scales: every array of parts is 2**(p * k) times base's, bit for bit,
+    and neither has a subnormal entry."""
+    assert len(parts) == len(base)
+    for (got, p), (want, q) in zip(parts, base):
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        assert p == q and got.shape == want.shape
+        for z in (got, want):
+            assert (np.abs(z[z != 0.0]) >= np.finfo(np.float64).tiny).all()
+        assert got.tobytes() == np.ldexp(want, p * k).tobytes()
+
+
+def _shifted(a, k):
+    """2**k * a as a tensor, checked to be exact: no entry becomes subnormal."""
+    scaled = np.ldexp(a, k)
+    assert np.array_equal(np.ldexp(scaled, -k), a)
+    return tk.DenseTensor.from_array(scaled)
+
+
+def _svd_parts(res):
+    return [(res.u.to_array(), 0), (res.sigma.data, 1), (res.v.to_array(), 0)]
+
+
+def _tucker_parts(model):
+    return [(model.core.to_array(), 1)] + [(f.to_array(), 0) for f in model.factors]
+
+
+def _tt_parts(train):
+    *lead, last = (c.to_array() for c in train.cores)
+    return [(c, 0) for c in lead] + [(last, 1), (train.discarded_energy, 2)]
+
+
+# The 7x40 svd is factored as its transpose with an odd column count, the
+# 90x17 one as the 17x17 R of its QR; hosvd of 5x5x5 stacks three unfoldings
+# of 5 columns, tt_svd of 5x6x7 splits 5x42 and 30x7. The truncated callers
+# get low-rank inputs plus 1e-3 noise, so that their trailing columns come to
+# be dominated and the sweeps narrow.
+SHIFTED_CALLS = {
+    "truncated_svd": (
+        lambda rng: rng.standard_normal((30, 3)) @ rng.standard_normal((3, 12)) + 1e-3 * rng.standard_normal((30, 12)),
+        lambda x: _svd_parts(tk.truncated_svd(x, 3)),
+    ),
+    "pinv": (lambda rng: rng.standard_normal((6, 4)), lambda x: [(tk.pinv(x).to_array(), -1)]),
+    "hosvd": (lambda rng: rng.standard_normal((5, 5, 5)), lambda x: _tucker_parts(tk.hosvd(x))),
+    "truncated_hosvd": (
+        lambda rng: np.einsum("abc,ia,jb,kc->ijk", *(rng.standard_normal(s) for s in [(2, 2, 2)] + [(8, 2)] * 3))
+        + 1e-3 * rng.standard_normal((8, 8, 8)),
+        lambda x: _tucker_parts(tk.truncated_hosvd(x, [2, 2, 2])),
+    ),
+    "tt_svd": (lambda rng: rng.standard_normal((5, 6, 7)), lambda x: _tt_parts(tk.tt_svd(x))),
+}
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (3, 5), (4, 4), (7, 40), (90, 17)])
 def test_svd_power_of_two_scaling_is_exact(shape):
     a = np.random.default_rng(9).standard_normal(shape)
-    res = tk.svd(tk.DenseTensor.from_array(a))
-    big = tk.svd(tk.DenseTensor.from_array(2.0**40 * a))
-    assert np.array_equal(big.sigma.data, 2.0**40 * res.sigma.data)
-    assert big.u == res.u and big.v == res.v
+    base = _svd_parts(tk.svd(tk.DenseTensor.from_array(a)))
+    for k in _SHIFTS:
+        _assert_shifted(_svd_parts(tk.svd(_shifted(a, k))), base, k)
+
+
+@pytest.mark.parametrize("make, call", SHIFTED_CALLS.values(), ids=SHIFTED_CALLS.keys())
+def test_factorizations_power_of_two_scaling_is_exact(make, call):
+    a = make(np.random.default_rng(9))
+    base = call(tk.DenseTensor.from_array(a))
+    for k in _SHIFTS:
+        _assert_shifted(call(_shifted(a, k)), base, k)
 
 
 def test_failed_write_tensor_keeps_the_old_file(tmp_path, monkeypatch):

@@ -407,19 +407,49 @@ def test_stacked_jacobi_names_the_slice_that_does_not_converge(shape, monkeypatc
 def test_round_robin_covers_every_pair_once_in_disjoint_rounds(n):
     rounds = factor._round_robin(n)
     assert len(rounds) == n - 1 + n % 2
+    k = n // 2
     seen = []
-    for pq in rounds:
-        k = pq.size // 2
-        assert len(set(pq.tolist())) == pq.size
-        seen += list(zip(pq[:k].tolist(), pq[k:].tolist()))
+    for order, _ in rounds:
+        # Each round orders every column once: its p, its q, then the idle one.
+        assert sorted(order.tolist()) == list(range(n))
+        seen += list(zip(order[:k].tolist(), order[k : 2 * k].tolist()))
     assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_round_robin_of_a_stack_lists_each_columns_rows_together(n):
     # Column j of matrix i of a stack of 3 is row 3 * j + i.
-    for pq, rows in zip(factor._round_robin(n), factor._round_robin(n, 3)):
-        assert rows.tolist() == [3 * j + i for j in pq.tolist() for i in range(3)]
+    for (order, _), (rows, _) in zip(factor._round_robin(n), factor._round_robin(n, 3)):
+        assert rows.tolist() == [3 * j + i for j in order.tolist() for i in range(3)]
+
+
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("n", range(2, 10))
+def test_round_robin_steps_carry_the_rows_from_round_to_round(n, b):
+    # Rows labelled by their natural index, taken into the first round's
+    # order and then at each round's step, as _jacobi_svd moves them.
+    rounds = factor._round_robin(n, b)
+    k = n // 2 * b
+    labels = rounds[0][0].copy()
+    seen, idle = [], []
+    for order, step in rounds:
+        assert labels.tolist() == order.tolist()
+        # The first 2k positions hold this round's pairs: pair i is rows i
+        # and k + i, the same slice's columns p < q.
+        p, q = divmod(labels[:k], b), divmod(labels[k : 2 * k], b)
+        assert (p[1] == q[1]).all() and (p[0] < q[0]).all()
+        seen += list(zip(p[1].tolist(), p[0].tolist(), q[0].tolist()))
+        idle.append(labels[2 * k :].tolist())
+        labels = labels[step]
+    # One sweep's steps compose to the identity.
+    assert labels.tolist() == rounds[0][0].tolist()
+    assert sorted(seen) == [(i, p, q) for i in range(b) for p in range(n) for q in range(p + 1, n)]
+    # For odd n the idle column takes every position once: each column
+    # sits out exactly one round, its rows together.
+    if n % 2:
+        assert sorted(idle) == [[j * b + i for i in range(b)] for j in range(n)]
+    else:
+        assert idle == [[]] * len(rounds)
 
 
 # --- the truncated Jacobi path ---------------------------------------------
@@ -498,6 +528,34 @@ def test_stacked_truncated_jacobi_keeps_each_slices_own_count(monkeypatch):
     # The random slice's bound never holds: it gets the bits of svd.
     plain = tk.svd(tk.DenseTensor.from_array(slices[2]))
     assert _same_bits(u[2], plain.u.to_array()) and _same_bits(v[2], plain.v.to_array())
+
+
+@pytest.mark.parametrize("shape", [(7, 40), (90, 17)], ids=["7x40", "90x17_on_r"])
+def test_stacked_jacobi_matches_single_calls_at_odd_n(shape, monkeypatch):
+    # An odd column count leaves one column idle in every round. 7x40 is
+    # factored as its 40x7 transpose on the plain path, 90x17 as the 17x17 R
+    # of its QR. The second slice has a dead column (a zero row, if wide),
+    # and the third keeps 2 triplets of a planted spectrum, so it narrows.
+    rng = np.random.default_rng(44)
+    dead = rng.standard_normal(shape)
+    if shape[0] >= shape[1]:
+        dead[:, 3] = 0.0
+    else:
+        dead[3, :] = 0.0
+    slices = [rng.standard_normal(shape), dead, _planted_spectrum(rng, shape, [6.0, 3.0], 1e-7)]
+    n = min(shape)
+    keep = [n, n, 2]
+    narrow = narrow_spy(monkeypatch)
+    u, s, v, exp = factor._jacobi_svd(np.stack(slices), keep)
+    assert any(narrow)
+    for i, (a, p) in enumerate(zip(slices, keep)):
+        one = factor._jacobi_svd(a[None], [p])
+        assert all(_same_bits(x[i], y[0]) for x, y in zip((u, s, v, exp), one))
+        if p == n:
+            plain = tk.svd(tk.DenseTensor.from_array(a))
+            assert _same_bits(u[i], plain.u.to_array()) and _same_bits(v[i], plain.v.to_array())
+        # The dead slice's last triplet is not unique: leave it out.
+        _assert_leading_triplets(u[i], np.ldexp(s[i], exp[i]), v[i], a, p - 1 if i == 1 else p)
 
 
 def test_truncated_jacobi_resumes_full_sweeps_when_the_bound_breaks(monkeypatch):
