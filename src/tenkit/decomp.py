@@ -199,41 +199,13 @@ def _solve_lu(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(gram, rhs.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
-def _solve_gram(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """rhs @ inv(gram) for a symmetric positive semidefinite gram, or for
-    each slice of a stack: gram (..., R, R) and rhs (..., I, R).
-
-    Cholesky is only the rank test: once every gram of the stack factors,
-    the stack is solved by _solve_lu, which costs less than two triangular
-    solves through numpy's wrappers. When some gram is rank-deficient
-    (Cholesky fails, or it passes on a tiny positive pivot and LU meets an
-    exact zero), every slice is tested and solved on its own, and the
-    failing ones fall back to the SVD pseudo-inverse, all of them in one
-    stacked call with the bits each gets alone. cp_als calls this only once the
-    stacked rank test of a block of sweeps, or an LU solve in it, has
-    failed: from the block's first sweep, replayed, to the end of the fit.
-    The block's sweeps before the failing one pass this test too and get
-    the same bits, so the pseudo-inverse stands in for the same normal
-    matrices as when every mode of every sweep called this.
-    """
-    try:
-        np.linalg.cholesky(gram)
-        return _solve_lu(gram, rhs)
-    except np.linalg.LinAlgError:
-        pass
-    grams = gram.reshape(-1, *gram.shape[-2:])
-    rhss = rhs.reshape(-1, *rhs.shape[-2:])
-    out = np.empty(rhss.shape)
-    deficient = []
-    for k, (g, b) in enumerate(zip(grams, rhss)):
-        try:
-            np.linalg.cholesky(g)
-            out[k] = _solve_lu(g, b)
-        except np.linalg.LinAlgError:
-            deficient.append(k)
-    for k, p in zip(deficient, _pinv_stack(grams[deficient])):
-        out[k] = rhss[k] @ p
-    return out.reshape(rhs.shape)
+def _solve_pinv(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """rhs @ pinv(gram), the plain ALS update, for a stack: gram (B, R, R) and
+    rhs (B, I, R). A non-finite gram (of a NaN input, or of factors that
+    overflowed) gives a NaN update, which cp_als's residual test reports."""
+    if np.isfinite(gram).all():
+        return rhs @ _pinv_stack(gram)
+    return np.full(rhs.shape, np.nan)
 
 
 def cp_als(
@@ -255,13 +227,12 @@ def cp_als(
     normal matrices, stacked, tests their rank. A block ends after 16
     sweeps (fewer when a sweep's normal matrices are large, down to one
     sweep), at a sweep where some restart stops, and at a non-finite
-    residual, which is tested before it raises. When the test passes, each factor holds the same
-    bits as when every mode is tested before its solve. When it fails, or
-    an LU solve does, the fit goes back to the block's first sweep and
-    replays it through _solve_gram, mode by mode: the Cholesky test runs
-    before each solve, and the SVD pseudo-inverse stands in for every
-    rank-deficient normal matrix. The rest of the fit stays on that path,
-    so a fit wastes at most one block of sweeps.
+    residual. When the test fails, an LU solve does, or the residual is
+    non-finite, the fit goes back to the block's first sweep and runs the
+    rest of its sweeps as plain ALS: each update multiplies by the SVD
+    pseudo-inverse of its normal matrices (one stacked Jacobi SVD per
+    mode), so a fit wastes at most one block of sweeps. Only a residual
+    that turns non-finite on that path raises.
     No product is formed twice: each factor's Gram is formed once, right
     after the factor's update, and the Khatri-Rao of modes N..2 built for
     the residual is the next sweep's mode-1 one.
@@ -345,7 +316,7 @@ def cp_als(
             factors[n] = solve(gram, mats[n] @ kr)
             grams[n] = factors[n].swapaxes(1, 2) @ factors[n]
 
-    stacked = True  # False once the fit has been replayed through _solve_gram
+    stacked = True  # False once the fit has been replayed through _solve_pinv
     sweep = 1
     # A diverging fit overflows long before its residual is checked; the
     # check below raises NumericError in place of numpy's warnings.
@@ -358,7 +329,7 @@ def cp_als(
                     update(_solve_lu, normal[filled])
                     filled += 1
                 else:
-                    update(_solve_gram, normal[0])
+                    update(_solve_pinv, normal[0])
                 kr1 = _khatri_rao(factors[:0:-1])
                 resid = np.sqrt(((mats[0] - factors[0] @ kr1.swapaxes(1, 2)) ** 2).sum(axis=(1, 2)))
                 # Python floats round as numpy's do, at a fraction of the
@@ -370,6 +341,10 @@ def cp_als(
                 stops = any(stop) or sweep == max_sweeps
                 if filled and (filled == block_sweeps or stops or not finite):
                     tested, filled = filled, 0
+                    # A non-finite residual fails the block like a singular
+                    # normal matrix: LU may have solved one into overflow.
+                    if not finite:
+                        raise np.linalg.LinAlgError("cp_als residual is non-finite")
                     np.linalg.cholesky(normal[:tested].reshape(-1, rank, rank))
             except np.linalg.LinAlgError:
                 sweep, factors[:], grams[:], kr1, kept, prev_rel = block
@@ -525,7 +500,7 @@ def tt_svd(
     numerical rank of the current unfolding. max_ranks caps the N-1
     internal bonds; tol drops singular values below it at every split.
     The squared mass of everything dropped accumulates in the returned
-    train's discarded_energy.
+    train's discarded_energy; a sum beyond float range raises NumericError.
 
     With max_ranks and no tol, each split's Jacobi SVD keeps only its cap's
     worth of triplets: once the trailing columns are dominated it stops
@@ -560,11 +535,17 @@ def tt_svd(
         else:
             keep = int((s > default_rank_tol(s, mat.shape[0], mat.shape[1])).sum())
         keep = max(keep, 1)
-        discarded += float((s[keep:] ** 2).sum())
+        # Squared and summed at a power-of-two scale, which is exact, so
+        # that no square overflows.
+        e = _scale_exponent(s[keep:])
+        with np.errstate(over="ignore"):
+            discarded += float(np.ldexp((np.ldexp(s[keep:], -e) ** 2).sum(), 2 * e))
         cores.append(fold(vec(subtensor(res.u, [":", (1, keep)])), (bond, x.shape[k], keep)))
         # diag(s) @ v^T, built as its reversed view: v's rows times s.
         remainder = _from_rev(_rev(res.v)[:keep].T * s[:keep])
         bond = keep
+    if discarded == math.inf:
+        raise NumericError("tt_svd discarded energy is beyond float range")
     cores.append(fold(vec(remainder), (bond, x.shape[-1], 1)))
     return TTTrain(tuple(cores), discarded_energy=discarded)
 

@@ -34,7 +34,7 @@ import numpy as np
 from .core import DenseTensor, _as_instance, _as_seq, permute
 from .errors import ArgumentError, NumericError, ParseError, PlanError
 from .io import _PATH, _format_rows, _parse_floats, read_tensor
-from .products import _gemm_copies, _pair_gemm
+from .products import _pair_gemm
 
 __all__ = [
     "TensorNetwork",
@@ -192,9 +192,7 @@ def _replay(net: TensorNetwork, steps: Sequence[tuple[str, str]], tensors: bool 
     (an operand with none ranks last; a tie keeps the plan's order). When
     the output is one last operand's free labels followed by the other's,
     the last GEMM takes each operand's free labels in output order, in the
-    copy that makes its matrix, so the node left is in output order. An
-    operand that GEMM would not copy otherwise is reordered only when it
-    holds fewer entries than the result."""
+    copy that makes its matrix, so the node left is in output order."""
     state = {name: (net.labels(name), net.tensor(name) if tensors else None) for name in net.node_names}
     rank = {label: k for k, label in enumerate(net.output)}
 
@@ -221,12 +219,7 @@ def _replay(net: TensorNetwork, steps: Sequence[tuple[str, str]], tensors: bool 
             if len(state) == 2:  # the last step
                 want_a = tuple(l for l in net.output if l in rest_a)
                 want_b = tuple(l for l in net.output if l in rest_b)
-                size = math.prod(net.extent(l) for l in merged)
-                if (
-                    net.output == (want_b + want_a if swap else want_a + want_b)
-                    and _cheap_reorder(ta, la, rest_a, want_a, ns, size)
-                    and _cheap_reorder(tb, lb, rest_b, want_b, ms, size)
-                ):
+                if net.output == (want_b + want_a if swap else want_a + want_b):
                     rest_a, rest_b, merged = want_a, want_b, net.output
             fa = [la.index(l) + 1 for l in rest_a]
             fb = [lb.index(l) + 1 for l in rest_b]
@@ -242,14 +235,6 @@ def _replay(net: TensorNetwork, steps: Sequence[tuple[str, str]], tensors: bool 
         (last,) = state.values()
         return last
     return costs, peak_inter
-
-
-def _cheap_reorder(t: DenseTensor, labels, rest, want, paired: list[int], size: int) -> bool:
-    """Whether the last GEMM can take t's free labels `rest` in the order
-    `want` for less than a closing permute of the `size`-entry result costs:
-    they are in that order already, the GEMM copies t anyway, or t holds
-    fewer entries than the result."""
-    return want == rest or t.size < size or _gemm_copies(t, [labels.index(l) + 1 for l in rest], paired)
 
 
 def _product_table(extents: Sequence[int], dtype) -> np.ndarray:

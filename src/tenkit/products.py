@@ -189,19 +189,6 @@ def _gemm_axes(t: DenseTensor, free: list[int], paired: list[int]) -> tuple[list
     return [t.order - m for m in paired], [t.order - m for m in reversed(free)]
 
 
-def _gemm_copies(t: DenseTensor, free: list[int], paired: list[int]) -> bool:
-    """Whether _pair_gemm copies t to make its matrix, for these free and
-    paired modes of t. The matrix is a view exactly when each of its two
-    axis groups folds into one axis: in the C-order _rev(t), each axis of
-    extent above 1 in a group is the next such axis after the one before."""
-    shape = _rev(t).shape
-    for axes in _gemm_axes(t, free, paired):
-        live = [k for k in axes if shape[k] > 1]
-        if any(j < i or math.prod(shape[i + 1 : j]) > 1 for i, j in zip(live, live[1:])):
-            return True
-    return False
-
-
 def tt_pair_product(x: DenseTensor, y: DenseTensor) -> DenseTensor:
     """Contract the last mode of x against the first mode of y."""
     x = _as_tensor(x, "tt_pair_product")

@@ -242,41 +242,61 @@ def test_cp_als_weights_beyond_float_range_is_numeric_error():
 _RANK_ONE = tk.outer([tk.DenseTensor((3,), v) for v in ([1, 2, 3], [1, 1, 1], [1, 0, 1])])
 
 
-@pytest.mark.parametrize("rank", [2, 3])
-@pytest.mark.parametrize("seed", range(6))
-def test_cp_als_fits_a_rank_deficient_tensor(monkeypatch, rank, seed):
+def _rank_one_5x5x5(s):
+    """outer(a, b, c) of three standard-normal 5-vectors from default_rng([99, s])."""
+    rng = np.random.default_rng([99, s])
+    return tk.outer([tk.DenseTensor((5,), rng.standard_normal(5)) for _ in range(3)])
+
+
+# _RANK_ONE at the default tol, and three rank-one 5x5x5 tensors at tol 0
+# whose normal matrices pass Cholesky while singular in floating point, so
+# that LU solves them into factors that overflow.
+_RANK_DEFICIENT_FITS = [
+    pytest.param(_RANK_ONE, rank, seed, 1e-8, id=f"{seed}-{rank}") for seed in range(6) for rank in (2, 3)
+] + [pytest.param(_rank_one_5x5x5(s), 3, 0, 0.0, id=f"5x5x5-{s}") for s in (4, 15, 54)]
+
+
+@pytest.mark.parametrize("x, rank, seed, tol", _RANK_DEFICIENT_FITS)
+def test_cp_als_fits_a_rank_deficient_tensor(monkeypatch, x, rank, seed, tol):
     # Some normal matrix of the first block is singular, so its stacked rank
-    # test (or an LU solve before it) fails and the block is replayed.
-    replayed = _spy_solve_gram(monkeypatch)
-    fit = tk.cp_als(_RANK_ONE, rank, seed=seed)
+    # test, an LU solve or the residual fails and the block is replayed.
+    replayed = _spy_solve_pinv(monkeypatch)
+    fit = tk.cp_als(x, rank, seed=seed, tol=tol)
     assert replayed
     approx = tk.cp_reconstruct(fit.model)
-    assert tk.frobenius_norm(tk.subtract(_RANK_ONE, approx)) <= 1e-14 * tk.frobenius_norm(_RANK_ONE)
-    xa = _RANK_ONE.to_array()
-    want = numpy_cp_als_trace(xa, rank, 200, seed=seed, restart=fit.restart, tol=1e-8)
+    assert tk.frobenius_norm(tk.subtract(x, approx)) <= 1e-14 * tk.frobenius_norm(x)
+    xa = x.to_array()
+    want = numpy_cp_als_trace(xa, rank, 200, seed=seed, restart=fit.restart, tol=tol)
     assert len(fit.trace) == len(want)
     assert np.abs(np.array(fit.trace) - want).max() <= 1e-9 * np.linalg.norm(xa)
 
 
 def test_cp_als_diverging_fit_raises_before_numpy_warns(monkeypatch):
-    # From the first sweep's last mode update on, every solve comes out 2**600
-    # times too large: that factor's Gram and the residual's squares overflow
-    # within the sweep, while the sweep's normal matrices, formed before it
-    # from a well-conditioned fit, stay finite and pass the rank test. Under
-    # the suite's RuntimeWarning filter a warning would surface before the
-    # residual check.
-    calls = []
-    solve_lu = decomp._solve_lu
+    # From the first sweep's last mode update on, every solve, LU or pinv,
+    # comes out 2**600 times too large: that factor's Gram and the residual's
+    # squares overflow within the sweep, while the sweep's normal matrices,
+    # formed before it from a well-conditioned fit, stay finite. The LU
+    # sweep's residual is non-finite, so the fit is replayed from sweep 1
+    # through the pseudo-inverse, which diverges the same way and raises.
+    # Under the suite's RuntimeWarning filter a warning would surface before
+    # the residual check.
+    calls = {"_solve_lu": [], "_solve_pinv": []}
 
-    def diverging(gram, rhs):
-        calls.append(gram.shape)
-        out = solve_lu(gram, rhs)
-        return out * 2.0**600 if len(calls) >= 3 else out
+    def diverging(name):
+        solve = getattr(decomp, name)
 
-    monkeypatch.setattr(decomp, "_solve_lu", diverging)
+        def spy(gram, rhs):
+            calls[name].append(gram.shape)
+            out = solve(gram, rhs)
+            return out * 2.0**600 if len(calls[name]) >= 3 else out
+
+        monkeypatch.setattr(decomp, name, spy)
+
+    diverging("_solve_lu")
+    diverging("_solve_pinv")
     with pytest.raises(tk.NumericError, match="^cp_als objective became non-finite$"):
         tk.cp_als(_well_conditioned_fit_input(), 2, seed=14, tol=0.0)
-    assert calls == [(3, 2, 2)] * 3
+    assert calls == {"_solve_lu": [(3, 2, 2)] * 3, "_solve_pinv": [(3, 2, 2)] * 3}
 
 
 def _well_conditioned_fit_input():
@@ -312,17 +332,36 @@ def _spy_cholesky(monkeypatch, reject=lambda call, a: False):
     return calls
 
 
-def _spy_solve_gram(monkeypatch):
-    """Shapes of the normal matrices cp_als hands to _solve_gram."""
+def _spy_solve_pinv(monkeypatch):
+    """Shapes of the normal matrices cp_als hands to _solve_pinv."""
     calls = []
-    solve_gram = decomp._solve_gram
+    solve_pinv = decomp._solve_pinv
 
     def spy(gram, rhs):
         calls.append(gram.shape)
-        return solve_gram(gram, rhs)
+        return solve_pinv(gram, rhs)
 
-    monkeypatch.setattr(decomp, "_solve_gram", spy)
+    monkeypatch.setattr(decomp, "_solve_pinv", spy)
     return calls
+
+
+def _pinv_from(sweep, x, rank, **kwargs):
+    """_fit_bytes of cp_als(x, rank, **kwargs) with every _solve_lu call from
+    mode 1 of `sweep` on swapped for _solve_pinv: the fit that a replay from
+    that sweep gives."""
+    calls = []
+    solve_lu = decomp._solve_lu
+
+    def swapped(gram, rhs):
+        calls.append(gram.shape)
+        solve = solve_lu if len(calls) <= x.order * (sweep - 1) else decomp._solve_pinv
+        return solve(gram, rhs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decomp, "_solve_lu", swapped)
+        fit = tk.cp_als(x, rank, **kwargs)
+    assert len(calls) > x.order * (sweep - 1)
+    return _fit_bytes(fit)
 
 
 def test_cp_als_tests_every_normal_matrix_of_a_block_in_one_cholesky(monkeypatch):
@@ -336,15 +375,15 @@ def test_cp_als_tests_every_normal_matrix_of_a_block_in_one_cholesky(monkeypatch
 
 def test_cp_als_replayed_block_gives_the_same_fit(monkeypatch):
     x = _well_conditioned_fit_input()
-    base = tk.cp_als(x, 3, tol=0.0, max_sweeps=20)
-    replayed = _spy_solve_gram(monkeypatch)
+    want = _pinv_from(17, x, 3, tol=0.0, max_sweeps=20)
+    replayed = _spy_solve_pinv(monkeypatch)
     calls = _spy_cholesky(monkeypatch, lambda call, a: call == 2)
     fit = tk.cp_als(x, 3, tol=0.0, max_sweeps=20)
-    # The second block failed its test, so sweeps 17-20 are replayed, and
-    # each of their modes is tested on its own.
-    assert calls == [(144, 3, 3), (36, 3, 3)] + [(3, 3, 3)] * 12
+    # The second block failed its test, so sweeps 17-20 are replayed through
+    # the pseudo-inverse, with no further test.
+    assert calls == [(144, 3, 3), (36, 3, 3)]
     assert replayed == [(3, 3, 3)] * 12
-    assert _fit_bytes(fit) == _fit_bytes(base)
+    assert _fit_bytes(fit) == want
 
 
 @pytest.mark.parametrize("tol", [0.0, 1e-8])
@@ -354,21 +393,23 @@ def test_cp_als_failed_lu_solve_replays_its_block_with_the_same_fit(monkeypatch,
     x = _well_conditioned_fit_input()
     base = tk.cp_als(x, 3, tol=tol, max_sweeps=50)
     assert base.sweeps == ((50, 43, 50) if tol else (50, 50, 50))
+    want = _pinv_from(block_start, x, 3, tol=tol, max_sweeps=50)
     calls = []
     solve_lu = decomp._solve_lu
 
     def flaky(gram, rhs):
-        # Mode 1 of `sweep` raises; _solve_gram's solves count on past it.
+        # Mode 1 of `sweep` raises.
         calls.append(gram.shape)
         if len(calls) == 3 * (sweep - 1) + 1:
             raise np.linalg.LinAlgError("Singular matrix")
         return solve_lu(gram, rhs)
 
     monkeypatch.setattr(decomp, "_solve_lu", flaky)
-    replayed = _spy_solve_gram(monkeypatch)
+    replayed = _spy_solve_pinv(monkeypatch)
     fit = tk.cp_als(x, 3, tol=tol, max_sweeps=50)
+    assert len(calls) == 3 * (sweep - 1) + 1
     assert len(replayed) == 3 * (50 - block_start + 1)
-    assert _fit_bytes(fit) == _fit_bytes(base)
+    assert _fit_bytes(fit) == want
 
 
 def test_cp_als_tests_a_block_before_a_restart_stops(monkeypatch):
@@ -381,16 +422,18 @@ def test_cp_als_tests_a_block_before_a_restart_stops(monkeypatch):
     # sweeps are tested with all three restarts still in the stack.
     assert calls[:3] == [(144, 3, 3), (144, 3, 3), (99, 3, 3)]
     # Failing that test replays sweeps 33-43 before the stop is recorded.
+    want = _pinv_from(33, x, 3)
     calls = _spy_cholesky(monkeypatch, lambda call, a: call == 3)
-    assert _fit_bytes(tk.cp_als(x, 3)) == _fit_bytes(base)
+    assert _fit_bytes(tk.cp_als(x, 3)) == want
 
 
 def test_cp_als_tests_a_block_before_a_non_finite_residual_raises(monkeypatch):
-    # Sweep 3's first solve overflows, as an LU solve of a singular normal
-    # matrix can; the block's test rejects it, so the fit is replayed from
-    # sweep 1 instead of raising "objective became non-finite".
+    # Sweep 3's first solve overflows, as an LU solve of a normal matrix that
+    # is singular in floating point can. The residual is non-finite, so the
+    # fit is replayed from sweep 1 through the pseudo-inverse, with no rank
+    # test, instead of raising "objective became non-finite".
     x = _well_conditioned_fit_input()
-    base = tk.cp_als(x, 3, tol=0.0, max_sweeps=20)
+    want = _pinv_from(1, x, 3, tol=0.0, max_sweeps=20)
     solves = []
     solve_lu = decomp._solve_lu
 
@@ -400,10 +443,12 @@ def test_cp_als_tests_a_block_before_a_non_finite_residual_raises(monkeypatch):
         return np.full_like(out, np.inf) if len(solves) == 7 else out
 
     monkeypatch.setattr(decomp, "_solve_lu", overflowing)
-    calls = _spy_cholesky(monkeypatch, lambda call, a: call == 1)
+    calls = _spy_cholesky(monkeypatch)
+    replayed = _spy_solve_pinv(monkeypatch)
     fit = tk.cp_als(x, 3, tol=0.0, max_sweeps=20)
-    assert calls[0] == (27, 3, 3)
-    assert _fit_bytes(fit) == _fit_bytes(base)
+    assert len(solves) == 9 and calls == []
+    assert replayed == [(3, 3, 3)] * 60
+    assert _fit_bytes(fit) == want
 
 
 def test_cp_als_block_path_matches_the_per_mode_path(monkeypatch):
@@ -423,16 +468,13 @@ def test_cp_als_block_path_matches_the_per_mode_path(monkeypatch):
         fits.append((tk.DenseTensor.from_array(x), int(rng.integers(1, 5)), k, (1e-8, 0.0)[k // 2 % 2]))
     fits += [(_RANK_ONE, rank, seed, (1e-8, 0.0)[seed % 2]) for rank in (2, 3) for seed in range(6)]
 
-    def fit_all():
-        return [_fit_bytes(tk.cp_als(x, r, seed=s, tol=t, max_sweeps=24)) for x, r, s, t in fits]
-
-    block = fit_all()
-    # Rejecting every stacked test (a stack of more than one mode's three
-    # restarts) replays each fit from sweep 1, mode by mode.
-    _spy_cholesky(monkeypatch, lambda call, a: a.ndim == 3 and a.shape[0] > 3)
-    per_mode = fit_all()
+    # Every fit as plain ALS, through the pseudo-inverse from sweep 1 on.
+    plain = [_pinv_from(1, x, r, seed=s, tol=t, max_sweeps=24) for x, r, s, t in fits]
+    # Rejecting every stacked test replays each fit from sweep 1.
+    _spy_cholesky(monkeypatch, lambda call, a: True)
+    replayed = [_fit_bytes(tk.cp_als(x, r, seed=s, tol=t, max_sweeps=24)) for x, r, s, t in fits]
     assert len(fits) == 40
-    assert [k for k, (b, p) in enumerate(zip(block, per_mode)) if b != p] == []
+    assert [k for k, (a, b) in enumerate(zip(replayed, plain)) if a != b] == []
 
 
 def test_cp_als_large_rank_tests_one_sweep_per_cholesky(monkeypatch):
@@ -449,7 +491,7 @@ def test_cp_als_large_rank_tests_one_sweep_per_cholesky(monkeypatch):
 
 def test_cp_als_falls_back_to_pinv_when_the_solve_fails(monkeypatch):
     # Whatever the BLAS does with the rank-one case above, a solve that
-    # raises must reach the per-slice pseudo-inverse, not the caller.
+    # raises must reach the pseudo-inverse, not the caller.
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("Singular matrix")
 
@@ -481,72 +523,6 @@ def test_cp_fit_constructs_without_restart_fields():
     model = tk.CPModel(tk.DenseTensor((1,), [1.0]), (tk.DenseTensor((2, 1), [1.0, 0.0]),))
     fit = tk.CPFit(model, (0.5,), 0)
     assert fit.sweeps == () and fit.converged == ()
-
-
-def test_solve_gram_singular_falls_back_to_pinv(monkeypatch):
-    calls = []
-
-    def spy(a):
-        calls.append(a)
-        return factor._pinv_stack(a)
-
-    monkeypatch.setattr(decomp, "_pinv_stack", spy)
-    gram = np.array([[1.0, 1.0], [1.0, 1.0]])
-    rhs = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 0.5]])
-    got = decomp._solve_gram(gram, rhs)
-    assert len(calls) == 1
-    assert np.array_equal(got, rhs @ tk.pinv(tk.DenseTensor.from_array(gram)).to_array())
-
-
-def test_solve_gram_positive_definite_matches_solve():
-    rng = np.random.default_rng(13)
-    a = rng.standard_normal((6, 3))
-    gram = a.T @ a
-    rhs = rng.standard_normal((4, 3))
-    want = np.linalg.solve(gram, rhs.T).T
-    assert np.abs(decomp._solve_gram(gram, rhs) - want).max() <= 1e-12 * np.abs(want).max()
-
-
-def test_solve_gram_makes_one_solve_after_the_cholesky_test(monkeypatch):
-    calls = []
-    solve = np.linalg.solve
-
-    def spy(a, b):
-        calls.append(a)
-        return solve(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", spy)
-    rng = np.random.default_rng(15)
-    a = rng.standard_normal((2, 6, 3))
-    grams = a.swapaxes(1, 2) @ a
-    rhs = rng.standard_normal((2, 4, 3))
-    got = decomp._solve_gram(grams, rhs)
-    assert len(calls) == 1 and calls[0] is grams
-    for k in range(2):
-        want = solve(grams[k], rhs[k].T).T
-        assert np.abs(got[k] - want).max() <= 1e-12 * np.abs(want).max()
-
-
-def test_solve_gram_stack_solves_each_slice_as_one_matrix(monkeypatch):
-    calls = []
-
-    def spy(a):
-        calls.append(a)
-        return factor._pinv_stack(a)
-
-    monkeypatch.setattr(decomp, "_pinv_stack", spy)
-    rng = np.random.default_rng(14)
-    a = rng.standard_normal((6, 3))
-    singular = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
-    grams = np.stack([singular, a.T @ a, np.outer(a[0], a[0])])
-    rhs = rng.standard_normal((3, 4, 3))
-    got = decomp._solve_gram(grams, rhs)
-    assert got.shape == (3, 4, 3)
-    # Both rank-deficient slices in one stacked pseudo-inverse.
-    assert [len(c) for c in calls] == [2]
-    for k in range(3):
-        assert np.array_equal(got[k], decomp._solve_gram(grams[k], rhs[k]))
-    assert [len(c) for c in calls] == [2, 1, 1]
 
 
 # --- Tucker ------------------------------------------------------------------

@@ -480,6 +480,10 @@ NON_FINITE_CALLS = {
 OUT_OF_RANGE_CALLS = {
     "svd_sigma_2e308": lambda: tk.svd(tk.DenseTensor((2, 2), [1e308] * 4)),
     "tt_svd_sigma": lambda: tk.tt_svd(tk.DenseTensor((2, 3, 2), [1e308] * 12)),
+    # Every singular value is in range, but the dropped squares sum past it.
+    "tt_svd_discarded_energy": lambda: tk.tt_svd(
+        tk.DenseTensor.from_array(1e300 * np.random.default_rng(0).standard_normal((4, 4, 4))), [2, 2]
+    ),
     "qr_r_2e308": lambda: tk.qr(tk.DenseTensor((4, 1), [1e308] * 4)),
     "pinv_1e320": lambda: tk.pinv(tk.DenseTensor.from_array(np.eye(3) * 1e-320 + 1e-321)),
     "pinv_near_max": lambda: tk.pinv(tk.DenseTensor((1, 1), [2.0**-1024])),

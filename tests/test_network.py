@@ -491,9 +491,10 @@ INT_NETWORKS = {
     "interleaved": ([("A", "ikj"), ("B", "kl")], "ilj", 1),
     # The last step is an outer product, the later node's labels first.
     "outer-product-last": ([("A", "ij"), ("B", "jk"), ("C", "l")], "lki", 0),
-    # A last operand with more entries than the result is reordered only
-    # when its GEMM matrix is a copy anyway: k between i and j makes it one.
-    "large-operand-view": ([("A", "ijk"), ("B", "k")], "ji", 1),
+    # A last operand with more entries than the result is reordered too,
+    # whether its GEMM matrix would be a view of it or (k between i and j)
+    # a copy anyway.
+    "large-operand-view": ([("A", "ijk"), ("B", "k")], "ji", 0),
     "large-operand-copied": ([("A", "ikj"), ("B", "k")], "ji", 0),
     "one-node": ([("A", "ijk")], "kij", 1),
     "scalar": ([("A", "ij"), ("B", "ji")], "", 0),

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -274,25 +272,6 @@ def test_swapped_pair_gemm_puts_free_modes_of_b_first(shape_a, shape_b, pairing)
         got = _pair_gemm("tensor_product", a, b, ns, ms, fa[::-1], fb[::-1], swap)
         assert got.shape == want.shape
         assert np.abs(got.to_array() - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
-
-
-def test_gemm_copies_matches_numpy_reshape():
-    # numpy's own verdict: whether the matrix _pair_gemm reshapes from the
-    # C-order array of the reversed shape (axis order - m is mode m) shares
-    # the tensor's buffer.
-    from tenkit.products import _gemm_copies
-
-    rng = np.random.default_rng(32)
-    for _ in range(400):
-        shape = rand_shape(rng, max_order=5, max_extent=3, min_order=0)
-        t = rand_tensor(rng, shape)
-        modes = [int(m) + 1 for m in rng.permutation(len(shape))]
-        cut = int(rng.integers(0, len(shape) + 1))
-        free, paired = modes[:cut], modes[cut:]
-        axes = [len(shape) - m for m in reversed(free)] + [len(shape) - m for m in paired]
-        rows = math.prod(shape[m - 1] for m in free)
-        matrix = t.data.reshape(shape[::-1]).transpose(axes).reshape(rows, -1)
-        assert _gemm_copies(t, free, paired) == (not np.shares_memory(matrix, t.data))
 
 
 def test_tensor_product_power_of_two_scaling_is_exact():
