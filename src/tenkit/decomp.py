@@ -22,7 +22,7 @@ from .core import DenseTensor, _as_int, _as_ints, _as_seq, _as_tensor, _as_tol, 
 from .core import _as_instance, _scale_exponent, matricize, permute, subtensor, vec
 from .elementwise import frobenius_norm
 from .errors import ArgumentError, ModelError, NumericError, ParseError
-from .factor import _check_finite, _householder, _jacobi_svd, _orthonormal_fill, _pinv_stack, _svd, default_rank_tol, qr
+from .factor import _check_finite, _householder, _jacobi_svd, _orthonormal_fill, _svd, default_rank_tol, qr
 from .io import _PATH, _read_text, _write_atomic, read_tensor, write_tensor
 from .products import _khatri_rao, mode_product, multi_mode_product, tt_pair_product
 
@@ -201,10 +201,11 @@ def _solve_lu(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _solve_pinv(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """rhs @ pinv(gram), the plain ALS update, for a stack: gram (B, R, R) and
-    rhs (B, I, R). A non-finite gram (of a NaN input, or of factors that
-    overflowed) gives a NaN update, which cp_als's residual test reports."""
+    rhs (B, I, R), through numpy's LAPACK pseudo-inverse at its default
+    cutoff. A non-finite gram (of a NaN input, or of factors that overflowed)
+    gives a NaN update, which cp_als's residual test reports."""
     if np.isfinite(gram).all():
-        return rhs @ _pinv_stack(gram)
+        return rhs @ np.linalg.pinv(gram)
     return np.full(rhs.shape, np.nan)
 
 
@@ -229,10 +230,10 @@ def cp_als(
     sweep), at a sweep where some restart stops, and at a non-finite
     residual. When the test fails, an LU solve does, or the residual is
     non-finite, the fit goes back to the block's first sweep and runs the
-    rest of its sweeps as plain ALS: each update multiplies by the SVD
-    pseudo-inverse of its normal matrices (one stacked Jacobi SVD per
-    mode), so a fit wastes at most one block of sweeps. Only a residual
-    that turns non-finite on that path raises.
+    rest of its sweeps as plain ALS: each update multiplies by numpy's
+    pseudo-inverse of its normal matrices, so a fit wastes at most one
+    block of sweeps. On that path a residual that turns non-finite, or a
+    pseudo-inverse whose SVD does not converge, raises NumericError.
     No product is formed twice: each factor's Gram is formed once, right
     after the factor's update, and the Khatri-Rao of modes N..2 built for
     the residual is the next sweep's mode-1 one.
@@ -346,7 +347,9 @@ def cp_als(
                     if not finite:
                         raise np.linalg.LinAlgError("cp_als residual is non-finite")
                     np.linalg.cholesky(normal[:tested].reshape(-1, rank, rank))
-            except np.linalg.LinAlgError:
+            except np.linalg.LinAlgError as err:
+                if not stacked:
+                    raise NumericError("cp_als pseudo-inverse did not converge") from err
                 sweep, factors[:], grams[:], kr1, kept, prev_rel = block
                 del history[kept:]
                 stacked, filled = False, 0

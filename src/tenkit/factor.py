@@ -460,11 +460,10 @@ def truncated_svd(m: DenseTensor, k: int) -> SVDResult:
     return SVDResult(u, DenseTensor((k,), full.sigma.data[:k]), v)
 
 
-def default_rank_tol(sigma: np.ndarray, rows: int, cols: int) -> np.ndarray:
+def default_rank_tol(sigma: np.ndarray, rows: int, cols: int) -> float:
     """Relative threshold replacing the exact-zero rank test in floating point,
-    for the nonincreasing singular values (..., k) of a rows x cols matrix or
-    of each matrix of a stack: shape (..., 1)."""
-    return sigma[..., :1] * max(rows, cols) * _EPS
+    for the nonincreasing singular values of a rows x cols matrix."""
+    return float(sigma[0]) * max(rows, cols) * _EPS
 
 
 def numerical_rank(m: DenseTensor, tol: float | None = None) -> int:
@@ -484,21 +483,9 @@ def numerical_rank(m: DenseTensor, tol: float | None = None) -> int:
 def pinv(m: DenseTensor) -> DenseTensor:
     """Moore-Penrose pseudo-inverse via the SVD, zeroing sub-threshold sigmas."""
     m = _as_tensor(m, "pinv", 2)
-    return _from_rev(_pinv_stack(m.to_array()[None])[0].T)
-
-
-def _pinv_stack(a: np.ndarray) -> np.ndarray:
-    """pinv of every slice of a stack a (B, m, n), as a (B, n, m) stack of
-    column-major slices; each slice gets the bits pinv gives it alone, from
-    one stacked _jacobi_svd."""
-    _check_finite(a, "pinv")
-    u, s, v, e = _jacobi_svd(a)
-    # At the svd's scale max|a| is in [0.5, 1), so no kept 1 / s overflows;
-    # each product is scaled back by its slice's power of two.
-    keep = s > default_rank_tol(s, *a.shape[1:])
+    u, s, v, e = _svd_at_scale(m, "pinv")
+    # At the svd's scale max|m| is in [0.5, 1), so no kept 1 / s overflows;
+    # the product is scaled back by the svd's power of two.
+    keep = s > default_rank_tol(s, *m.shape)
     inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-    out = []
-    for ui, vi, wi, ei in zip(u, v, inv, e.tolist()):
-        p = np.asfortranarray(vi) @ (wi[:, None] * np.asfortranarray(ui).T)
-        out.append(_unscale(p, -ei, "pinv entries are").T)
-    return np.stack(out).transpose(0, 2, 1)
+    return _from_rev(_unscale(v @ (inv[:, None] * u.T), -e, "pinv entries are").T)

@@ -496,20 +496,57 @@ def test_cp_als_falls_back_to_pinv_when_the_solve_fails(monkeypatch):
         raise np.linalg.LinAlgError("Singular matrix")
 
     calls = []
+    real_pinv = np.linalg.pinv
 
     def counted_pinv(a):
         calls.extend(m.shape for m in a)
-        return factor._pinv_stack(a)
+        return real_pinv(a)
 
     rng = np.random.default_rng(4)
     x = tk.DenseTensor.from_array(np.einsum("ir,jr,kr->ijk", *(rng.standard_normal((4, 2)) for _ in range(3))))
     base = tk.cp_als(x, 2, seed=0, tol=1e-12)
     monkeypatch.setattr(np.linalg, "solve", singular)
-    monkeypatch.setattr(decomp, "_pinv_stack", counted_pinv)
+    monkeypatch.setattr(np.linalg, "pinv", counted_pinv)
     fit = tk.cp_als(x, 2, seed=0, tol=1e-12)
     assert calls and set(calls) == {(2, 2)}
     assert fit.sweeps == base.sweeps and fit.restart == base.restart
     assert tk.frobenius_norm(tk.subtract(x, tk.cp_reconstruct(fit.model))) <= 1e-10 * tk.frobenius_norm(x)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_cp_als_replays_singular_normal_matrices_without_the_jacobi_kernel(monkeypatch, rank):
+    # The fallback solves through numpy's pseudo-inverse; the in-house
+    # Jacobi SVD is left to the SVD family.
+    jacobi = []
+    real = factor._jacobi_svd
+
+    def spy(a, keep=None):
+        jacobi.append(a.shape)
+        return real(a, keep)
+
+    monkeypatch.setattr(factor, "_jacobi_svd", spy)
+    monkeypatch.setattr(decomp, "_jacobi_svd", spy)
+    replayed = _spy_solve_pinv(monkeypatch)
+    tk.cp_als(_RANK_ONE, rank, seed=0)
+    assert replayed and jacobi == []
+
+
+def test_cp_als_raises_when_the_pseudo_inverse_fails(monkeypatch):
+    # A failure on the plain ALS path has no block left to replay: it raises
+    # at once. The spy stops after a few calls, so a fit that replays it
+    # again and again fails here instead of running forever.
+    calls = []
+
+    def failing(a):
+        calls.append(a.shape)
+        if len(calls) > 5:
+            raise RuntimeError("pinv failure replayed")
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "pinv", failing)
+    with pytest.raises(tk.NumericError, match="^cp_als pseudo-inverse did not converge$"):
+        tk.cp_als(_RANK_ONE, 3, seed=0, tol=0.0, max_sweeps=20)
+    assert calls == [(3, 3, 3)]
 
 
 def test_cp_reconstruct_rejects_non_cp_models():
@@ -1159,9 +1196,8 @@ def test_tt_svd_with_caps_and_tol_runs_full_svds(monkeypatch):
         lambda: tk.hosvd(tk.DenseTensor.from_array(np.arange(1.0, 61.0).reshape(3, 4, 5) ** 0.5)),
         lambda: tk.tt_svd(tk.DenseTensor.from_array(np.arange(1.0, 61.0).reshape(3, 4, 5) ** 0.5)),
         lambda: tk.tt_svd(tk.DenseTensor.from_array(np.arange(1.0, 61.0).reshape(3, 4, 5) ** 0.5), tol=1e-3),
-        lambda: tk.cp_als(_RANK_ONE, 2, seed=0),
     ],
-    ids=["hosvd", "tt_svd_exact", "tt_svd_tol", "cp_als_pinv"],
+    ids=["hosvd", "tt_svd_exact", "tt_svd_tol"],
 )
 def test_full_decompositions_never_narrow_the_sweeps(call, monkeypatch):
     narrow = narrow_spy(monkeypatch)

@@ -803,6 +803,10 @@ def _svd_parts(res):
     return [(res.u.to_array(), 0), (res.sigma.data, 1), (res.v.to_array(), 0)]
 
 
+def _qr_parts(res):
+    return [(res.q.to_array(), 0), (res.r.to_array(), 1)]
+
+
 def _tucker_parts(model):
     return [(model.core.to_array(), 1)] + [(f.to_array(), 0) for f in model.factors]
 
@@ -812,11 +816,27 @@ def _tt_parts(train):
     return [(c, 0) for c in lead] + [(last, 1), (train.discarded_energy, 2)]
 
 
+def _orthogonalized_parts(first):
+    """The cores of tt_orthogonalize at every pivot, of a 3-core train whose
+    first core is `first` and whose other two are fixed: the pivot core takes
+    the first core's scale, the orthogonal cores none."""
+    rng = np.random.default_rng(10)
+    rest = [tk.DenseTensor.from_array(rng.standard_normal(s)) for s in [(3, 5, 2), (2, 3, 1)]]
+    train = tk.TTTrain((first, *rest))
+    return [
+        (core.to_array(), int(k == pivot))
+        for pivot in (1, 2, 3)
+        for k, core in enumerate(tk.tt_orthogonalize(train, pivot).cores, 1)
+    ]
+
+
 # The 7x40 svd is factored as its transpose with an odd column count, the
 # 90x17 one as the 17x17 R of its QR; hosvd of 5x5x5 stacks three unfoldings
 # of 5 columns, tt_svd of 5x6x7 splits 5x42 and 30x7. The truncated callers
 # get low-rank inputs plus 1e-3 noise, so that their trailing columns come to
-# be dominated and the sweeps narrow.
+# be dominated and the sweeps narrow. pinv_rank2's two zero singular values
+# fall below the relative cutoff at every scale; tt_orthogonalize sweeps the
+# first core's scale into whichever core is the pivot.
 SHIFTED_CALLS = {
     "truncated_svd": (
         lambda rng: rng.standard_normal((30, 3)) @ rng.standard_normal((3, 12)) + 1e-3 * rng.standard_normal((30, 12)),
@@ -830,6 +850,12 @@ SHIFTED_CALLS = {
         lambda x: _tucker_parts(tk.truncated_hosvd(x, [2, 2, 2])),
     ),
     "tt_svd": (lambda rng: rng.standard_normal((5, 6, 7)), lambda x: _tt_parts(tk.tt_svd(x))),
+    "pinv_rank2": (
+        lambda rng: rng.standard_normal((6, 2)) @ rng.standard_normal((2, 4)),
+        lambda x: [(tk.pinv(x).to_array(), -1)],
+    ),
+    "qr": (lambda rng: rng.standard_normal((7, 4)), lambda x: _qr_parts(tk.qr(x))),
+    "tt_orthogonalize": (lambda rng: rng.standard_normal((1, 4, 3)), _orthogonalized_parts),
 }
 
 
