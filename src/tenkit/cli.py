@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import decomp
-from .core import DenseTensor, _fmt_shape, fold, k_unfold, matricize, permute
+from .core import DenseTensor, _as_tol, _fmt_shape, fold, k_unfold, matricize, permute
 from .elementwise import frobenius_norm, subtract
 from .errors import ArgumentError, NumericError, TenkitError
 from .io import _read_text, format_float, read_tensor, write_tensor
@@ -162,16 +162,17 @@ def _cmd_contract(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    tol = _as_tol(args.tol)
     t = read_tensor(args.tensor)
     approx = decomp.reconstruct(decomp.read_model(args.modeldir))
     if approx.shape != t.shape:
         raise ArgumentError(f"model reconstructs shape {_fmt_shape(approx.shape)}, tensor has {_fmt_shape(t.shape)}")
     rel = _rel_error(t, approx)
     _mline("rel_error", rel)
-    if rel <= args.tol:
-        print(f"ok: relative error {format_float(rel)} <= {format_float(args.tol)}")
+    if rel <= tol:
+        print(f"ok: relative error {format_float(rel)} <= {format_float(tol)}")
         return 0
-    print(f"verification failed: relative error {format_float(rel)} > {format_float(args.tol)}")
+    print(f"verification failed: relative error {format_float(rel)} > {format_float(tol)}")
     return 1
 
 

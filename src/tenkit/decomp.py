@@ -20,11 +20,11 @@ import numpy as np
 
 from .core import DenseTensor, _as_int, _as_ints, _as_seq, _as_tensor, _as_tol, _from_rev, _rev, fold, k_unfold
 from .core import _as_instance, _scale_exponent, matricize, permute, subtensor, vec
-from .elementwise import frobenius_norm
+from .elementwise import _finite, frobenius_norm
 from .errors import ArgumentError, ModelError, NumericError, ParseError
 from .factor import _check_finite, _householder, _jacobi_svd, _orthonormal_fill, _svd, default_rank_tol, qr
 from .io import _PATH, _read_text, _write_atomic, read_tensor, write_tensor
-from .products import _khatri_rao, mode_product, multi_mode_product, tt_pair_product
+from .products import _khatri_rao, _mode_product, _multi_mode_product, tt_pair_product
 
 __all__ = [
     "CPModel",
@@ -183,7 +183,9 @@ class TRRing(_CoreChain):
 def cp_reconstruct(m: CPModel) -> DenseTensor:
     """Dense tensor of a CP model: sum_r weights[r] * outer(columns r)."""
     _as_model(m, "cp_reconstruct", "cp")
-    return DenseTensor(m.shape, _khatri_rao([f.to_array() for f in reversed(m.factors)]) @ m.weights.data)
+    parts = [f.to_array() for f in reversed(m.factors)]
+    full = _finite("cp_reconstruct", lambda: _khatri_rao(parts) @ m.weights.data, m.weights.data, *parts)
+    return DenseTensor(m.shape, full)
 
 
 # cp_als tests the rank of the normal matrices of up to _CP_BLOCK_SWEEPS
@@ -411,7 +413,7 @@ def cp_als(
 def tucker_reconstruct(m: TuckerModel) -> DenseTensor:
     """Dense tensor of a Tucker model: core multiplied by every factor."""
     _as_model(m, "tucker_reconstruct", "tucker")
-    return multi_mode_product(m.core, m.factors)
+    return _multi_mode_product("tucker_reconstruct", m.core, m.factors)
 
 
 def _tucker(x: DenseTensor, ranks: Sequence[int], what: str) -> TuckerModel:
@@ -424,7 +426,8 @@ def _tucker(x: DenseTensor, ranks: Sequence[int], what: str) -> TuckerModel:
     columns come to be dominated (_jacobi_svd) stops rotating them, and its
     factor equals svd's leading columns to rounding; any other (every one
     of hosvd's full ranks) gets the u that svd alone would give it, bit for
-    bit. A NaN or inf entry raises NumericError naming the caller, `what`.
+    bit. A NaN or inf entry, or a core beyond float range, raises
+    NumericError naming the caller, `what`.
     """
     _check_finite(x.data, what)
     groups: dict[tuple[int, int], list[int]] = {}
@@ -436,7 +439,7 @@ def _tucker(x: DenseTensor, ranks: Sequence[int], what: str) -> TuckerModel:
         for n, un in zip(modes, u):
             p = ranks[n - 1]
             factors[n - 1] = _from_rev((un[:, :p] if un.shape[1] >= p else _orthonormal_fill(un, p)).T)
-    core = multi_mode_product(x, [permute(u, [2, 1]) for u in factors])
+    core = _multi_mode_product(what, x, [permute(u, [2, 1]) for u in factors])
     return TuckerModel(core, tuple(factors))
 
 
@@ -465,7 +468,7 @@ def tucker_orthogonalize(m: TuckerModel) -> TuckerModel:
     for n, f in enumerate(m.factors, start=1):
         res = qr(f)
         new_factors.append(res.q)
-        core = mode_product(core, res.r, n)
+        core = _mode_product("tucker_orthogonalize", core, res.r, n)
     return TuckerModel(core, tuple(new_factors))
 
 
@@ -572,12 +575,12 @@ def tt_orthogonalize(t: TTTrain, pivot: int) -> TTTrain:
         r0, i, _ = cores[k].shape
         q, r = _householder(k_unfold(cores[k], 2).to_array())
         cores[k] = fold(vec(_from_rev(q.T)), (r0, i, q.shape[1]))
-        cores[k + 1] = mode_product(cores[k + 1], _from_rev(r.T), 1)
+        cores[k + 1] = _mode_product("tt_orthogonalize", cores[k + 1], _from_rev(r.T), 1)
     for k in range(n - 1, pivot - 1, -1):
         _, i, r1 = cores[k].shape
         q, r = _householder(k_unfold(cores[k], 1).to_array().T)
         cores[k] = fold(vec(_from_rev(q)), (q.shape[1], i, r1))
-        cores[k - 1] = mode_product(cores[k - 1], _from_rev(r.T), 3)
+        cores[k - 1] = _mode_product("tt_orthogonalize", cores[k - 1], _from_rev(r.T), 3)
     return TTTrain(tuple(cores))
 
 
@@ -596,7 +599,7 @@ def tr_reconstruct(r: TRRing) -> DenseTensor:
     """Dense tensor of a ring: per-entry trace of the chained slice matrices."""
     _as_model(r, "tr_reconstruct", "tr")
     acc = _rev(tt_chain(r))
-    return _from_rev(np.trace(acc, axis1=0, axis2=acc.ndim - 1))
+    return _from_rev(_finite("tr_reconstruct", lambda: np.trace(acc, axis1=0, axis2=acc.ndim - 1), acc))
 
 
 # --- model kinds and model directories --------------------------------------

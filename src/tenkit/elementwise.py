@@ -175,7 +175,10 @@ def outer(vs: Sequence[DenseTensor]) -> DenseTensor:
     # Built in storage order: the reversed view of the result has the last
     # vector's axis first. v * acc == acc * v exactly, so entries are still
     # (v_1 v_2) v_3 ...
-    acc = vs[0].data
-    for v in vs[1:]:
-        acc = np.multiply.outer(v.data, acc)
-    return _from_rev(acc)
+    def build():
+        acc = vs[0].data
+        for v in vs[1:]:
+            acc = np.multiply.outer(v.data, acc)
+        return acc
+
+    return _from_rev(_finite("outer", build, *(v.data for v in vs)))

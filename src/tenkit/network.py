@@ -245,42 +245,47 @@ def _product_table(extents: Sequence[int], dtype) -> np.ndarray:
     return table
 
 
-def _split_tables(net: TensorNetwork):
-    """The subset DP's cost tables: (size, bond_free, bond_tables).
+def _census(net: TensorNetwork, names: Sequence[str]) -> tuple[list[int], dict[tuple[int, int], int]]:
+    """(size, bond) of the nodes `names`, node i being names[i]: size[i] is
+    node i's element count and bond[i, j] (i < j) the product of the
+    extents that nodes i and j share, for each pair that shares a label."""
+    size, holder, bond = [], {}, {}
+    for i, name in enumerate(names):
+        size.append(math.prod(net.extent(label) for label in net.labels(name)))
+        for label in net.labels(name):
+            if label in holder:
+                pair = (holder[label], i)
+                bond[pair] = bond.get(pair, 1) * net.extent(label)
+            holder[label] = i
+    return size, bond
+
+
+def _split_tables(size, bond):
+    """The subset DP's cost tables from a census (see _census): (size,
+    bond_free, bond_tables), with node i as bit i of a mask.
 
     Splitting mask into (sub, rest) costs size[mask], the element count of
     the node that mask merges into, times the product of the bonds between
-    sub and rest. Bonds joining the same two nodes always enter together, so
-    each such pair is one bit, carrying the product of its extents, in a
-    12-bit word. bond_free[c, mask] is word c of the bonds with exactly one
-    end in mask, so bond_free[c, sub] & bond_free[c, rest] are the bonds
+    sub and rest. Each bond of the census is one bit, carrying its product,
+    in a 12-bit word. bond_free[c, mask] is word c of the bonds with exactly
+    one end in mask, so bond_free[c, sub] & bond_free[c, rest] are the bonds
     between sub and rest, and bond_tables[c] maps word c to its product.
 
     Each of these products runs over distinct labels, so none exceeds P,
     the product of every label's extent, and a plan's cost sums at most
     n - 1 of them. The tables hold int64 when (n - 1) * P <= 2**63 - 1, and
     Python ints otherwise, so the DP's arithmetic is exact either way."""
-    names = net.node_names
-    n = len(names)
-    holders: dict[str, int] = {}
-    for i, name in enumerate(names):
-        for label in net.labels(name):
-            holders[label] = holders.get(label, 0) | 1 << i
-    own = [1] * n  # each node's free labels
-    pairs: dict[int, int] = {}
-    for label, nodes in holders.items():
-        if nodes & (nodes - 1):
-            pairs[nodes] = pairs.get(nodes, 1) * net.extent(label)
-        else:
-            own[nodes.bit_length() - 1] *= net.extent(label)
-    extents = list(pairs.values())
+    n = len(size)
+    own = list(size)  # each node's free extent, once its bonds are divided out
+    for (i, j), extent in bond.items():
+        own[i] //= extent
+        own[j] //= extent
+    extents = list(bond.values())
     dtype = np.int64 if (n - 1) * math.prod(own) * math.prod(extents) <= _I64_MAX else object
-    words = -(-len(pairs) // 12)
+    words = -(-len(bond) // 12)
     node_words = np.zeros((words, n), dtype=np.int64)
-    for g, nodes in enumerate(pairs):
-        for i in range(n):
-            if nodes >> i & 1:
-                node_words[g // 12, i] |= 1 << g % 12
+    for g, pair in enumerate(bond):
+        node_words[g // 12, pair] |= 1 << g % 12
     bond_free = np.zeros((words, 1 << n), dtype=np.int64)
     for i in range(n):
         bond_free[:, 1 << i : 2 << i] = bond_free[:, : 1 << i] ^ node_words[:, i, None]
@@ -323,12 +328,12 @@ def _plan_level(masks, k, best, best_split, size, bond_free, bond_tables) -> Non
 
 
 def _plan_exhaustive(net: TensorNetwork) -> list[tuple[str, str]]:
-    """Steps of the subset DP's plan; on int64 tables the greedy plan's cost
-    C caps which masks it splits.
+    """Steps of the subset DP's plan; on int64 tables the cost C of the
+    least-cost greedy order caps which masks it splits.
 
     A split's product covers the open labels of both parts, so it is at
     least size[part] for each part. A mask whose size exceeds C (never the
-    full one, which the last step of the greedy plan covers) is not split:
+    full one, which the last step of any plan covers) is not split:
     its best reads 0, but every split it is part of costs over C anyway.
     So by induction over the levels, a kept mask whose optimum is at most C
     gets it exactly, every other split of a kept mask costs over C, and the
@@ -340,14 +345,14 @@ def _plan_exhaustive(net: TensorNetwork) -> list[tuple[str, str]]:
     n = len(names)
     if n > 12:
         raise ArgumentError(f"exhaustive planning supports at most 12 nodes, got {n}")
-    tables = _split_tables(net)
+    tables = _split_tables(*_census(net, names))
     size = tables[0]
     popcount = np.zeros(1 << n, dtype=np.int64)
     for i in range(n):
         popcount[1 << i : 2 << i] = popcount[: 1 << i] + 1
     best = np.zeros(1 << n, dtype=size.dtype)
     splits = np.zeros(1 << n, dtype=np.int64)
-    cap = _plan_greedy(net)[0] if size.dtype == np.int64 else None
+    cap = _greedy_scan(*_census(net, sorted(names)), _by_cost)[0] if size.dtype == np.int64 else None
     for k in range(2, n + 1):
         masks = np.flatnonzero(popcount == k)
         if cap is not None:
@@ -378,11 +383,10 @@ def _by_growth(cost, growth, unshared):
 
 
 def _greedy_scan(size, bond, rule):
-    """(total cost, steps) of one greedy order, with nodes as indices in name order.
+    """(total cost, steps) of one greedy order on a census (see _census),
+    with nodes as its indices.
 
-    size[i] is node i's element count and bond[i, j] (i < j) the product of
-    the extents that nodes i and j share, for each pair that shares a label.
-    A pair then costs size[i] * size[j] // bond, the product of the union of
+    A pair costs size[i] * size[j] // bond, the product of the union of
     its labels, and leaves a node of cost // bond elements. Each round
     contracts the pair with the least key rule(cost, growth, unshared) + (i,
     j), where growth is the result's size less the two operands' sizes;
@@ -429,14 +433,7 @@ def _plan_greedy(net: TensorNetwork) -> tuple[int, list[tuple[str, str]]]:
     raises NumericError on the same networks as a scan of every pair per
     round; a _by_growth scan that meets such a pair is dropped."""
     names = sorted(net.node_names)
-    size = [math.prod(net.extent(label) for label in net.labels(name)) for name in names]
-    holder, bond = {}, {}
-    for i, name in enumerate(names):
-        for label in net.labels(name):
-            if label in holder:
-                pair = (holder[label], i)
-                bond[pair] = bond.get(pair, 1) * net.extent(label)
-            holder[label] = i
+    size, bond = _census(net, names)
     best = _greedy_scan(size, bond, _by_cost)
     try:
         other = _greedy_scan(size, bond, _by_growth)
@@ -461,9 +458,10 @@ def plan(net: TensorNetwork, strategy="exhaustive") -> ContractionPlan:
     has the larger mask wins. It takes at most 12 nodes and does 3**n work
     in numpy, one subset size at a time, so memory holds the splits of one
     size only. It raises NumericError if any split costs more than
-    2**63 - 1. On int64 costs the greedy plan's cost C caps the search: a
-    subset whose node has more than C elements is in no plan costing C or
-    less, so it is not split, and the plan is the same as without the cap.
+    2**63 - 1. On int64 costs the cost C of the least-cost greedy order
+    (the first order of "greedy" below) caps the search: a subset whose
+    node has more than C elements is in no plan costing C or less, so it is
+    not split, and the plan is the same as without the cap.
     "greedy" builds two orders and keeps the cheaper, the first on a tie.
     Each round of the first contracts the pair of least cost; each round of
     the second contracts, among pairs that share a label if any do, the
@@ -644,6 +642,7 @@ def parse_network(text: str, base_dir: str | os.PathLike = ".") -> TensorNetwork
     _as_instance(base_dir, _PATH, "parse_network")
     statements = _tn_tokens(text)
     raw_nodes = []  # (name, labels, source, line, col); source: ("file", path) | ("inline", values)
+    names = set()
     extents: dict[str, int] = {}
     output = None
     output_seen = False
@@ -661,6 +660,9 @@ def parse_network(text: str, base_dir: str | os.PathLike = ".") -> TensorNetwork
             _, name, nline, ncol = _expect(stmt, 1, what="a node name")
             if not _is_ident(name):
                 raise ParseError(f"node name {name!r} is not an identifier", nline, ncol)
+            if name in names:
+                raise ParseError(f"duplicate node name '{name}'", nline, ncol)
+            names.add(name)
             labels, annotated, pos = _parse_label_list(stmt, 2, allow_extents=True)
             for label, extent in annotated.items():
                 learn(label, extent, line, col)
@@ -720,28 +722,16 @@ def parse_network(text: str, base_dir: str | os.PathLike = ".") -> TensorNetwork
                 learn(label, extent, line, col)
             tensors[name] = t
 
-    # Infer remaining extents of inline nodes from data lengths.
+    # Infer remaining extents of inline nodes from data lengths; a node is
+    # built in the pass that knows all its extents.
     pending = [rn for rn in raw_nodes if rn[2][0] == "inline"]
-    changed = True
-    while pending and changed:
-        changed = False
+    while pending:
         still = []
         for rn in pending:
             name, labels, (_, values), line, col = rn
             unknown = [l for l in labels if l not in extents]
-            known = 1
-            for l in labels:
-                known *= extents.get(l, 1)
-            if not unknown:
-                if known != len(values):
-                    raise ParseError(
-                        f"node '{name}': {len(values)} values do not fill extents with {known} entries",
-                        line,
-                        col,
-                    )
-                tensors[name] = DenseTensor([extents[l] for l in labels], values)
-                changed = True
-            elif len(unknown) == 1:
+            known = math.prod(extents.get(l, 1) for l in labels)
+            if len(unknown) == 1:
                 if len(values) % known != 0 or len(values) // known < 1:
                     raise ParseError(
                         f"node '{name}': cannot infer extent of label '{unknown[0]}' "
@@ -750,11 +740,19 @@ def parse_network(text: str, base_dir: str | os.PathLike = ".") -> TensorNetwork
                         col,
                     )
                 learn(unknown[0], len(values) // known, line, col)
+            elif unknown:
                 still.append(rn)
-                changed = True
-            else:
-                still.append(rn)
-        pending = [rn for rn in still if rn[0] not in tensors]
+                continue
+            elif known != len(values):
+                raise ParseError(
+                    f"node '{name}': {len(values)} values do not fill extents with {known} entries",
+                    line,
+                    col,
+                )
+            tensors[name] = DenseTensor([extents[l] for l in labels], values)
+        if len(still) == len(pending):
+            break
+        pending = still
     if pending:
         name, labels, _, line, col = pending[0]
         unknown = [l for l in labels if l not in extents]

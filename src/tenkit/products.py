@@ -15,10 +15,10 @@ buffer (core._from_rev). No result is transposed. An operand is copied
 only when its matrix is not a view: when its paired modes, in pairing
 order, or its free modes, in the order the result takes them, do not run
 in storage order (extent-1 modes aside). network.evaluate chooses that
-free-mode order to write its output order. A tensor_product or
-tt_pair_product of finite operands whose result is beyond float range
-raises NumericError (elementwise._finite), from the GEMM's overflow flag,
-with no pass over the result.
+free-mode order to write its output order. Every product of finite
+operands whose result is beyond float range raises NumericError naming
+the function called (elementwise._finite), from the overflow flag of its
+GEMM or multiply, with no pass over the result.
 """
 
 from __future__ import annotations
@@ -50,14 +50,14 @@ def matmul(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     b = _as_tensor(b, "matmul", 2)
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul mismatch: {_fmt_shape(a.shape)} times {_fmt_shape(b.shape)}")
-    return _from_rev(_rev(b) @ _rev(a))
+    return _pair_gemm("matmul", a, b, [2], [1], [1], [2])
 
 
 def trace(s: DenseTensor) -> float:
     s = _as_tensor(s, "trace", 2)
     if s.shape[0] != s.shape[1]:
         raise ShapeError(f"trace needs a square matrix, got {_fmt_shape(s.shape)}")
-    return float(np.trace(_rev(s)))
+    return float(_finite("trace", lambda: np.trace(_rev(s)), s.data))
 
 
 def kronecker(a: DenseTensor, b: DenseTensor) -> DenseTensor:
@@ -85,11 +85,16 @@ def khatri_rao(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     b = _as_tensor(b, "khatri_rao", 2)
     if a.shape[1] != b.shape[1]:
         raise ShapeError(f"khatri_rao needs equal column counts, got {a.shape[1]} and {b.shape[1]}")
-    return _from_rev(_khatri_rao([a.to_array(), b.to_array()]).T)
+    return _from_rev(_finite("khatri_rao", lambda: _khatri_rao([a.to_array(), b.to_array()]).T, a.data, b.data))
 
 
 def mode_product(x: DenseTensor, a: DenseTensor, n: int) -> DenseTensor:
     """Multiply matrix a into mode n of x: matricize(result, n) = a @ matricize(x, n)."""
+    return _mode_product("mode_product", x, a, n)
+
+
+def _mode_product(what: str, x: DenseTensor, a: DenseTensor, n: int) -> DenseTensor:
+    """mode_product, whose NumericError for a result beyond float range names `what`."""
     x = _as_tensor(x, "mode_product")
     n = _as_int(n, "mode", 1, x.order)
     a = _as_tensor(a, "mode_product", 2)
@@ -103,9 +108,9 @@ def mode_product(x: DenseTensor, a: DenseTensor, n: int) -> DenseTensor:
     shape = x.shape[: n - 1] + (a.shape[0],) + x.shape[n:]
     rows, left = x.shape[n - 1], element_count(x.shape[: n - 1])
     if left == 1:  # one GEMM: (right, I_n) times a^T
-        out = x.data.reshape(-1, rows) @ _rev(a)
+        out = _finite(what, lambda: x.data.reshape(-1, rows) @ _rev(a), x.data, a.data)
     else:  # a times each (I_n, left) slice; one GEMM when n is the last mode
-        out = _rev(a).T @ x.data.reshape(-1, rows, left)
+        out = _finite(what, lambda: _rev(a).T @ x.data.reshape(-1, rows, left), x.data, a.data)
     return _from_rev(out.reshape(shape[::-1]))
 
 
@@ -115,10 +120,15 @@ def multi_mode_product(g: DenseTensor, mats: Sequence[DenseTensor | None]) -> De
     A None slot leaves that mode untouched (the all-but-one-mode product is
     the case with exactly one None).
     """
+    return _multi_mode_product("multi_mode_product", g, mats)
+
+
+def _multi_mode_product(what: str, g: DenseTensor, mats: Sequence[DenseTensor | None]) -> DenseTensor:
+    """multi_mode_product, whose NumericError for a result beyond float range names `what`."""
     out = _as_tensor(g, "multi_mode_product")
     for n, a in enumerate(_as_seq(mats, "matrix slots", out.order), start=1):
         if a is not None:
-            out = mode_product(out, a, n)
+            out = _mode_product(what, out, a, n)
     return out
 
 

@@ -443,8 +443,8 @@ def test_cli_numeric_failure_exits_two(tmp_path):
     assert "numeric failure" in res.stderr
 
 
-# The CLI's arguments ({ramp}, {net}, {huge} and {tmp} stand for files the
-# test writes), the exit code and a piece of stderr. Each row reaches one
+# The CLI's arguments ({ramp}, {net}, {huge}, {e200} and {tmp} stand for
+# files the test writes), the exit code and a piece of stderr. Each row reaches one
 # rejection in the CLI's own argument handling, or its OSError or
 # NumericError exit, in this process.
 CLI_FAILURES = {
@@ -459,6 +459,11 @@ CLI_FAILURES = {
     "out_dir_missing": (["reshape", "{ramp}", "permute", "1", "2", "3", "--out", "{tmp}/no/p.ten"], 1, "tenkit: error: [Errno 2] No such file or directory: '{tmp}/no/p.ten'\n"),
     "out_is_a_dir": (["reshape", "{ramp}", "permute", "1", "2", "3", "--out", "{tmp}/adir"], 1, "tenkit: error: [Errno 21] Is a directory: '{tmp}/adir'\n"),
     "cp_overflow": (["decompose", "{huge}", "cp", "2", "--outdir", "{tmp}/m"], 2, "tenkit: numeric failure: "),
+    "verify_overflow": (["verify", "{huge}", "{e200}", "--tol", "1"], 2, "tucker_reconstruct result is beyond float range"),
+    # A bad tolerance is rejected before any file is read.
+    "verify_tol_nan": (["verify", "{tmp}/no.ten", "{tmp}/no", "--tol", "nan"], 1, "tol must be a finite number >= 0, got nan"),
+    "verify_tol_negative": (["verify", "{tmp}/no.ten", "{tmp}/no", "--tol", "-1"], 1, "tol must be a finite number >= 0, got -1.0"),
+    "verify_tol_inf": (["verify", "{tmp}/no.ten", "{tmp}/no", "--tol", "inf"], 1, "tol must be a finite number >= 0, got inf"),
 }
 
 
@@ -467,7 +472,10 @@ def test_cli_failures_exit_with_their_code(tmp_path, ramp_file, argv, code, mess
     huge = tmp_path / "huge.ten"
     tk.write_tensor(huge, tk.DenseTensor((2, 2, 2), [1e308] * 8))
     (tmp_path / "adir").mkdir()
-    files = {"ramp": ramp_file, "net": write_abv(tmp_path), "huge": huge, "tmp": tmp_path}
+    # A 2x2x2 core of 1e200 times diag(1e200) factors: entries of 1e600.
+    diag = tk.DenseTensor((2, 2), [1e200, 0.0, 0.0, 1e200])
+    tk.write_model(tmp_path / "e200", tk.TuckerModel(tk.DenseTensor((2, 2, 2), [1e200] * 8), (diag,) * 3))
+    files = {"ramp": ramp_file, "net": write_abv(tmp_path), "huge": huge, "e200": tmp_path / "e200", "tmp": tmp_path}
     res = run_cli(*[arg.format(**files) for arg in argv])
     assert res.returncode == code
     assert message.format(**files) in res.stderr and res.stdout == ""

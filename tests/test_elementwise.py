@@ -293,6 +293,12 @@ _TINY = tk.DenseTensor((2, 2), [1e-10, 1.0, 1.0, 1.0])
 _E200 = tk.DenseTensor((1, 2), [1e200, 3.0])
 _E200_CUBE = tk.DenseTensor((1, 1, 1), [1e200])
 _E200_NET = tk.TensorNetwork([("A", ("i", "j"), _E200), ("B", ("k", "j"), _E200)], ("i", "k"))
+_E200_ONE = tk.DenseTensor((1, 1), [1e200])
+_E200_TUCKER = tk.TuckerModel(_E200_CUBE, (_E200_ONE,) * 3)
+# weight 1e300 times three factor entries 1e10
+_E300_CP = tk.CPModel(tk.DenseTensor((1,), [1e300]), (tk.DenseTensor((2, 1), [1e10, 1.0]),) * 3)
+# one slice diag(1e308, 1e308), whose trace is 2e308
+_E308_RING = tk.TRRing((tk.DenseTensor((2, 1, 2), [1e308, 0.0, 0.0, 1e308]),))
 
 
 @pytest.mark.parametrize(
@@ -309,6 +315,18 @@ _E200_NET = tk.TensorNetwork([("A", ("i", "j"), _E200), ("B", ("k", "j"), _E200)
         ("tensor_product", lambda: tk.tensor_product(_E200, _E200, [(2, 2)])),
         ("tt_pair_product", lambda: tk.tt_pair_product(_E200_CUBE, _E200_CUBE)),
         ("evaluate", lambda: tk.evaluate(_E200_NET, tk.plan(_E200_NET))),
+        ("matmul", lambda: tk.matmul(_E200, tk.permute(_E200, [2, 1]))),
+        ("mode_product", lambda: tk.mode_product(_E200_CUBE, _E200_ONE, 2)),
+        ("multi_mode_product", lambda: tk.multi_mode_product(_E200_CUBE, [None, None, _E200_ONE])),
+        ("khatri_rao", lambda: tk.khatri_rao(_E200, _E200)),
+        ("outer", lambda: tk.outer([tk.DenseTensor((2,), [3.0, 1e200])] * 2)),
+        ("trace", lambda: tk.trace(_NEAR_MAX)),
+        ("tucker_reconstruct", lambda: tk.tucker_reconstruct(_E200_TUCKER)),
+        ("tucker_orthogonalize", lambda: tk.tucker_orthogonalize(_E200_TUCKER)),
+        ("hosvd", lambda: tk.hosvd(tk.DenseTensor((2, 2), [1e308] * 4))),  # a core entry of 2e308
+        ("tt_orthogonalize", lambda: tk.tt_orthogonalize(tk.TTTrain((_E200_CUBE,) * 2), 2)),
+        ("cp_reconstruct", lambda: tk.cp_reconstruct(_E300_CP)),
+        ("tr_reconstruct", lambda: tk.tr_reconstruct(_E308_RING)),
     ],
 )
 def test_finite_inputs_that_overflow_raise(name, call):

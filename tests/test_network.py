@@ -149,6 +149,9 @@ def test_format_network_matches_value_by_value_oracle():
         ("node A i = 1 2; output [i]", "expected '[', got 'i'", 1, 8),
         ("node A [i j] = 1 2; output [i,j]", "expected ',' or ']', got 'j'", 1, 11),
         ("output [i]\nnode A [i] @m.ten", "node 'A': file has order 2 but 1 labels", 2, 1),
+        # A repeated node name is found before any file is read.
+        ("node A [i,j] = 1 2 3 4 5 6\nnode A [i=2] = 1 2\noutput [j]", "duplicate node name 'A'", 2, 6),
+        ("node A [i=2] = 1 2; node B [j=1] = 3\n  node A [k] @missing.ten; output []", "duplicate node name 'A'", 2, 8),
     ],
 )
 def test_inline_value_errors_carry_line_and_col(text, message, line, col, tmp_path):
@@ -685,8 +688,9 @@ def test_exhaustive_matches_python_dp_on_rings_and_ladders(build):
 
 
 def test_exhaustive_with_more_than_64_labels_matches_python_dp():
-    # Extent-1 labels are free to create; 9 nodes share 80 of them, so no
-    # single 64-bit word can hold the label set.
+    # Extent-1 labels are free to create: 9 nodes share 80 of them, more
+    # than a 64-bit word has bits. They join all 36 node pairs, and the DP
+    # keeps one bit per pair, so its bonds take three 12-bit words.
     rng = np.random.default_rng(17)
     n = 9
     node_labels = [[f"f{k}"] for k in range(n)]
@@ -764,7 +768,7 @@ def test_split_tables_are_int64_exactly_when_cost_sums_fit(build, dtype):
     # The benchmark's largest rings and ladders must stay on int64; a bound
     # that was too strict would move them to Python ints without a failure.
     net = build(np.random.default_rng(20))
-    size, _, bond_tables = tn._split_tables(net)
+    size, _, bond_tables = tn._split_tables(*tn._census(net, net.node_names))
     assert [t.dtype for t in (size, *bond_tables)] == [np.dtype(dtype)] * (1 + len(bond_tables))
     assert_plan_matches_oracle(net)
 
@@ -864,12 +868,12 @@ def open_label_product(net, subset):
     ids=["ring10-tight", "ladder2x6"],
 )
 def test_exhaustive_under_the_greedy_cap_matches_python_dp(build, tight, dropped, monkeypatch):
-    # A subset whose node has more elements than the greedy plan costs is in
-    # no plan that costs as little, and the DP splits only the other subsets;
-    # the ring's greedy plan is optimal, so its cap is tight, and the
-    # ladder's cap rules out most subsets.
+    # A subset whose node has more elements than the least-cost greedy order
+    # costs is in no plan that costs as little, and the DP splits only the
+    # other subsets; the ring's order is optimal, so its cap is tight, and
+    # the ladder's cap rules out most subsets.
     net = build(np.random.default_rng(24))
-    greedy = tk.plan(net, "greedy").total_cost
+    greedy = reference_greedy(net, by_cost)[0]
     names = net.node_names
     inner = [s for k in range(2, len(names)) for s in itertools.combinations(names, k)]
     over = sum(open_label_product(net, s) > greedy for s in inner)
@@ -880,3 +884,44 @@ def test_exhaustive_under_the_greedy_cap_matches_python_dp(build, tight, dropped
     assert (greedy == tk.plan(net, "exhaustive").total_cost) is tight
     assert sum(split) == len(inner) - over + 1
     assert_plan_matches_oracle(net)
+
+
+def test_census_matches_label_sets():
+    # Sizes and bonds from label sets, for nodes in a shuffled order; some
+    # pairs of nodes share several labels, whose extents multiply.
+    rng = np.random.default_rng(25)
+    multiple = 0
+    for _ in range(100):
+        net = random_network(rng, max_nodes=8)
+        names = list(net.node_names)
+        rng.shuffle(names)
+        size, bond = tn._census(net, names)
+        assert size == [math.prod(net.extent(l) for l in net.labels(a)) for a in names]
+        want = {}
+        for (i, a), (j, b) in itertools.combinations(enumerate(names), 2):
+            shared = set(net.labels(a)) & set(net.labels(b))
+            if shared:
+                want[i, j] = math.prod(net.extent(l) for l in shared)
+                multiple += len(shared) > 1
+        assert bond == want
+    assert multiple > 0
+
+
+@pytest.mark.parametrize(
+    "build, scans",
+    [
+        (lambda rng: ladder_network(rng, 6, (3, 2), 2), ["_by_cost"]),
+        (twelve_vectors, []),
+        (lambda rng: ring_network(rng, 12, (2,), 19), []),
+    ],
+    ids=["int64", "twelve-vectors", "ring12-free19"],
+)
+def test_exhaustive_caps_itself_with_the_least_cost_scan_alone(build, scans, monkeypatch):
+    # The cap needs one plan's cost, not the cheaper of the greedy orders;
+    # Python-int tables run the DP uncapped and scan nothing.
+    net = build(np.random.default_rng(26))
+    rules = []
+    scan = tn._greedy_scan
+    monkeypatch.setattr(tn, "_greedy_scan", lambda size, bond, rule: rules.append(rule.__name__) or scan(size, bond, rule))
+    tk.plan(net, "exhaustive")
+    assert rules == scans
