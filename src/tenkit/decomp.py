@@ -24,7 +24,7 @@ from .elementwise import _finite, frobenius_norm
 from .errors import ArgumentError, ModelError, NumericError, ParseError
 from .factor import _check_finite, _householder, _jacobi_svd, _orthonormal_fill, _svd, default_rank_tol, qr
 from .io import _PATH, _read_text, _write_atomic, read_tensor, write_tensor
-from .products import _khatri_rao, _mode_product, _multi_mode_product, tt_pair_product
+from .products import _khatri_rao, _mode_product, _multi_mode_product, _tt_chain
 
 __all__ = [
     "CPModel",
@@ -479,10 +479,7 @@ def tt_chain(t: TTTrain | TRRing) -> DenseTensor:
     """Contract all cores of a train or a ring, keeping the boundary bond
     modes: (R_0, I_1..I_N, R_N)."""
     _as_model(t, "tt_chain", "tt", "tr")
-    acc = t.cores[0]
-    for core in t.cores[1:]:
-        acc = tt_pair_product(acc, core)
-    return acc
+    return _tt_chain("tt_chain", t.cores)
 
 
 def tt_reconstruct(t: TTTrain) -> DenseTensor:
@@ -491,7 +488,7 @@ def tt_reconstruct(t: TTTrain) -> DenseTensor:
     ranks = t.bond_ranks
     if ranks[0] != 1 or ranks[-1] != 1:
         raise ModelError(f"tt_reconstruct needs unit boundary bonds, got {ranks[0]} and {ranks[-1]}")
-    full = tt_chain(t)
+    full = _tt_chain("tt_reconstruct", t.cores)
     return fold(vec(full), full.shape[1:-1])
 
 
@@ -598,7 +595,7 @@ def tt_split(t: TTTrain, k: int) -> tuple[TTTrain, TTTrain]:
 def tr_reconstruct(r: TRRing) -> DenseTensor:
     """Dense tensor of a ring: per-entry trace of the chained slice matrices."""
     _as_model(r, "tr_reconstruct", "tr")
-    acc = _rev(tt_chain(r))
+    acc = _rev(_tt_chain("tr_reconstruct", r.cores))
     return _from_rev(_finite("tr_reconstruct", lambda: np.trace(acc, axis1=0, axis2=acc.ndim - 1), acc))
 
 

@@ -188,11 +188,14 @@ def _replay(net: TensorNetwork, steps: Sequence[tuple[str, str]], tensors: bool 
     and the peak intermediate's element count, which plan reports; with it,
     contract the tensors and return (labels, tensor) of the node left.
 
-    Each step puts first the operand that holds the earliest output label
-    (an operand with none ranks last; a tie keeps the plan's order). When
-    the output is one last operand's free labels followed by the other's,
-    the last GEMM takes each operand's free labels in output order, in the
-    copy that makes its matrix, so the node left is in output order."""
+    A matrix or vector sharing one label with the other operand is a mode
+    product: its free label takes the bond's place, so the other operand is
+    read in place (on the last step, only if that gives the output order).
+    Any other step puts first the operand holding the earliest output label
+    (one with none ranks last; a tie keeps the plan's order), and the last
+    step writes the output order when the output is one operand's free
+    labels followed by the other's, taking each operand's free labels in
+    output order in the copy that makes its matrix."""
     state = {name: (net.labels(name), net.tensor(name) if tensors else None) for name in net.node_names}
     rank = {label: k for k, label in enumerate(net.output)}
 
@@ -209,21 +212,25 @@ def _replay(net: TensorNetwork, steps: Sequence[tuple[str, str]], tensors: bool 
                 raise PlanError(f"step {k} ({a},{b}): node '{name}' is not available")
         (la, ta), (lb, tb) = state[a], state[b]
         shared = [l for l in la if l in lb]
+        if len(shared) == 1 and len(la) < len(lb) <= 2:  # the matrix or vector goes second
+            (la, ta), (lb, tb) = (lb, tb), (la, ta)
         rest_a = tuple(l for l in la if l not in shared)
         rest_b = tuple(l for l in lb if l not in shared)
-        swap = first(lb) < first(la)
-        merged = rest_b + rest_a if swap else rest_a + rest_b
-        if tensors:
-            ns = [la.index(l) + 1 for l in shared]
-            ms = [lb.index(l) + 1 for l in shared]
+        at = la.index(shared[0]) if len(shared) == 1 and len(lb) <= 2 else -1
+        if at < 0 or (len(state) == 2 and rest_a[:at] + rest_b + rest_a[at:] != net.output):
+            at = 0 if first(lb) < first(la) else len(rest_a)
             if len(state) == 2:  # the last step
                 want_a = tuple(l for l in net.output if l in rest_a)
                 want_b = tuple(l for l in net.output if l in rest_b)
-                if net.output == (want_b + want_a if swap else want_a + want_b):
-                    rest_a, rest_b, merged = want_a, want_b, net.output
+                if net.output == want_a[:at] + want_b + want_a[at:]:
+                    rest_a, rest_b = want_a, want_b
+        merged = rest_a[:at] + rest_b + rest_a[at:]
+        if tensors:
+            ns = [la.index(l) + 1 for l in shared]
+            ms = [lb.index(l) + 1 for l in shared]
             fa = [la.index(l) + 1 for l in rest_a]
             fb = [lb.index(l) + 1 for l in rest_b]
-            ta = _pair_gemm("evaluate", ta, tb, ns, ms, fa, fb, swap)
+            ta = _pair_gemm("evaluate", ta, tb, ns, ms, fa, fb, at)
         else:
             costs.append(_checked_product(net.extent(l) for l in la + rest_b))
             peak_inter = max(peak_inter, _checked_product(net.extent(l) for l in merged))
@@ -497,14 +504,12 @@ def plan(net: TensorNetwork, strategy="exhaustive") -> ContractionPlan:
 def evaluate(net: TensorNetwork, contraction: ContractionPlan) -> DenseTensor:
     """Execute a plan with pairwise tensor products; modes follow the output order.
 
-    Each step puts first the operand holding the earliest output label, and
-    the last GEMM writes the output order when the output is one last
-    operand's free labels followed by the other's (see _replay). A closing
-    permute copies the result into output order only when the output
-    interleaves the last operands' free labels, when a last operand too
-    large to reorder would need it, or when a one-node network's labels are
-    not in output order. Finite inputs whose result is beyond float range
-    raise NumericError.
+    The last GEMM writes the output order when the last step is a mode
+    product that gives it, or when the output is one last operand's free
+    labels followed by the other's (see _replay). Otherwise, and for a
+    one-node network whose labels are not in output order, a closing
+    permute copies the result into output order. Finite inputs whose
+    result is beyond float range raise NumericError.
     """
     _as_instance(net, TensorNetwork, "evaluate")
     _as_instance(contraction, ContractionPlan, "evaluate")

@@ -7,18 +7,19 @@ matrix whose (p-bar-i, q-bar-j) entry is A[i,j] * B[p,q].
 
 The same storage order read backwards is numpy's C order: the buffer of a
 tensor of shape (I_1, ..., I_N) is the C-contiguous array of the reversed
-shape (I_N, ..., I_1), whose axis k is mode N - k. matmul, mode_product and
-tensor_product contract these reversed-shape views (core._rev) as plain
-GEMMs: contracting the reversed views of b and a in that order gives the
-C-order array of the reversed result, which is already the result's
-buffer (core._from_rev). No result is transposed. An operand is copied
-only when its matrix is not a view: when its paired modes, in pairing
-order, or its free modes, in the order the result takes them, do not run
-in storage order (extent-1 modes aside). network.evaluate chooses that
-free-mode order to write its output order. Every product of finite
-operands whose result is beyond float range raises NumericError naming
-the function called (elementwise._finite), from the overflow flag of its
-GEMM or multiply, with no pass over the result.
+shape (I_N, ..., I_1), whose axis k is mode N - k. matmul, mode_product,
+tensor_product, tt_pair_product and network.evaluate all run one GEMM,
+_pair_gemm, on these reversed-shape views (core._rev): one operand's matrix
+times the other's buffer read as (outer, paired, inner), batched over
+outer, is the C-order array of the reversed result, which is already the
+result's buffer (core._from_rev). No result is transposed. An operand is
+copied only when its paired modes, in pairing order, or its free modes, in
+the order the result takes them, do not run in storage order (extent-1
+modes aside). A mode product puts the matrix's free mode in place of the
+paired one, so its tensor is read in place. Every product of finite
+operands whose result is beyond float range raises NumericError naming the
+function called (elementwise._finite), from the overflow flag of its GEMM
+or multiply, with no pass over the result.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import DenseTensor, _as_int, _as_ints, _as_seq, _as_tensor, _check_order, _fmt_shape, _from_rev, _rev
-from .core import element_count
 from .elementwise import _finite
 from .errors import ArgumentError, ShapeError
 
@@ -50,7 +50,7 @@ def matmul(a: DenseTensor, b: DenseTensor) -> DenseTensor:
     b = _as_tensor(b, "matmul", 2)
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul mismatch: {_fmt_shape(a.shape)} times {_fmt_shape(b.shape)}")
-    return _pair_gemm("matmul", a, b, [2], [1], [1], [2])
+    return _pair_gemm("matmul", a, b, [2], [1], [1], [2], 1)
 
 
 def trace(s: DenseTensor) -> float:
@@ -103,15 +103,7 @@ def _mode_product(what: str, x: DenseTensor, a: DenseTensor, n: int) -> DenseTen
             f"mode_product mismatch on mode {n}: matrix has {a.shape[1]} columns, "
             f"mode extent is {x.shape[n - 1]}"
         )
-    # The buffer is the C-order (right, I_n, left) array, left and right the
-    # extent products of the modes before and after n.
-    shape = x.shape[: n - 1] + (a.shape[0],) + x.shape[n:]
-    rows, left = x.shape[n - 1], element_count(x.shape[: n - 1])
-    if left == 1:  # one GEMM: (right, I_n) times a^T
-        out = _finite(what, lambda: x.data.reshape(-1, rows) @ _rev(a), x.data, a.data)
-    else:  # a times each (I_n, left) slice; one GEMM when n is the last mode
-        out = _finite(what, lambda: _rev(a).T @ x.data.reshape(-1, rows, left), x.data, a.data)
-    return _from_rev(out.reshape(shape[::-1]))
+    return _pair_gemm(what, x, a, [n], [2], _free(x.order, [n]), [1], n - 1)
 
 
 def multi_mode_product(g: DenseTensor, mats: Sequence[DenseTensor | None]) -> DenseTensor:
@@ -154,7 +146,7 @@ def tensor_product(a: DenseTensor, b: DenseTensor, pairing: Sequence[tuple[int, 
                 f"pair ({n},{m}): extent {a.shape[n - 1]} of left mode {n} "
                 f"!= extent {b.shape[m - 1]} of right mode {m}"
             )
-    return _pair_gemm("tensor_product", a, b, ns, ms, _free(a.order, ns), _free(b.order, ms))
+    return _pair_gemm("tensor_product", a, b, ns, ms, _free(a.order, ns), _free(b.order, ms), a.order - len(ns))
 
 
 def _free(order: int, paired: list[int]) -> list[int]:
@@ -164,39 +156,32 @@ def _free(order: int, paired: list[int]) -> list[int]:
 
 def _pair_gemm(
     what: str, a: DenseTensor, b: DenseTensor, ns: list[int], ms: list[int], fa: list[int], fb: list[int],
-    swap: bool = False,
+    at: int,
 ) -> DenseTensor:
-    """The GEMM of tensor_product, for checked modes ns of a paired with ms of b.
+    """The one GEMM of every product: modes ns of a paired with ms of b, checked.
 
-    The result holds the free modes fa of a, in that order, then the free
-    modes fb of b; with swap, fb then fa. Mode k of a is axis a.order - k
-    of _rev(a). x holds (free axes of _rev(b), paired axes) and y holds
-    (paired axes, free axes of _rev(a)), the free axes in the reverse of
-    fb's and fa's order, so x @ y is the C-order array of the reversed
-    result, which is its buffer. With swap, y.T @ x.T gives (fb, fa) from
-    the same two matrices: the BLAS reads them transposed, so a swap copies
-    nothing more. Each entry is the same dot product, over the paired axes
-    in pairing order, whatever fa, fb and swap are. `what` names the caller
-    in the NumericError raised when finite operands give a result beyond
-    float range (elementwise._finite).
+    The result holds a's free modes fa, in that order, with b's free modes
+    fb inserted before fa[at] (at = len(fa): last; at = 0: first). Mode k
+    of a is axis a.order - k of _rev(a). x is _rev(b) as (fb reversed,
+    paired) and y is _rev(a) as (outer, paired, inner), outer being fa[at:]
+    and inner fa[:at], each reversed. x @ y, batched over outer, is the
+    C-order (outer, fb reversed, inner) array of the reversed result, which
+    is its buffer. When outer or inner is 1 the GEMM is flat: x @ y[0], or
+    y[..., 0] @ x.T, which the BLAS reads transposed. Each entry is the same
+    dot product, over the paired axes in pairing order, whatever fa, fb and
+    at are. `what` names the caller in the NumericError raised when finite
+    operands give a result beyond float range (elementwise._finite).
     """
     _check_order(len(fa) + len(fb))
-    rb, ra = _rev(b), _rev(a)
-    pb, free_b = _gemm_axes(b, fb, ms)
-    pa, free_a = _gemm_axes(a, fa, ns)
-    paired = math.prod(ra.shape[k] for k in pa)
-    sb = [rb.shape[k] for k in free_b]
-    sa = [ra.shape[k] for k in free_a]
-    x = rb.transpose(free_b + pb).reshape(math.prod(sb), paired)
-    y = ra.transpose(pa + free_a).reshape(paired, math.prod(sa))
-    left, right, shape = (y.T, x.T, sa + sb) if swap else (x, y, sb + sa)
+    ko, kp = len(fa) - at, len(fa) - at + len(ns)
+    y = _rev(a).transpose([a.order - k for k in fa[at:][::-1] + ns + fa[:at][::-1]])
+    x = _rev(b).transpose([b.order - k for k in fb[::-1] + ms])
+    so, paired, si = math.prod(y.shape[:ko]), math.prod(y.shape[ko:kp]), math.prod(y.shape[kp:])
+    shape = y.shape[:ko] + x.shape[: len(fb)] + y.shape[kp:]
+    x = x.reshape(math.prod(x.shape[: len(fb)]), paired)
+    y = y.reshape(so, paired, si)
+    left, right = (x, y[0]) if so == 1 else (y[..., 0], x.T) if si == 1 else (x, y)
     return _from_rev(_finite(what, lambda: np.matmul(left, right), a.data, b.data).reshape(shape))
-
-
-def _gemm_axes(t: DenseTensor, free: list[int], paired: list[int]) -> tuple[list[int], list[int]]:
-    """Axes of _rev(t) for its paired modes, in pairing order, and for its
-    free modes, in the reverse of the order `free` gives them in the result."""
-    return [t.order - m for m in paired], [t.order - m for m in reversed(free)]
 
 
 def tt_pair_product(x: DenseTensor, y: DenseTensor) -> DenseTensor:
@@ -209,4 +194,14 @@ def tt_pair_product(x: DenseTensor, y: DenseTensor) -> DenseTensor:
         raise ShapeError(
             f"tt_pair_product mismatch: last extent {x.shape[-1]} != first extent {y.shape[0]}"
         )
-    return _pair_gemm("tt_pair_product", x, y, [x.order], [1], _free(x.order, [x.order]), _free(y.order, [1]))
+    return _tt_chain("tt_pair_product", [x, y])
+
+
+def _tt_chain(what: str, cores: Sequence[DenseTensor]) -> DenseTensor:
+    """tt_pair_product of checked tensors, left to right, whose NumericError
+    for a result beyond float range names `what`."""
+    acc = cores[0]
+    for core in cores[1:]:
+        fa = _free(acc.order, [acc.order])
+        acc = _pair_gemm(what, acc, core, [acc.order], [1], fa, _free(core.order, [1]), len(fa))
+    return acc

@@ -297,6 +297,9 @@ _E200_ONE = tk.DenseTensor((1, 1), [1e200])
 _E200_TUCKER = tk.TuckerModel(_E200_CUBE, (_E200_ONE,) * 3)
 # weight 1e300 times three factor entries 1e10
 _E300_CP = tk.CPModel(tk.DenseTensor((1,), [1e300]), (tk.DenseTensor((2, 1), [1e10, 1.0]),) * 3)
+# two 1x1x1 cores of 1e200, whose chain is 1e400
+_E200_TRAIN = tk.TTTrain((_E200_CUBE,) * 2)
+_E200_RING = tk.TRRing((_E200_CUBE,) * 2)
 # one slice diag(1e308, 1e308), whose trace is 2e308
 _E308_RING = tk.TRRing((tk.DenseTensor((2, 1, 2), [1e308, 0.0, 0.0, 1e308]),))
 
@@ -324,9 +327,13 @@ _E308_RING = tk.TRRing((tk.DenseTensor((2, 1, 2), [1e308, 0.0, 0.0, 1e308]),))
         ("tucker_reconstruct", lambda: tk.tucker_reconstruct(_E200_TUCKER)),
         ("tucker_orthogonalize", lambda: tk.tucker_orthogonalize(_E200_TUCKER)),
         ("hosvd", lambda: tk.hosvd(tk.DenseTensor((2, 2), [1e308] * 4))),  # a core entry of 2e308
-        ("tt_orthogonalize", lambda: tk.tt_orthogonalize(tk.TTTrain((_E200_CUBE,) * 2), 2)),
+        ("tt_orthogonalize", lambda: tk.tt_orthogonalize(_E200_TRAIN, 2)),
         ("cp_reconstruct", lambda: tk.cp_reconstruct(_E300_CP)),
         ("tr_reconstruct", lambda: tk.tr_reconstruct(_E308_RING)),
+        pytest.param("tt_chain", lambda: tk.tt_chain(_E200_TRAIN), id="tt_chain-train"),
+        pytest.param("tt_chain", lambda: tk.tt_chain(_E200_RING), id="tt_chain-ring"),
+        pytest.param("tt_reconstruct", lambda: tk.tt_reconstruct(_E200_TRAIN), id="tt_reconstruct-train"),
+        pytest.param("tr_reconstruct", lambda: tk.tr_reconstruct(_E200_RING), id="tr_reconstruct-ring"),
     ],
 )
 def test_finite_inputs_that_overflow_raise(name, call):

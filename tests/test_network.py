@@ -484,14 +484,18 @@ def einsum_oracle(net):
     return np.einsum(*operands, [ids[l] for l in net.output])
 
 
-_EXTENTS = {"i": 2, "j": 3, "k": 4, "l": 2, "m": 3}
+_EXTENTS = {"i": 2, "j": 3, "k": 4, "l": 2, "m": 3, "x": 3, "y": 2, "z": 3}
 
 # (nodes as name and labels, output, permute calls). Small integer entries
 # make every product and sum exact, so evaluate must equal einsum exactly.
 INT_NETWORKS = {
     # Each last operand's free labels in the reverse of their mode order.
     "in-block-reorder": ([("A", "ijk"), ("B", "klm")], "jiml", 0),
-    "interleaved": ([("A", "ikj"), ("B", "kl")], "ilj", 1),
+    # A matrix step: l takes k's place in A, which is read in place.
+    "interleaved": ([("A", "ikj"), ("B", "kl")], "ilj", 0),
+    # Every step is a matrix step, and both plans contract Q last, whose free
+    # label j sits between i and k in the output.
+    "star": ([("C", "xyz"), ("P", "xi"), ("Q", "yj"), ("R", "zk")], "ijk", 0),
     # The last step is an outer product, the later node's labels first.
     "outer-product-last": ([("A", "ij"), ("B", "jk"), ("C", "l")], "lki", 0),
     # A last operand with more entries than the result is reordered too,
@@ -636,8 +640,10 @@ def last_operands(net, steps):
 @pytest.mark.parametrize("build, planned_blocks", OUTPUT_ORDER_CASES.values(), ids=OUTPUT_ORDER_CASES.keys())
 def test_evaluate_puts_the_earliest_output_label_first(build, planned_blocks, strategy, monkeypatch):
     # The last GEMM writes the output order when the output is the last
-    # operands' free labels block by block, so no permute runs; an
-    # interleaved output takes exactly one.
+    # operands' free labels block by block, so no permute runs. An
+    # interleaved output takes exactly one, unless the last step is a
+    # matrix step (one operand of at most two labels, one bond) that writes
+    # the output order by putting the matrix's free label in the bond's place.
     rng = np.random.default_rng(21)
     net = build(rng)
     contraction = tk.plan(net, random_plan_steps(net, rng) if strategy == "random" else strategy)
@@ -648,15 +654,14 @@ def test_evaluate_puts_the_earliest_output_label_first(build, planned_blocks, st
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     la, lb = last_operands(net, contraction.steps)
     blocked = any(set(net.output[: len(free)]) == free for free in (la - lb, lb - la))
-    entries = [math.prod(net.extent(l) for l in ls) for ls in (la, lb, la ^ lb)]
     if planned_blocks and strategy != "random":
-        assert blocked and perms == []
-    elif not blocked:
-        assert len(perms) == 1
-    elif max(entries[:2]) < entries[2]:
+        assert blocked
+    if blocked:
         assert perms == []
-    else:  # an operand at least the result's size is reordered only if it is copied anyway
+    elif len(la & lb) == 1 and min(len(la), len(lb)) <= 2:
         assert len(perms) <= 1
+    else:
+        assert len(perms) == 1
 
 
 def assert_plan_matches_oracle(net):

@@ -262,16 +262,52 @@ def test_swapped_pair_gemm_puts_free_modes_of_b_first(shape_a, shape_b, pairing)
     want = np.einsum(f"{sa},{sb}->{free_b}{free_a}", a.to_array(), b.to_array())
     fa = [k for k in range(1, a.order + 1) if k not in ns]
     fb = [k for k in range(1, b.order + 1) if k not in ms]
-    got = _pair_gemm("tensor_product", a, b, ns, ms, fa, fb, swap=True)
+    got = _pair_gemm("tensor_product", a, b, ns, ms, fa, fb, 0)
     assert got.shape == want.shape
     assert np.abs(got.to_array() - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
-    assert _pair_gemm("tensor_product", a, b, ns, ms, fa, fb) == tk.tensor_product(a, b, pairing)
+    assert _pair_gemm("tensor_product", a, b, ns, ms, fa, fb, len(fa)) == tk.tensor_product(a, b, pairing)
     # Free modes taken in reverse: the same dot products, written in that order.
-    for swap, spec in ((False, free_a[::-1] + free_b[::-1]), (True, free_b[::-1] + free_a[::-1])):
+    for at, spec in ((len(fa), free_a[::-1] + free_b[::-1]), (0, free_b[::-1] + free_a[::-1])):
         want = np.einsum(f"{sa},{sb}->{spec}", a.to_array(), b.to_array())
-        got = _pair_gemm("tensor_product", a, b, ns, ms, fa[::-1], fb[::-1], swap)
+        got = _pair_gemm("tensor_product", a, b, ns, ms, fa[::-1], fb[::-1], at)
         assert got.shape == want.shape
         assert np.abs(got.to_array() - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+
+
+@pytest.mark.parametrize(
+    "shape_a, shape_b, pairing",
+    [
+        ((2, 3, 4), (3, 5), [(2, 1)]),  # a mode product in the middle
+        ((3, 1, 2, 4), (2, 1, 3), [(3, 1), (2, 2)]),
+        ((4,), (2, 4), [(1, 2)]),  # order 1: no free modes in a
+        ((2, 3), (4, 1), []),  # empty pairing: an outer product
+        ((1, 3, 1, 2), (3,), [(2, 1)]),  # extent-1 free modes, nothing inserted
+        ((2, 1, 3, 2), (2, 2, 1), [(4, 1)]),
+    ],
+)
+def test_pair_gemm_inserts_free_modes_of_b_at_every_position(shape_a, shape_b, pairing):
+    from tenkit.products import _pair_gemm
+
+    # Integer entries keep every product and sum exact, so the result must
+    # equal the einsum oracle bit for bit.
+    rng = np.random.default_rng(22)
+    a, b = (tk.DenseTensor.from_array(rng.integers(-4, 5, shape) * 1.0) for shape in (shape_a, shape_b))
+    ns, ms = [n for n, _ in pairing], [m for _, m in pairing]
+    sa = "abcde"[: a.order]
+    sb = "vwxyz"[: b.order]
+    for n, m in pairing:
+        sb = sb.replace(sb[m - 1], sa[n - 1])
+    fb = [k for k in range(1, b.order + 1) if k not in ms]
+    free_b = "".join(sb[k - 1] for k in fb)
+    ascending = [k for k in range(1, a.order + 1) if k not in ns]
+    # Free modes of a in storage order (read in place) and reversed (copied).
+    for fa in (ascending, ascending[::-1]):
+        free_a = "".join(sa[k - 1] for k in fa)
+        for at in range(len(fa) + 1):
+            spec = free_a[:at] + free_b + free_a[at:]
+            want = np.einsum(f"{sa},{sb}->{spec}", a.to_array(), b.to_array())
+            got = _pair_gemm("tensor_product", a, b, ns, ms, fa, fb, at)
+            assert got.shape == want.shape and np.array_equal(got.to_array(), want)
 
 
 def test_tensor_product_power_of_two_scaling_is_exact():
