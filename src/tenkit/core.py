@@ -171,6 +171,17 @@ def _check_size(shape: Sequence[int]) -> Shape:
     return shape
 
 
+def _in_memory(what: str, make):
+    """make(), whose MemoryError becomes ShapeError("<what> result of N entries
+    does not fit in memory"), N being the entry count of the array numpy
+    could not allocate (numpy's error names its shape)."""
+    try:
+        return make()
+    except MemoryError as exc:
+        entries = math.prod(getattr(exc, "shape", ()))
+        raise ShapeError(f"{what} result of {entries} entries does not fit in memory") from None
+
+
 def element_count(shape: Sequence[int]) -> int:
     """Number of entries for a shape; the empty shape (a scalar) counts 1."""
     return math.prod(_as_ints(shape, "extent of mode"))
@@ -402,12 +413,12 @@ def subtensor(x: DenseTensor, sel: Sequence) -> DenseTensor:
 
 def zeros(shape: Sequence[int]) -> DenseTensor:
     shape = _check_size(shape)
-    return DenseTensor(shape, np.zeros(math.prod(shape)))
+    return _in_memory("zeros", lambda: DenseTensor(shape, np.zeros(math.prod(shape))))
 
 
 def all_ones(shape: Sequence[int]) -> DenseTensor:
     shape = _check_size(shape)
-    return DenseTensor(shape, np.ones(math.prod(shape)))
+    return _in_memory("all_ones", lambda: DenseTensor(shape, np.ones(math.prod(shape))))
 
 
 def one_hot(i: int, length: int) -> DenseTensor:
@@ -415,7 +426,7 @@ def one_hot(i: int, length: int) -> DenseTensor:
     length = _as_int(length, "one_hot length", 1)
     i = _as_int(i, "index for mode 1", 1, length, BoundsError)
     _check_size((length,))
-    buf = np.zeros(length)
+    buf = _in_memory("one_hot", lambda: np.zeros(length))
     buf[i - 1] = 1.0
     return DenseTensor((length,), buf)
 
@@ -423,7 +434,7 @@ def one_hot(i: int, length: int) -> DenseTensor:
 def identity(n: int) -> DenseTensor:
     n = _as_int(n, "identity size", 1)
     _check_size((n, n))
-    return DenseTensor.from_array(np.eye(n))
+    return _in_memory("identity", lambda: DenseTensor.from_array(np.eye(n)))
 
 
 def matrix_unit(i: int, j: int, rows: int, cols: int) -> DenseTensor:
@@ -432,7 +443,7 @@ def matrix_unit(i: int, j: int, rows: int, cols: int) -> DenseTensor:
     cols = _as_int(cols, "matrix_unit cols", 1)
     i, j = _as_ints((i, j), "index for mode", 2, 1, (rows, cols), BoundsError)
     _check_size((rows, cols))
-    buf = np.zeros((rows, cols))
+    buf = _in_memory("matrix_unit", lambda: np.zeros((rows, cols)))
     buf[i - 1, j - 1] = 1.0
     return DenseTensor.from_array(buf)
 
@@ -452,7 +463,7 @@ def super_diagonal(order: int, size: int, weights: Sequence[float] | None = None
         if not all(_is_finite_real(v) for v in weights):
             raise ArgumentError(f"super_diagonal weights must be finite numbers, got {weights!r}")
         w = np.array(weights, dtype=np.float64)
-    buf = np.zeros(math.prod(shape))
+    buf = _in_memory("super_diagonal", lambda: np.zeros(math.prod(shape)))
     buf[:: sum(size**k for k in range(order))] = w  # the stride from (r, ..., r) to (r+1, ..., r+1)
     return DenseTensor(shape, buf)
 

@@ -14,8 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    DenseTensor, _as_ints, _as_real, _as_seq, _as_tensor, _check_order, _fmt_shape, _from_rev, _rev, _scale_exponent,
-    multi_index
+    DenseTensor, _as_ints, _as_real, _as_seq, _as_tensor, _check_order, _fmt_shape, _from_rev, _in_memory, _rev,
+    _scale_exponent, multi_index
 )
 from .errors import ArgumentError, DivisionError, NumericError, ShapeError
 
@@ -54,10 +54,11 @@ def _finite(what: str, compute, *inputs):
     """compute(), whose result is non-finite for finite inputs only where it
     raised numpy's overflow or invalid flag: then NumericError naming `what`
     if every input is finite, else compute() again with the flags off. So a
-    finite result costs no pass over it."""
+    finite result costs no pass over it. A result too large to allocate
+    raises ShapeError naming `what` (core._in_memory)."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return compute()
+            return _in_memory(what, compute)
     except FloatingPointError:
         if all(np.isfinite(x).all() for x in inputs):
             raise NumericError(f"{what} result is beyond float range") from None

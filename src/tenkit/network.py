@@ -188,19 +188,19 @@ def _replay(net: TensorNetwork, steps: Sequence[tuple[str, str]], tensors: bool 
     and the peak intermediate's element count, which plan reports; with it,
     contract the tensors and return (labels, tensor) of the node left.
 
-    A matrix or vector sharing one label with the other operand is a mode
-    product: its free label takes the bond's place, so the other operand is
-    read in place (on the last step, only if that gives the output order).
-    Any other step puts first the operand holding the earliest output label
-    (one with none ranks last; a tie keeps the plan's order), and the last
-    step writes the output order when the output is one operand's free
-    labels followed by the other's, taking each operand's free labels in
-    output order in the copy that makes its matrix."""
+    Free labels are placed by three rules. A matrix or vector sharing one
+    label with the other operand is a mode product: its free label takes
+    the bond's place, so the other operand is read in place. Any other step
+    appends the second operand's free labels to the first's. On the last
+    step, if the output order is not met yet but one operand's free labels
+    form a contiguous block of it, that operand goes second at the block's
+    place, each operand's labels in output order in its GEMM matrix copy."""
     state = {name: (net.labels(name), net.tensor(name) if tensors else None) for name in net.node_names}
-    rank = {label: k for k, label in enumerate(net.output)}
+    out = net.output
 
-    def first(labels):
-        return min((rank.get(l, len(rank)) for l in labels), default=len(rank))
+    def block_at(labels):  # where `labels` start as one contiguous block of out; -1 if they do not
+        at = min(map(out.index, labels), default=0)
+        return at if set(out[at : at + len(labels)]) == set(labels) else -1
 
     costs = []
     peak_inter = 0
@@ -216,14 +216,13 @@ def _replay(net: TensorNetwork, steps: Sequence[tuple[str, str]], tensors: bool 
             (la, ta), (lb, tb) = (lb, tb), (la, ta)
         rest_a = tuple(l for l in la if l not in shared)
         rest_b = tuple(l for l in lb if l not in shared)
-        at = la.index(shared[0]) if len(shared) == 1 and len(lb) <= 2 else -1
-        if at < 0 or (len(state) == 2 and rest_a[:at] + rest_b + rest_a[at:] != net.output):
-            at = 0 if first(lb) < first(la) else len(rest_a)
-            if len(state) == 2:  # the last step
-                want_a = tuple(l for l in net.output if l in rest_a)
-                want_b = tuple(l for l in net.output if l in rest_b)
-                if net.output == want_a[:at] + want_b + want_a[at:]:
-                    rest_a, rest_b = want_a, want_b
+        at = la.index(shared[0]) if len(shared) == 1 and len(lb) <= 2 else len(rest_a)
+        if len(state) == 2 and rest_a[:at] + rest_b + rest_a[at:] != out:  # the last step
+            if block_at(rest_b) < 0 <= block_at(rest_a):
+                (la, ta, rest_a), (lb, tb, rest_b) = (lb, tb, rest_b), (la, ta, rest_a)
+            if block_at(rest_b) >= 0:
+                at = block_at(rest_b)
+                rest_a, rest_b = out[:at] + out[at + len(rest_b) :], out[at : at + len(rest_b)]
         merged = rest_a[:at] + rest_b + rest_a[at:]
         if tensors:
             ns = [la.index(l) + 1 for l in shared]
@@ -504,10 +503,10 @@ def plan(net: TensorNetwork, strategy="exhaustive") -> ContractionPlan:
 def evaluate(net: TensorNetwork, contraction: ContractionPlan) -> DenseTensor:
     """Execute a plan with pairwise tensor products; modes follow the output order.
 
-    The last GEMM writes the output order when the last step is a mode
-    product that gives it, or when the output is one last operand's free
-    labels followed by the other's (see _replay). Otherwise, and for a
-    one-node network whose labels are not in output order, a closing
+    The last GEMM writes the output order when its placement gives it or
+    when one last operand's free labels form a contiguous block of the
+    output (see _replay). When the two operands' labels interleave, and for
+    a one-node network whose labels are not in output order, a closing
     permute copies the result into output order. Finite inputs whose
     result is beyond float range raise NumericError.
     """

@@ -458,6 +458,7 @@ CLI_FAILURES = {
     "unknown_strategy": (["contract", "{net}", "--strategy", "best"], 1, "unknown strategy 'best' (need exhaustive, greedy, or given:A,B;...)"),
     "out_dir_missing": (["reshape", "{ramp}", "permute", "1", "2", "3", "--out", "{tmp}/no/p.ten"], 1, "tenkit: error: [Errno 2] No such file or directory: '{tmp}/no/p.ten'\n"),
     "out_is_a_dir": (["reshape", "{ramp}", "permute", "1", "2", "3", "--out", "{tmp}/adir"], 1, "tenkit: error: [Errno 21] Is a directory: '{tmp}/adir'\n"),
+    "outdir_is_a_file": (["decompose", "{ramp}", "hosvd", "--outdir", "{ramp}"], 1, "tenkit: error: [Errno 17] File exists: '{ramp}'\n"),
     "cp_overflow": (["decompose", "{huge}", "cp", "2", "--outdir", "{tmp}/m"], 2, "tenkit: numeric failure: "),
     "verify_overflow": (["verify", "{huge}", "{e200}", "--tol", "1"], 2, "tucker_reconstruct result is beyond float range"),
     # A bad tolerance is rejected before any file is read.

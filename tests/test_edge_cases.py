@@ -277,11 +277,24 @@ _V = tk.vec(_X)
 _HUGE = "more than numpy can index"
 _MAX_ORDER = tk.core._MAX_ORDER
 _HALF = tk.DenseTensor((1,) * (_MAX_ORDER // 2 + 8), [1.0])  # one entry, order 40 on numpy 2
+_NO_MEMORY = "does not fit in memory"
+
+
+def _big_vector():
+    return tk.zeros((2**23,))
+
+
+def _evaluate_unbonded():
+    """evaluate of two unbonded 2**23-vectors: the plan's one step is their outer product."""
+    v = _big_vector()
+    net = tk.TensorNetwork([("a", ("i",), v), ("b", ("j",), v)], ("i", "j"))
+    return tk.evaluate(net, tk.plan(net))
+
 
 # Each call passes a tensor of an order its function does not take, or a
 # shape with more entries than numpy can index or more modes than numpy
-# allows (nothing is allocated): the message and the error class are part
-# of the contract.
+# allows (nothing is allocated), or asks for a result too large to
+# allocate: the message and the error class are part of the contract.
 ORDER_ERRORS = {
     "fold": (lambda: tk.fold(_X, (24,)), ShapeError, "fold expects an order-1 tensor, got order 3"),
     "qr": (lambda: tk.qr(_X), ShapeError, "qr expects an order-2 tensor, got order 3"),
@@ -355,6 +368,36 @@ ORDER_ERRORS = {
     "super_diagonal_order_huge": (
         lambda: tk.super_diagonal(10**20, 1), ShapeError, f"super_diagonal order must be in 1..{_MAX_ORDER}, got {10**20}"
     ),
+    # Results numpy can index but not allocate: 2**45 or more entries, 2**48
+    # bytes, above x86-64's 47-bit user address space, so no host's memory or
+    # overcommit setting lets them through. Each is the call's first large
+    # allocation; the operands hold 2**23 entries.
+    "zeros_no_memory": (lambda: tk.zeros((2**23, 2**23)), ShapeError, f"zeros result of {2**46} entries {_NO_MEMORY}"),
+    "all_ones_no_memory": (lambda: tk.all_ones((2**45,)), ShapeError, f"all_ones result of {2**45} entries {_NO_MEMORY}"),
+    "one_hot_no_memory": (lambda: tk.one_hot(1, 2**45), ShapeError, f"one_hot result of {2**45} entries {_NO_MEMORY}"),
+    "identity_no_memory": (lambda: tk.identity(2**23), ShapeError, f"identity result of {2**46} entries {_NO_MEMORY}"),
+    "matrix_unit_no_memory": (
+        lambda: tk.matrix_unit(1, 1, 2**23, 2**23), ShapeError, f"matrix_unit result of {2**46} entries {_NO_MEMORY}"
+    ),
+    "super_diagonal_no_memory": (
+        lambda: tk.super_diagonal(3, 2**15), ShapeError, f"super_diagonal result of {2**45} entries {_NO_MEMORY}"
+    ),
+    # folding_operator builds the identity of its size first.
+    "folding_operator_no_memory": (
+        lambda: tk.folding_operator((2**23,)), ShapeError, f"identity result of {2**46} entries {_NO_MEMORY}"
+    ),
+    "tensor_product_no_memory": (
+        lambda: tk.tensor_product(_big_vector(), _big_vector(), []), ShapeError,
+        f"tensor_product result of {2**46} entries {_NO_MEMORY}",
+    ),
+    "outer_no_memory": (
+        lambda: tk.outer([_big_vector(), _big_vector()]), ShapeError, f"outer result of {2**46} entries {_NO_MEMORY}"
+    ),
+    "kronecker_no_memory": (
+        lambda: tk.kronecker(tk.zeros((2**12, 2**11)), tk.zeros((2**12, 2**11))), ShapeError,
+        f"kronecker result of {2**46} entries {_NO_MEMORY}",
+    ),
+    "evaluate_no_memory": (_evaluate_unbonded, ShapeError, f"evaluate result of {2**46} entries {_NO_MEMORY}"),
 }
 
 _TUCKER = tk.hosvd(_X)
