@@ -191,6 +191,17 @@ def _fmt_shape(shape: Sequence[int]) -> str:
     return "(" + ",".join(str(e) for e in shape) + ")"
 
 
+def _as_real_array(data) -> np.ndarray:
+    """Tensor data from outside the library as an array of real numbers, else ArgumentError."""
+    try:
+        arr = np.asarray(data)
+    except ValueError:
+        raise ArgumentError("tensor data must be a flat or nested sequence of numbers") from None
+    if arr.dtype.kind not in "biuf":
+        raise ArgumentError(f"tensor data must be real numbers, got {arr.dtype} data")
+    return arr
+
+
 class DenseTensor:
     """Immutable dense real tensor of any order (order 0 is a scalar).
 
@@ -204,37 +215,20 @@ class DenseTensor:
 
     def __init__(self, shape: Sequence[int], data):
         shape = _check_shape(shape)
-        try:
-            arr = np.asarray(data)
-        except ValueError:
-            raise ArgumentError("tensor data must be a flat or nested sequence of numbers") from None
-        if arr.dtype.kind not in "biuf":
-            raise ArgumentError(f"tensor data must be real numbers, got {arr.dtype} data")
-        arr = arr.astype(np.float64).reshape(-1)
+        arr = _as_real_array(data)
         need = math.prod(shape)
         if arr.size != need:
-            raise ShapeError(
-                f"data length {arr.size} does not match shape {_fmt_shape(shape)} "
-                f"with {need} entries"
-            )
-        arr.flags.writeable = False
+            raise ShapeError(f"data length {arr.size} does not match shape {_fmt_shape(shape)} with {need} entries")
         self._shape = shape
-        self._data = arr
-
-    @classmethod
-    def _wrap(cls, shape: Shape, data: np.ndarray) -> "DenseTensor":
-        # Internal no-copy constructor; data must already be flat, float64,
-        # frozen, and of the right length.
-        t = object.__new__(cls)
-        t._shape = shape
-        t._data = data
-        return t
+        self._data = _in_memory("DenseTensor", lambda: arr.astype(np.float64, order="C").reshape(-1))
+        self._data.flags.writeable = False
 
     @classmethod
     def from_array(cls, array) -> "DenseTensor":
         """Build a tensor from a numpy array (vectorized first-index-fastest)."""
-        a = np.asarray(array, dtype=np.float64)
-        return cls(a.shape, a.ravel(order="F"))
+        a = _as_real_array(array)
+        _check_shape(a.shape)
+        return _in_memory("from_array", lambda: _from_rev(np.array(a.T, dtype=np.float64, order="C")))
 
     @property
     def shape(self) -> Shape:
@@ -310,10 +304,14 @@ def _rev(t: DenseTensor) -> np.ndarray:
 
 def _from_rev(array: np.ndarray) -> DenseTensor:
     # Inverse of _rev: a C-order array of shape (I_N, ..., I_1) as the tensor
-    # of shape (I_1, ..., I_N). No copy when the array is contiguous float64.
+    # of shape (I_1, ..., I_N), frozen; no copy when it is contiguous float64.
+    # The one constructor of the tensors the library computes.
     flat = np.ascontiguousarray(array, dtype=np.float64).reshape(-1)
     flat.flags.writeable = False
-    return DenseTensor._wrap(tuple(int(e) for e in array.shape[::-1]), flat)
+    t = object.__new__(DenseTensor)
+    t._shape = tuple(int(e) for e in array.shape[::-1])
+    t._data = flat
+    return t
 
 
 def linear_index(idx: Sequence[int], shape: Sequence[int]) -> int:
@@ -357,7 +355,7 @@ def permute(x: DenseTensor, p: Sequence[int]) -> DenseTensor:
 def vec(x: DenseTensor) -> DenseTensor:
     """Flatten to an order-1 tensor; the buffer is already in this order."""
     x = _as_tensor(x, "vec")
-    return DenseTensor._wrap((x.size,), x.data)
+    return _from_rev(x.data)
 
 
 def fold(v: DenseTensor, target: Sequence[int]) -> DenseTensor:
@@ -366,7 +364,7 @@ def fold(v: DenseTensor, target: Sequence[int]) -> DenseTensor:
     shape = _check_shape(target)
     if math.prod(shape) != v.size:
         raise ShapeError(f"cannot fold length {v.size} into shape {_fmt_shape(shape)}")
-    return DenseTensor._wrap(shape, v.data)
+    return _from_rev(v.data.reshape(shape[::-1]))
 
 
 def matricize(x: DenseTensor, n: int) -> DenseTensor:
@@ -387,7 +385,7 @@ def k_unfold(x: DenseTensor, k: int) -> DenseTensor:
     x = _as_tensor(x, "k_unfold")
     k = _as_int(k, "split point", 1, x.order - 1)
     rows = math.prod(x.shape[:k])
-    return DenseTensor._wrap((rows, x.size // rows), x.data)
+    return _from_rev(x.data.reshape(x.size // rows, rows))
 
 
 def subtensor(x: DenseTensor, sel: Sequence) -> DenseTensor:
@@ -400,7 +398,7 @@ def subtensor(x: DenseTensor, sel: Sequence) -> DenseTensor:
     x = _as_tensor(x, "subtensor")
     indexer = []
     for mode, (s, extent) in enumerate(zip(_as_seq(sel, "selection", x.order), x.shape), start=1):
-        if s == ":" or s is None:
+        if s is None or isinstance(s, str) and s == ":":
             indexer.append(slice(None))
         elif isinstance(s, tuple):
             m, n = _as_ints(s, f"range bound for mode {mode}", 2)
@@ -413,12 +411,12 @@ def subtensor(x: DenseTensor, sel: Sequence) -> DenseTensor:
 
 def zeros(shape: Sequence[int]) -> DenseTensor:
     shape = _check_size(shape)
-    return _in_memory("zeros", lambda: DenseTensor(shape, np.zeros(math.prod(shape))))
+    return _in_memory("zeros", lambda: _from_rev(np.zeros(shape[::-1])))
 
 
 def all_ones(shape: Sequence[int]) -> DenseTensor:
     shape = _check_size(shape)
-    return _in_memory("all_ones", lambda: DenseTensor(shape, np.ones(math.prod(shape))))
+    return _in_memory("all_ones", lambda: _from_rev(np.ones(shape[::-1])))
 
 
 def one_hot(i: int, length: int) -> DenseTensor:
@@ -428,13 +426,13 @@ def one_hot(i: int, length: int) -> DenseTensor:
     _check_size((length,))
     buf = _in_memory("one_hot", lambda: np.zeros(length))
     buf[i - 1] = 1.0
-    return DenseTensor((length,), buf)
+    return _from_rev(buf)
 
 
 def identity(n: int) -> DenseTensor:
     n = _as_int(n, "identity size", 1)
     _check_size((n, n))
-    return _in_memory("identity", lambda: DenseTensor.from_array(np.eye(n)))
+    return _in_memory("identity", lambda: _from_rev(np.eye(n)))
 
 
 def matrix_unit(i: int, j: int, rows: int, cols: int) -> DenseTensor:
@@ -443,9 +441,9 @@ def matrix_unit(i: int, j: int, rows: int, cols: int) -> DenseTensor:
     cols = _as_int(cols, "matrix_unit cols", 1)
     i, j = _as_ints((i, j), "index for mode", 2, 1, (rows, cols), BoundsError)
     _check_size((rows, cols))
-    buf = _in_memory("matrix_unit", lambda: np.zeros((rows, cols)))
-    buf[i - 1, j - 1] = 1.0
-    return DenseTensor.from_array(buf)
+    buf = _in_memory("matrix_unit", lambda: np.zeros((cols, rows)))
+    buf[j - 1, i - 1] = 1.0
+    return _from_rev(buf)
 
 
 def super_diagonal(order: int, size: int, weights: Sequence[float] | None = None) -> DenseTensor:
@@ -465,7 +463,7 @@ def super_diagonal(order: int, size: int, weights: Sequence[float] | None = None
         w = np.array(weights, dtype=np.float64)
     buf = _in_memory("super_diagonal", lambda: np.zeros(math.prod(shape)))
     buf[:: sum(size**k for k in range(order))] = w  # the stride from (r, ..., r) to (r+1, ..., r+1)
-    return DenseTensor(shape, buf)
+    return _from_rev(buf.reshape(shape))
 
 
 def folding_operator(shape: Sequence[int]) -> DenseTensor:
@@ -476,4 +474,5 @@ def folding_operator(shape: Sequence[int]) -> DenseTensor:
     """
     shape = _check_size(shape)
     total = math.prod(shape)
-    return fold(vec(identity(total)), shape + (total,))
+    _check_size((total, total))
+    return _in_memory("folding_operator", lambda: _from_rev(np.eye(total).reshape(total, *shape[::-1])))

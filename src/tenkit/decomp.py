@@ -185,7 +185,7 @@ def cp_reconstruct(m: CPModel) -> DenseTensor:
     _as_model(m, "cp_reconstruct", "cp")
     parts = [f.to_array() for f in reversed(m.factors)]
     full = _finite("cp_reconstruct", lambda: _khatri_rao(parts) @ m.weights.data, m.weights.data, *parts)
-    return DenseTensor(m.shape, full)
+    return _from_rev(full.reshape(m.shape[::-1]))
 
 
 # cp_als tests the rank of the normal matrices of up to _CP_BLOCK_SWEEPS
@@ -278,7 +278,7 @@ def cp_als(
     # factors leave it, so the column norms taken when a restart stops
     # multiply to its weights, which are checked for range at the end.
     exp = _scale_exponent(x.data)
-    x = DenseTensor(x.shape, np.ldexp(x.data, -exp))
+    x = _from_rev(np.ldexp(_rev(x), -exp))
     norm_x = frobenius_norm(x)
     mats = [matricize(x, n).to_array() for n in range(1, x.order + 1)]
     others = [[m for m in range(x.order) if m != n] for n in range(x.order)]
@@ -395,7 +395,7 @@ def cp_als(
     if not np.isfinite(weights).all():
         raise NumericError("cp_als weights are beyond float range")
     model = CPModel(
-        DenseTensor((rank,), weights),
+        _from_rev(weights),
         tuple(_from_rev(f[best].T) for f in done_factors),
     )
     return CPFit(
@@ -466,6 +466,7 @@ def tucker_orthogonalize(m: TuckerModel) -> TuckerModel:
     core = m.core
     new_factors = []
     for n, f in enumerate(m.factors, start=1):
+        _check_finite(f.data, "tucker_orthogonalize")
         res = qr(f)
         new_factors.append(res.q)
         core = _mode_product("tucker_orthogonalize", core, res.r, n)
@@ -527,7 +528,7 @@ def tt_svd(
     for k in range(n - 1):
         rows = bond * x.shape[k]
         mat = fold(vec(remainder), (rows, remainder.size // rows))
-        res = _svd(mat, max_ranks[k] if max_ranks is not None and tol is None else None)
+        res = _svd(mat, "tt_svd", max_ranks[k] if max_ranks is not None and tol is None else None)
         s = res.sigma.data
         if truncating:
             keep = s.size
@@ -571,12 +572,12 @@ def tt_orthogonalize(t: TTTrain, pivot: int) -> TTTrain:
     for k in range(pivot - 1):
         r0, i, _ = cores[k].shape
         q, r = _householder(k_unfold(cores[k], 2).to_array())
-        cores[k] = fold(vec(_from_rev(q.T)), (r0, i, q.shape[1]))
+        cores[k] = _from_rev(q.T.reshape(q.shape[1], i, r0))
         cores[k + 1] = _mode_product("tt_orthogonalize", cores[k + 1], _from_rev(r.T), 1)
     for k in range(n - 1, pivot - 1, -1):
         _, i, r1 = cores[k].shape
         q, r = _householder(k_unfold(cores[k], 1).to_array().T)
-        cores[k] = fold(vec(_from_rev(q)), (q.shape[1], i, r1))
+        cores[k] = _from_rev(q.reshape(r1, i, q.shape[1]))
         cores[k - 1] = _mode_product("tt_orthogonalize", cores[k - 1], _from_rev(r.T), 3)
     return TTTrain(tuple(cores))
 

@@ -434,16 +434,16 @@ def _svd_at_scale(
     return np.asfortranarray(u[0]), sigma[0], np.asfortranarray(v[0]), int(exp[0])
 
 
-def _svd(m: DenseTensor, keep: int | None = None) -> SVDResult:
-    """svd of a checked matrix, keeping keep triplets if given (_jacobi_svd)."""
-    u, s, v, e = _svd_at_scale(m, "svd", keep)
-    sigma = _unscale(s, e, "svd singular values are")
-    return SVDResult(_from_rev(u.T), DenseTensor(sigma.shape, sigma), _from_rev(v.T))
+def _svd(m: DenseTensor, what: str, keep: int | None = None) -> SVDResult:
+    """svd of a checked matrix for the caller `what`, keeping keep triplets if given (_jacobi_svd)."""
+    u, s, v, e = _svd_at_scale(m, what, keep)
+    sigma = _unscale(s, e, f"{what} singular values are")
+    return SVDResult(_from_rev(u.T), _from_rev(sigma), _from_rev(v.T))
 
 
 def svd(m: DenseTensor) -> SVDResult:
     """Economy SVD of any matrix: m = u @ diag(sigma) @ v.T, K = min(I, J)."""
-    return _svd(_as_tensor(m, "svd", 2))
+    return _svd(_as_tensor(m, "svd", 2), "svd")
 
 
 def truncated_svd(m: DenseTensor, k: int) -> SVDResult:
@@ -454,10 +454,10 @@ def truncated_svd(m: DenseTensor, k: int) -> SVDResult:
     leading k triples to rounding, not bit for bit, once that holds."""
     m = _as_tensor(m, "truncated_svd", 2)
     k = _as_int(k, f"target rank for shape {_fmt_shape(m.shape)}", 1, min(m.shape))
-    full = _svd(m, k)
+    full = _svd(m, "truncated_svd", k)
     # The rows of a matrix's reversed view are its columns, so the leading k are contiguous.
     u, v = (_from_rev(_rev(f)[:k]) for f in (full.u, full.v))
-    return SVDResult(u, DenseTensor((k,), full.sigma.data[:k]), v)
+    return SVDResult(u, _from_rev(full.sigma.data[:k]), v)
 
 
 def default_rank_tol(sigma: np.ndarray, rows: int, cols: int) -> float:

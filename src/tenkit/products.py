@@ -166,7 +166,7 @@ def _pair_gemm(
     paired) and y is _rev(a) as (outer, paired, inner), outer being fa[at:]
     and inner fa[:at], each reversed. x @ y, batched over outer, is the
     C-order (outer, fb reversed, inner) array of the reversed result, which
-    is its buffer. When outer or inner is 1 the GEMM is flat: x @ y[0], or
+    is its buffer. When inner is 1 and outer is not, the GEMM is the flat
     y[..., 0] @ x.T, which the BLAS reads transposed. Each entry is the same
     dot product, over the paired axes in pairing order, whatever fa, fb and
     at are. `what` names the caller in the NumericError raised when finite
@@ -180,7 +180,7 @@ def _pair_gemm(
     shape = y.shape[:ko] + x.shape[: len(fb)] + y.shape[kp:]
     x = x.reshape(math.prod(x.shape[: len(fb)]), paired)
     y = y.reshape(so, paired, si)
-    left, right = (x, y[0]) if so == 1 else (y[..., 0], x.T) if si == 1 else (x, y)
+    left, right = (y[..., 0], x.T) if si == 1 < so else (x, y)
     return _from_rev(_finite(what, lambda: np.matmul(left, right), a.data, b.data).reshape(shape))
 
 

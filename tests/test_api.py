@@ -37,13 +37,27 @@ def test_star_import_gives_the_api():
     assert set(scope) - {"__builtins__"} == set(tk.__all__)
 
 
+def _sources_except(allowed):
+    """(file name, text) of each module of the package not named in allowed."""
+    src = os.path.dirname(tk.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py") and name not in allowed:
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                yield name, fh.read()
+
+
 def test_storage_order_is_known_only_to_core():
     # Other modules see a tensor's entries through to_array() and
     # core._rev/_from_rev; none reshapes or ravels the buffer in F order.
-    src = os.path.dirname(tk.__file__)
-    for name in sorted(os.listdir(src)):
-        if name.endswith(".py") and name != "core.py":
-            with open(os.path.join(src, name), encoding="utf-8") as fh:
-                text = fh.read()
-            for needle in ('order="F"', "order='F'", "_nd(", "_tensor_from_nd"):
-                assert needle not in text, (name, needle)
+    for name, text in _sources_except(("core.py",)):
+        for needle in ('order="F"', "order='F'", "_nd(", "_tensor_from_nd"):
+            assert needle not in text, (name, needle)
+
+
+def test_computed_tensors_are_built_only_by_core():
+    # The public constructors check and copy data from outside the library
+    # (io parses a file, network a .tn text); every array the library
+    # computes becomes a tensor through core._from_rev, uncopied.
+    for name, text in _sources_except(("core.py", "io.py", "network.py")):
+        for needle in ("DenseTensor(", "from_array(", "_wrap("):
+            assert needle not in text, (name, needle)

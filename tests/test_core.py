@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -98,7 +100,8 @@ def test_vec_examples():
 
     t = tk.DenseTensor((2, 2, 2), range(1, 9))
     assert tk.vec(t).at(6) == t.at(2, 1, 2)
-    assert tk.vec(t).data is t.data  # zero-copy reinterpretation
+    # A zero-copy reinterpretation: the same buffer.
+    assert tk.vec(t).data.ctypes.data == t.data.ctypes.data and np.shares_memory(tk.vec(t).data, t.data)
 
 
 def test_fold_examples():
@@ -148,7 +151,7 @@ def test_k_unfold_shapes_and_buffer():
     x = rand_tensor(rng, (2, 3, 4, 5))
     u = tk.k_unfold(x, 2)
     assert u.shape == (6, 20)
-    assert u.data is x.data  # pure reinterpretation
+    assert u.data.ctypes.data == x.data.ctypes.data and np.shares_memory(u.data, x.data)  # pure reinterpretation
     with pytest.raises(ArgumentError):
         tk.k_unfold(x, 4)
     with pytest.raises(ArgumentError):
@@ -264,6 +267,34 @@ def test_folding_operator_reproduces_fold():
         x = rand_tensor(rng, shape)
         op = tk.folding_operator(shape)
         assert tk.tensor_product(op, tk.vec(x), [(len(shape) + 1, 1)]) == x
+
+
+_C_ORDERED = np.arange(128 * 128 * 64, dtype=np.float64).reshape(128, 128, 64)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: tk.zeros((2**20,)),
+        lambda: tk.all_ones((2**20,)),
+        lambda: tk.one_hot(1, 2**20),
+        lambda: tk.identity(1024),
+        lambda: tk.matrix_unit(1, 1, 1024, 1024),
+        lambda: tk.folding_operator((32, 32)),
+        lambda: tk.super_diagonal(3, 102),
+        lambda: tk.DenseTensor.from_array(_C_ORDERED),
+    ],
+    ids=["zeros", "all_ones", "one_hot", "identity", "matrix_unit", "folding_operator", "super_diagonal", "from_array"],
+)
+def test_constructors_allocate_their_result_once(build):
+    # Each result is about 8 MiB; a second copy of it would show in the peak.
+    tracemalloc.start()
+    try:
+        t = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= t.data.nbytes + 2**20, (peak, t.data.nbytes)
 
 
 def test_linearity_is_bit_exact():

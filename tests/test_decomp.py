@@ -1183,7 +1183,7 @@ def test_tt_svd_with_caps_and_tol_runs_full_svds(monkeypatch):
     got = tk.tt_svd(x, max_ranks=[2, 3, 2], tol=1e-12)
     assert narrow == []
     # The same split, with every svd the full one.
-    monkeypatch.setattr(decomp, "_svd", lambda m, keep=None: factor._svd(m))
+    monkeypatch.setattr(decomp, "_svd", lambda m, what, keep=None: factor._svd(m, what))
     want = tk.tt_svd(x, max_ranks=[2, 3, 2], tol=1e-12)
     assert got.bond_ranks == want.bond_ranks == (1, 2, 3, 2, 1)
     assert all(g.to_array().tobytes() == w.to_array().tobytes() for g, w in zip(got.cores, want.cores))

@@ -382,9 +382,18 @@ ORDER_ERRORS = {
     "super_diagonal_no_memory": (
         lambda: tk.super_diagonal(3, 2**15), ShapeError, f"super_diagonal result of {2**45} entries {_NO_MEMORY}"
     ),
-    # folding_operator builds the identity of its size first.
     "folding_operator_no_memory": (
-        lambda: tk.folding_operator((2**23,)), ShapeError, f"identity result of {2**46} entries {_NO_MEMORY}"
+        lambda: tk.folding_operator((2**23,)), ShapeError, f"folding_operator result of {2**46} entries {_NO_MEMORY}"
+    ),
+    # The public constructors' one copy of a zero-stride array, which itself
+    # allocates nothing.
+    "DenseTensor_no_memory": (
+        lambda: tk.DenseTensor((2**45,), np.broadcast_to(1.0, (2**45,))), ShapeError,
+        f"DenseTensor result of {2**45} entries {_NO_MEMORY}",
+    ),
+    "from_array_no_memory": (
+        lambda: tk.DenseTensor.from_array(np.broadcast_to(1.0, (2**23, 2**23))), ShapeError,
+        f"from_array result of {2**46} entries {_NO_MEMORY}",
     ),
     "tensor_product_no_memory": (
         lambda: tk.tensor_product(_big_vector(), _big_vector(), []), ShapeError,
@@ -505,31 +514,45 @@ _NAN_TRAIN = tk.TTTrain((
     tk.DenseTensor((1, 2, 2), [1.0, 2.0, 3.0, float("nan")]),
     tk.DenseTensor((2, 2, 1), [1.0, 2.0, 3.0, 4.0]),
 ))
+_EYE2 = tk.identity(2)
+_NAN_FACTOR = tk.DenseTensor((2, 2), [1.0, float("nan"), 0.0, 1.0])
 # Each call and its full message, which names the function the caller called.
 NON_FINITE_CALLS = {
     "tt_svd_nan": (lambda: tk.tt_svd(_NAN), "tt_svd input has non-finite entries (nan or inf)"),
     "hosvd_inf": (lambda: tk.hosvd(_INF), "hosvd input has non-finite entries (nan or inf)"),
     "truncated_hosvd_nan": (lambda: tk.truncated_hosvd(_NAN, (1, 1, 1)), "truncated_hosvd input has non-finite entries (nan or inf)"),
     "svd_nan": (lambda: tk.svd(tk.matricize(_NAN, 1)), "svd input has non-finite entries (nan or inf)"),
+    "truncated_svd_nan": (
+        lambda: tk.truncated_svd(tk.matricize(_NAN, 2), 1), "truncated_svd input has non-finite entries (nan or inf)"
+    ),
     "qr_inf": (lambda: tk.qr(tk.k_unfold(_INF, 2)), "qr input has non-finite entries (nan or inf)"),
     "pinv_inf": (lambda: tk.pinv(tk.matricize(_INF, 1)), "pinv input has non-finite entries (nan or inf)"),
     "numerical_rank_nan": (lambda: tk.numerical_rank(tk.matricize(_NAN, 3)), "numerical_rank input has non-finite entries (nan or inf)"),
     "tt_orthogonalize_nan": (lambda: tk.tt_orthogonalize(_NAN_TRAIN, 2), "tt_orthogonalize input has non-finite entries (nan or inf)"),
+    "tucker_orthogonalize_nan": (
+        lambda: tk.tucker_orthogonalize(tk.TuckerModel(tk.all_ones((2, 2, 2)), (_EYE2, _NAN_FACTOR, _EYE2))),
+        "tucker_orthogonalize input has non-finite entries (nan or inf)",
+    ),
     "cp_als_nan": (lambda: tk.cp_als(_NAN, 1), "cp_als objective became non-finite"),
 }
 
 # Finite inputs whose true result lies beyond float range: NumericError, and
 # no numpy warning (pytest turns RuntimeWarning into an error) before it.
+# Each call and the function it calls, which its message names first.
+_E308 = tk.DenseTensor((2, 3, 2), [1e308] * 12)
 OUT_OF_RANGE_CALLS = {
-    "svd_sigma_2e308": lambda: tk.svd(tk.DenseTensor((2, 2), [1e308] * 4)),
-    "tt_svd_sigma": lambda: tk.tt_svd(tk.DenseTensor((2, 3, 2), [1e308] * 12)),
+    "svd_sigma_2e308": ("svd", lambda: tk.svd(tk.DenseTensor((2, 2), [1e308] * 4))),
+    "truncated_svd_sigma_2e308": ("truncated_svd", lambda: tk.truncated_svd(tk.DenseTensor((2, 2), [1e308] * 4), 1)),
+    "tt_svd_sigma": ("tt_svd", lambda: tk.tt_svd(_E308)),
+    "tt_svd_sigma_capped": ("tt_svd", lambda: tk.tt_svd(_E308, [2, 2])),
+    "tt_svd_sigma_tol": ("tt_svd", lambda: tk.tt_svd(_E308, tol=1.0)),
     # Every singular value is in range, but the dropped squares sum past it.
-    "tt_svd_discarded_energy": lambda: tk.tt_svd(
+    "tt_svd_discarded_energy": ("tt_svd", lambda: tk.tt_svd(
         tk.DenseTensor.from_array(1e300 * np.random.default_rng(0).standard_normal((4, 4, 4))), [2, 2]
-    ),
-    "qr_r_2e308": lambda: tk.qr(tk.DenseTensor((4, 1), [1e308] * 4)),
-    "pinv_1e320": lambda: tk.pinv(tk.DenseTensor.from_array(np.eye(3) * 1e-320 + 1e-321)),
-    "pinv_near_max": lambda: tk.pinv(tk.DenseTensor((1, 1), [2.0**-1024])),
+    )),
+    "qr_r_2e308": ("qr", lambda: tk.qr(tk.DenseTensor((4, 1), [1e308] * 4))),
+    "pinv_1e320": ("pinv", lambda: tk.pinv(tk.DenseTensor.from_array(np.eye(3) * 1e-320 + 1e-321))),
+    "pinv_near_max": ("pinv", lambda: tk.pinv(tk.DenseTensor((1, 1), [2.0**-1024]))),
 }
 
 
@@ -754,9 +777,9 @@ def test_non_finite_input_raises_numeric_error(call, message):
         call()
 
 
-@pytest.mark.parametrize("call", OUT_OF_RANGE_CALLS.values(), ids=OUT_OF_RANGE_CALLS.keys())
-def test_out_of_range_result_raises_numeric_error(call):
-    with pytest.raises(NumericError, match="beyond float range"):
+@pytest.mark.parametrize("name, call", OUT_OF_RANGE_CALLS.values(), ids=OUT_OF_RANGE_CALLS.keys())
+def test_out_of_range_result_raises_numeric_error(name, call):
+    with pytest.raises(NumericError, match=f"^{name} .*beyond float range$"):
         call()
 
 
