@@ -285,14 +285,17 @@ def _as_instance(value, cls: type | tuple[type, ...], what: str):
     return value
 
 
-def _as_tensor(value, what: str, order: int | None = None, min_order: int = 0) -> DenseTensor:
+def _as_tensor(value, what: str, order: int | None = None, min_order: int = 0, finite: bool = False) -> DenseTensor:
     """A tensor argument of the function `what`: a non-tensor or an order below
-    min_order raises ArgumentError, an order other than `order` ShapeError."""
+    min_order raises ArgumentError, an order other than `order` ShapeError, and
+    if finite (the factorizations) a NaN or inf entry NumericError."""
     _as_instance(value, DenseTensor, what)
     if order is not None and value.order != order:
         raise ShapeError(f"{what} expects an order-{order} tensor, got order {value.order}")
     if value.order < min_order:
         raise ArgumentError(f"{what} needs an order >= {min_order} tensor, got order {value.order}")
+    if finite and not np.isfinite(value.data).all():
+        raise NumericError(f"{what} input has non-finite entries (nan or inf)")
     return value
 
 

@@ -19,10 +19,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import DenseTensor, _as_int, _as_ints, _as_seq, _as_tensor, _as_tol, _from_rev, _rev, fold, k_unfold
-from .core import _as_instance, _scale_exponent, matricize, permute, subtensor, vec
+from .core import _as_instance, _fmt_shape, _scale_exponent, matricize, permute, subtensor, vec
 from .elementwise import _finite, frobenius_norm
-from .errors import ArgumentError, ModelError, NumericError, ParseError
-from .factor import _check_finite, _householder, _jacobi_svd, _orthonormal_fill, _svd, default_rank_tol, qr
+from .errors import ArgumentError, ModelError, NumericError, ParseError, ShapeError
+from .factor import _householder, _jacobi_svd, _orthonormal_fill, _svd, default_rank_tol
 from .io import _PATH, _read_text, _write_atomic, read_tensor, write_tensor
 from .products import _khatri_rao, _mode_product, _multi_mode_product, _tt_chain
 
@@ -417,19 +417,18 @@ def tucker_reconstruct(m: TuckerModel) -> DenseTensor:
 
 
 def _tucker(x: DenseTensor, ranks: Sequence[int], what: str) -> TuckerModel:
-    """Tucker model whose mode-n factor is the leading ranks[n] columns of the
-    left singular basis (the svd u) of matricize(x, n), orthonormally filled
-    past the basis's width.
+    """Tucker model of a finite x whose mode-n factor is the leading ranks[n]
+    columns of the left singular basis (the svd u) of matricize(x, n),
+    orthonormally filled past the basis's width.
 
     Unfoldings of one shape are factored together, as one stacked Jacobi
     SVD that keeps ranks[n] triplets of each: an unfolding whose trailing
     columns come to be dominated (_jacobi_svd) stops rotating them, and its
     factor equals svd's leading columns to rounding; any other (every one
     of hosvd's full ranks) gets the u that svd alone would give it, bit for
-    bit. A NaN or inf entry, or a core beyond float range, raises
-    NumericError naming the caller, `what`.
+    bit. A core beyond float range raises NumericError naming the caller,
+    `what`.
     """
-    _check_finite(x.data, what)
     groups: dict[tuple[int, int], list[int]] = {}
     for n, extent in enumerate(x.shape, start=1):
         groups.setdefault((extent, x.size // extent), []).append(n)
@@ -446,13 +445,13 @@ def _tucker(x: DenseTensor, ranks: Sequence[int], what: str) -> TuckerModel:
 def hosvd(x: DenseTensor) -> TuckerModel:
     """Tucker model whose mode-n factor is the left singular basis of
     matricize(x, n); the core is all-orthogonal and reconstruction is exact."""
-    x = _as_tensor(x, "hosvd", min_order=2)
+    x = _as_tensor(x, "hosvd", min_order=2, finite=True)
     return _tucker(x, [min(extent, x.size // extent) for extent in x.shape], "hosvd")
 
 
 def truncated_hosvd(x: DenseTensor, ranks: Sequence[int]) -> TuckerModel:
     """Tucker model keeping the leading ranks[n] singular vectors per mode."""
-    x = _as_tensor(x, "truncated_hosvd", min_order=2)
+    x = _as_tensor(x, "truncated_hosvd", min_order=2, finite=True)
     return _tucker(x, _as_ints(ranks, "rank for mode", x.order, 1, x.shape), "truncated_hosvd")
 
 
@@ -460,16 +459,19 @@ def tucker_orthogonalize(m: TuckerModel) -> TuckerModel:
     """QR every factor and fold the triangular parts into the core.
 
     Reconstruction is unchanged; afterwards the factors are column
-    orthonormal, so the reconstruction norm equals the core norm.
+    orthonormal, so the reconstruction norm equals the core norm. A factor
+    with a NaN or inf entry raises NumericError, a wide one ShapeError.
     """
     _as_model(m, "tucker_orthogonalize", "tucker")
     core = m.core
     new_factors = []
     for n, f in enumerate(m.factors, start=1):
-        _check_finite(f.data, "tucker_orthogonalize")
-        res = qr(f)
-        new_factors.append(res.q)
-        core = _mode_product("tucker_orthogonalize", core, res.r, n)
+        _as_tensor(f, "tucker_orthogonalize", finite=True)
+        if f.shape[0] < f.shape[1]:
+            raise ShapeError(f"tucker_orthogonalize factor {n} has more columns than rows: {_fmt_shape(f.shape)}")
+        q, r = _householder(f.to_array(), "tucker_orthogonalize")
+        new_factors.append(_from_rev(q.T))
+        core = _mode_product("tucker_orthogonalize", core, _from_rev(r.T), n)
     return TuckerModel(core, tuple(new_factors))
 
 
@@ -513,8 +515,7 @@ def tt_svd(
     still sums the dropped squared singular values. With tol, or exact,
     every split is a full svd.
     """
-    x = _as_tensor(x, "tt_svd", min_order=2)
-    _check_finite(x.data, "tt_svd")
+    x = _as_tensor(x, "tt_svd", min_order=2, finite=True)
     if tol is not None:
         tol = _as_tol(tol)
     n = x.order
@@ -565,18 +566,19 @@ def tt_orthogonalize(t: TTTrain, pivot: int) -> TTTrain:
     _as_model(t, "tt_orthogonalize", "tt")
     n = len(t.cores)
     pivot = _as_int(pivot, "pivot", 1, n)
+    # Every core, the pivot too, which no QR sees.
     for core in t.cores:
-        _check_finite(core.data, "tt_orthogonalize")
+        _as_tensor(core, "tt_orthogonalize", finite=True)
     cores = list(t.cores)
     # A numpy matrix m is the tensor _from_rev(m.T).
     for k in range(pivot - 1):
         r0, i, _ = cores[k].shape
-        q, r = _householder(k_unfold(cores[k], 2).to_array())
+        q, r = _householder(k_unfold(cores[k], 2).to_array(), "tt_orthogonalize")
         cores[k] = _from_rev(q.T.reshape(q.shape[1], i, r0))
         cores[k + 1] = _mode_product("tt_orthogonalize", cores[k + 1], _from_rev(r.T), 1)
     for k in range(n - 1, pivot - 1, -1):
         _, i, r1 = cores[k].shape
-        q, r = _householder(k_unfold(cores[k], 1).to_array().T)
+        q, r = _householder(k_unfold(cores[k], 1).to_array().T, "tt_orthogonalize")
         cores[k] = _from_rev(q.reshape(r1, i, q.shape[1]))
         cores[k - 1] = _mode_product("tt_orthogonalize", cores[k - 1], _from_rev(r.T), 3)
     return TTTrain(tuple(cores))

@@ -72,13 +72,13 @@ def _ew(op: str, x: DenseTensor, y: DenseTensor, what: str) -> DenseTensor:
     x = _as_tensor(x, what)
     y = _as_tensor(y, what)
     broadcast_shapes(x.shape, y.shape)
+    if not isinstance(op, str) or op not in _OPS:
+        raise ArgumentError(f"unknown entry-wise op {op!r} (need add|sub|mul|div)")
     if op == "div":
         zero = np.flatnonzero(y.data == 0.0)
         if zero.size:
             where = multi_index(int(zero[0]) + 1, y.shape)
             raise DivisionError(f"divisor entry {where} is exactly zero")
-    if not isinstance(op, str) or op not in _OPS:
-        raise ArgumentError(f"unknown entry-wise op {op!r} (need add|sub|mul|div)")
     return _from_rev(_finite(what, lambda: _OPS[op](_rev(x), _rev(y)), x.data, y.data))
 
 

@@ -136,33 +136,28 @@ def _q_times(vs: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _householder(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _householder(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Thin QR of any (m, n) array: a = q @ r with q (m, t), r (t, n), t = min(m, n),
-    and diag(r) >= 0."""
+    and diag(r) >= 0. An R entry beyond float range raises NumericError naming
+    the caller, `what`."""
     t = min(a.shape)
     # Scale max|a| into [0.5, 1) by a power of two, which is exact, so the
     # column norms can neither overflow nor underflow; r is unscaled at the end.
     exp = _scale_exponent(a)
     r = np.asfortranarray(np.ldexp(a, -exp))
     vs = _reflect(r)
-    r = _unscale(r[:t], exp, "qr R entries are")
+    r = _unscale(r[:t], exp, f"{what} R entries are")
     # Sign fix: negating row j of r and column j of q makes diag(r) >= 0.
     signs = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
     return _q_times(vs, np.diag(signs)), np.triu(r * signs[:, None])
 
 
-def _check_finite(a: np.ndarray, what: str) -> None:
-    if not np.isfinite(a).all():
-        raise NumericError(f"{what} input has non-finite entries (nan or inf)")
-
-
 def qr(m: DenseTensor) -> QRResult:
     """QR of a tall (or square) matrix; wide inputs are rejected."""
-    m = _as_tensor(m, "qr", 2)
-    _check_finite(m.data, "qr")
+    m = _as_tensor(m, "qr", 2, finite=True)
     if m.shape[0] < m.shape[1]:
         raise ShapeError(f"qr needs a tall matrix, got {_fmt_shape(m.shape)}; transpose first")
-    q, r = _householder(m.to_array())
+    q, r = _householder(m.to_array(), "qr")
     return QRResult(_from_rev(q.T), _from_rev(r.T))
 
 
@@ -174,7 +169,8 @@ def _orthonormal_fill(u: np.ndarray, width: int) -> np.ndarray:
     identity column lies in the span of u); u itself is kept.
     """
     m, r = u.shape
-    q, _ = _householder(np.hstack((u, np.eye(m, width - r))))
+    # Its entries are at most 1, so R's are at most sqrt(m): the name is never shown.
+    q, _ = _householder(np.hstack((u, np.eye(m, width - r))), "svd")
     return np.hstack((u, q[:, r:]))
 
 
@@ -421,29 +417,26 @@ def _jacobi_svd(
     return (v, sigma, u, exp) if wide else (u, sigma, v, exp)
 
 
-def _svd_at_scale(
-    m: DenseTensor, what: str, keep: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _svd_at_scale(m: DenseTensor, keep: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """u (I, K) and v (J, K), column-major as svd returns them, and the
-    singular values of m as sigma * 2**e: sigma and e, so that a caller can
-    use them where m's own singular values lie beyond float range. A NaN or
-    inf entry raises NumericError naming the caller, `what`. keep, if given,
-    is the number of leading triplets the caller uses (_jacobi_svd)."""
-    _check_finite(m.data, what)
+    singular values of a finite matrix m as sigma * 2**e: sigma and e, so
+    that a caller can use them where m's own singular values lie beyond
+    float range. keep, if given, is the number of leading triplets the
+    caller uses (_jacobi_svd)."""
     u, sigma, v, exp = _jacobi_svd(m.to_array()[None], None if keep is None else [keep])
     return np.asfortranarray(u[0]), sigma[0], np.asfortranarray(v[0]), int(exp[0])
 
 
 def _svd(m: DenseTensor, what: str, keep: int | None = None) -> SVDResult:
     """svd of a checked matrix for the caller `what`, keeping keep triplets if given (_jacobi_svd)."""
-    u, s, v, e = _svd_at_scale(m, what, keep)
+    u, s, v, e = _svd_at_scale(m, keep)
     sigma = _unscale(s, e, f"{what} singular values are")
     return SVDResult(_from_rev(u.T), _from_rev(sigma), _from_rev(v.T))
 
 
 def svd(m: DenseTensor) -> SVDResult:
     """Economy SVD of any matrix: m = u @ diag(sigma) @ v.T, K = min(I, J)."""
-    return _svd(_as_tensor(m, "svd", 2), "svd")
+    return _svd(_as_tensor(m, "svd", 2, finite=True), "svd")
 
 
 def truncated_svd(m: DenseTensor, k: int) -> SVDResult:
@@ -452,7 +445,7 @@ def truncated_svd(m: DenseTensor, k: int) -> SVDResult:
     The Jacobi sweeps stop rotating the trailing columns once their squared
     norms sum to at most the k-th largest, so the result equals svd's
     leading k triples to rounding, not bit for bit, once that holds."""
-    m = _as_tensor(m, "truncated_svd", 2)
+    m = _as_tensor(m, "truncated_svd", 2, finite=True)
     k = _as_int(k, f"target rank for shape {_fmt_shape(m.shape)}", 1, min(m.shape))
     full = _svd(m, "truncated_svd", k)
     # The rows of a matrix's reversed view are its columns, so the leading k are contiguous.
@@ -468,10 +461,10 @@ def default_rank_tol(sigma: np.ndarray, rows: int, cols: int) -> float:
 
 def numerical_rank(m: DenseTensor, tol: float | None = None) -> int:
     """Count of singular values above tol (default sigma_1 * max(I,J) * eps)."""
-    m = _as_tensor(m, "numerical_rank", 2)
+    m = _as_tensor(m, "numerical_rank", 2, finite=True)
     if tol is not None:
         tol = _as_tol(tol)
-    _, s, _, e = _svd_at_scale(m, "numerical_rank")
+    _, s, _, e = _svd_at_scale(m)
     if tol is None:
         # The default is relative, so it is taken at the svd's own scale.
         return int((s > default_rank_tol(s, m.shape[0], m.shape[1])).sum())
@@ -482,8 +475,8 @@ def numerical_rank(m: DenseTensor, tol: float | None = None) -> int:
 
 def pinv(m: DenseTensor) -> DenseTensor:
     """Moore-Penrose pseudo-inverse via the SVD, zeroing sub-threshold sigmas."""
-    m = _as_tensor(m, "pinv", 2)
-    u, s, v, e = _svd_at_scale(m, "pinv")
+    m = _as_tensor(m, "pinv", 2, finite=True)
+    u, s, v, e = _svd_at_scale(m)
     # At the svd's scale max|m| is in [0.5, 1), so no kept 1 / s overflows;
     # the product is scaled back by the svd's power of two.
     keep = s > default_rank_tol(s, *m.shape)

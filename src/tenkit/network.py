@@ -479,17 +479,17 @@ def plan(net: TensorNetwork, strategy="exhaustive") -> ContractionPlan:
     if it meets one.
     """
     _as_instance(net, TensorNetwork, "plan")
-    if strategy == "exhaustive":
-        steps = _plan_exhaustive(net)
-    elif strategy == "greedy":
-        steps = _plan_greedy(net)[1]
-    elif isinstance(strategy, str):
-        raise ArgumentError(f"unknown strategy {strategy!r} (need exhaustive, greedy, or a step list)")
-    else:
+    if not isinstance(strategy, str):
         steps = []
         for k, step in enumerate(_as_seq(strategy, "strategy"), start=1):
             a, b = _as_seq(step, f"strategy step {k}", 2)
             steps.append((str(a), str(b)))
+    elif strategy == "exhaustive":
+        steps = _plan_exhaustive(net)
+    elif strategy == "greedy":
+        steps = _plan_greedy(net)[1]
+    else:
+        raise ArgumentError(f"unknown strategy {strategy!r} (need exhaustive, greedy, or a step list)")
     costs, peak_inter = _replay(net, steps)
     return ContractionPlan(
         steps=tuple(steps),

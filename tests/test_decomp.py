@@ -741,7 +741,7 @@ def test_tucker_orthogonalize_idempotent_on_orthogonal_model():
 def test_tucker_orthogonalize_rejects_wide_factor():
     rng = np.random.default_rng(23)
     model = tk.TuckerModel(rand_tensor(rng, (3, 2)), (rand_tensor(rng, (2, 3)), rand_tensor(rng, (4, 2))))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=r"^tucker_orthogonalize factor 1 has more columns than rows: \(2,3\)$"):
         tk.tucker_orthogonalize(model)
 
 

@@ -93,8 +93,9 @@ BAD_INT_ARGS = {
 _NET = tk.parse_network("node A [i=2] = 1 2; node B [i=2] = 3 4; output []")
 
 # Each call passes a scalar, a string or a sequence of the wrong length
-# where a sequence is required, or a sequence whose entries are of the
-# wrong kind.
+# where a sequence is required, a sequence whose entries are of the wrong
+# kind, or an array where a string is (an array compared with a string is
+# an array, whose truth value numpy refuses).
 BAD_SEQUENCE_ARGS = {
     "tensor_product_triple": lambda: tk.tensor_product(_X, _X, [(1, 1, 1)]),
     "subtensor_range_triple": lambda: tk.subtensor(_X, [(1, 2, 3), ":", ":"]),
@@ -110,6 +111,10 @@ BAD_SEQUENCE_ARGS = {
     "plan_none_strategy": lambda: tk.plan(_NET, None),
     "plan_triple_step": lambda: tk.plan(_NET, [("A", "B", "C")]),
     "plan_string_step": lambda: tk.plan(_NET, ["AB"]),
+    "plan_string_array_strategy": lambda: tk.plan(_NET, np.array(["exhaustive", "greedy"])),
+    "plan_int_array_strategy": lambda: tk.plan(_NET, np.array([1, 2])),
+    "ew_binary_string_array_op": lambda: tk.ew_binary(np.array(["add", "div"]), _X, _X),
+    "ew_binary_int_array_op": lambda: tk.ew_binary(np.array([1, 2]), _X, _X),
     "network_list_tensor": lambda: tk.TensorNetwork([("A", ("i",), [1.0, 2.0])], ("i",)),
     "network_int_name": lambda: tk.TensorNetwork([(5, ("i",), tk.zeros((2,)))], ("i",)),
     "network_int_nodes": lambda: tk.TensorNetwork(5, ["i"]),
@@ -529,11 +534,26 @@ NON_FINITE_CALLS = {
     "pinv_inf": (lambda: tk.pinv(tk.matricize(_INF, 1)), "pinv input has non-finite entries (nan or inf)"),
     "numerical_rank_nan": (lambda: tk.numerical_rank(tk.matricize(_NAN, 3)), "numerical_rank input has non-finite entries (nan or inf)"),
     "tt_orthogonalize_nan": (lambda: tk.tt_orthogonalize(_NAN_TRAIN, 2), "tt_orthogonalize input has non-finite entries (nan or inf)"),
+    # The NaN is in the pivot core, which no QR sees.
+    "tt_orthogonalize_nan_pivot": (
+        lambda: tk.tt_orthogonalize(_NAN_TRAIN, 1), "tt_orthogonalize input has non-finite entries (nan or inf)"
+    ),
     "tucker_orthogonalize_nan": (
         lambda: tk.tucker_orthogonalize(tk.TuckerModel(tk.all_ones((2, 2, 2)), (_EYE2, _NAN_FACTOR, _EYE2))),
         "tucker_orthogonalize input has non-finite entries (nan or inf)",
     ),
     "cp_als_nan": (lambda: tk.cp_als(_NAN, 1), "cp_als objective became non-finite"),
+    # The tensor is checked before the other arguments, so a bad rank, k or
+    # tol does not hide the non-finite input.
+    "truncated_hosvd_nan_bad_ranks": (
+        lambda: tk.truncated_hosvd(_NAN, (9, 9, 9)), "truncated_hosvd input has non-finite entries (nan or inf)"
+    ),
+    "truncated_svd_nan_bad_k": (
+        lambda: tk.truncated_svd(tk.matricize(_NAN, 2), 0), "truncated_svd input has non-finite entries (nan or inf)"
+    ),
+    "numerical_rank_nan_bad_tol": (
+        lambda: tk.numerical_rank(tk.matricize(_NAN, 3), -1.0), "numerical_rank input has non-finite entries (nan or inf)"
+    ),
 }
 
 # Finite inputs whose true result lies beyond float range: NumericError, and
@@ -551,6 +571,13 @@ OUT_OF_RANGE_CALLS = {
         tk.DenseTensor.from_array(1e300 * np.random.default_rng(0).standard_normal((4, 4, 4))), [2, 2]
     )),
     "qr_r_2e308": ("qr", lambda: tk.qr(tk.DenseTensor((4, 1), [1e308] * 4))),
+    # R's first entry is the norm of four entries of 1e308.
+    "tt_orthogonalize_r_1e308": ("tt_orthogonalize", lambda: tk.tt_orthogonalize(
+        tk.TTTrain((tk.DenseTensor((1, 4, 1), [1e308] * 4), tk.DenseTensor((1, 2, 1), [1, 1]))), 2
+    )),
+    "tucker_orthogonalize_r_1e308": ("tucker_orthogonalize", lambda: tk.tucker_orthogonalize(
+        tk.TuckerModel(tk.all_ones((2, 2)), (tk.DenseTensor((4, 2), [1e308] * 4 + [1] * 4), tk.identity(2)))
+    )),
     "pinv_1e320": ("pinv", lambda: tk.pinv(tk.DenseTensor.from_array(np.eye(3) * 1e-320 + 1e-321))),
     "pinv_near_max": ("pinv", lambda: tk.pinv(tk.DenseTensor((1, 1), [2.0**-1024]))),
 }

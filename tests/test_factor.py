@@ -295,8 +295,8 @@ def test_householder_power_of_two_scaling_is_exact():
     for _ in range(200):
         a = rng.standard_normal((int(rng.integers(1, 30)), int(rng.integers(1, 30))))
         e = int(rng.integers(-900, 900))
-        q, r = factor._householder(a)
-        q_scaled, r_scaled = factor._householder(np.ldexp(a, e))
+        q, r = factor._householder(a, "qr")
+        q_scaled, r_scaled = factor._householder(np.ldexp(a, e), "qr")
         assert np.array_equal(q_scaled, q)
         assert np.array_equal(r_scaled, np.ldexp(r, e))
 

@@ -426,6 +426,13 @@ def test_plan_given_validation_errors():
         tk.plan(net, [("A", "A"), ("A", "v")])
 
 
+def test_plan_takes_a_step_list_as_an_array():
+    rng = np.random.default_rng(7)
+    net = abv_network(rng)
+    steps = [("A", "B"), ("A", "v")]
+    assert tk.plan(net, np.array(steps)) == tk.plan(net, steps)
+
+
 def test_greedy_tie_break_is_lexicographic():
     rng = np.random.default_rng(8)
     t = rand_tensor(rng, (2, 2))
