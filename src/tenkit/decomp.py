@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import DenseTensor, _as_int, _as_ints, _as_seq, _as_tensor, _as_tol, _from_rev, _rev, fold, k_unfold
-from .core import _as_instance, _fmt_shape, _scale_exponent, matricize, permute, subtensor, vec
+from .core import _as_instance, _as_real, _fmt_shape, _scale_exponent, matricize, permute, subtensor, vec
 from .elementwise import _finite, frobenius_norm
 from .errors import ArgumentError, ModelError, NumericError, ParseError, ShapeError
 from .factor import _householder, _jacobi_svd, _orthonormal_fill, _svd, default_rank_tol
@@ -163,11 +163,18 @@ class TTTrain(_CoreChain):
     """Chain of order-3 cores; core n is (R_{n-1}, I_n, R_n).
 
     Full trains have unit boundary bonds; sub-trains may expose one side.
-    discarded_energy records the squared singular mass dropped by a
-    truncated fit (0.0 for exact construction).
+    discarded_energy, a finite float >= 0, records the squared singular
+    mass dropped by a truncated fit (0.0 for exact construction).
     """
 
     discarded_energy: float = field(default=0.0, compare=False)
+
+    def __post_init__(self):
+        super().__post_init__()
+        energy = _as_real(self.discarded_energy, "TTTrain discarded_energy")
+        if energy < 0:
+            raise ModelError(f"tt discarded_energy must be >= 0, got {energy}")
+        object.__setattr__(self, "discarded_energy", energy)
 
 
 @dataclass(frozen=True)

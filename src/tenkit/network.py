@@ -267,44 +267,37 @@ def _census(net: TensorNetwork, names: Sequence[str]) -> tuple[list[int], dict[t
 
 
 def _split_tables(size, bond):
-    """The subset DP's cost tables from a census (see _census): (size,
-    bond_free, bond_tables), with node i as bit i of a mask.
+    """The subset DP's cost tables from a census (see _census): (merged,
+    inner), with node i as bit i of a mask.
 
-    Splitting mask into (sub, rest) costs size[mask], the element count of
-    the node that mask merges into, times the product of the bonds between
-    sub and rest. Each bond of the census is one bit, carrying its product,
-    in a 12-bit word. bond_free[c, mask] is word c of the bonds with exactly
-    one end in mask, so bond_free[c, sub] & bond_free[c, rest] are the bonds
-    between sub and rest, and bond_tables[c] maps word c to its product.
+    merged[mask] is the element count of the node that mask merges into,
+    the product of the labels held by exactly one node of mask, and
+    inner[mask] the product of the bonds with both ends in mask. Splitting
+    mask into (sub, rest) costs merged[mask] times the bonds between sub and
+    rest, which multiply to inner[mask] // (inner[sub] * inner[rest]). Both
+    tables grow one node at a time: to_i holds node i's bonds to each lower
+    subset, which leave the merged node and join its inner bonds.
 
-    Each of these products runs over distinct labels, so none exceeds P,
-    the product of every label's extent, and a plan's cost sums at most
-    n - 1 of them. The tables hold int64 when (n - 1) * P <= 2**63 - 1, and
-    Python ints otherwise, so the DP's arithmetic is exact either way."""
+    The open labels and the inner bonds of a mask are distinct labels, so
+    no product the DP forms exceeds P, the product of every label's extent,
+    and a plan's cost sums at most n - 1 of them. Each bond is counted in
+    both of its nodes' sizes, so P = prod(size) // prod(bonds). The tables
+    hold int64 when (n - 1) * P <= 2**63 - 1, and Python ints otherwise, so
+    the DP's arithmetic is exact either way."""
     n = len(size)
-    own = list(size)  # each node's free extent, once its bonds are divided out
-    for (i, j), extent in bond.items():
-        own[i] //= extent
-        own[j] //= extent
-    extents = list(bond.values())
-    dtype = np.int64 if (n - 1) * math.prod(own) * math.prod(extents) <= _I64_MAX else object
-    words = -(-len(bond) // 12)
-    node_words = np.zeros((words, n), dtype=np.int64)
-    for g, pair in enumerate(bond):
-        node_words[g // 12, pair] |= 1 << g % 12
-    bond_free = np.zeros((words, 1 << n), dtype=np.int64)
+    dtype = np.int64 if (n - 1) * (math.prod(size) // math.prod(bond.values())) <= _I64_MAX else object
+    merged = inner = np.ones(1, dtype=dtype)
     for i in range(n):
-        bond_free[:, 1 << i : 2 << i] = bond_free[:, : 1 << i] ^ node_words[:, i, None]
-    bond_tables = [_product_table(extents[12 * c : 12 * c + 12], dtype) for c in range(words)]
-    size = _product_table(own, dtype)
-    for word, table in zip(bond_free, bond_tables):
-        size = size * table[word]
-    return size, bond_free, bond_tables
+        to_i = _product_table([bond.get((j, i), 1) for j in range(i)], dtype)
+        merged = np.concatenate([merged, merged // to_i * (size[i] // to_i)])
+        inner = np.concatenate([inner, inner * to_i])
+    return merged, inner
 
 
-def _plan_level(masks, k, best, best_split, size, bond_free, bond_tables) -> None:
+def _plan_level(masks, k, best, best_split, merged, inner) -> None:
     """Write the best split of every mask in `masks`, all of popcount k, and
-    its cost into best_split and best.
+    its cost into best_split and best. A split's product is
+    merged[mask] * inner[mask] // (inner[sub] * inner[rest]).
 
     The splits of a mask keep its top bit in `sub`: they are the
     bit-deposits of t = 2**k - 2 down to 2**(k-1) onto the mask's bits.
@@ -320,9 +313,7 @@ def _plan_level(masks, k, best, best_split, size, bond_free, bond_tables) -> Non
         lower[1 << j : 2 << j] = lower[: 1 << j] + bit
     sub = top + lower[-2::-1]
     rest = masks ^ sub
-    product = size[masks]
-    for free, table in zip(bond_free, bond_tables):
-        product = product * table.take(free.take(sub) & free.take(rest))
+    product = merged[masks] * inner[masks] // (inner.take(sub) * inner.take(rest))
     # Only Python-int tables can hold a product above 2**63 - 1.
     if best.dtype == object and product.max() > _I64_MAX:
         raise NumericError("contraction cost overflows 64-bit integers")
@@ -338,9 +329,9 @@ def _plan_exhaustive(net: TensorNetwork) -> list[tuple[str, str]]:
     least-cost greedy order caps which masks it splits.
 
     A split's product covers the open labels of both parts, so it is at
-    least size[part] for each part. A mask whose size exceeds C (never the
-    full one, which the last step of any plan covers) is not split:
-    its best reads 0, but every split it is part of costs over C anyway.
+    least merged[part] for each part. A mask whose merged[mask] exceeds C
+    (never the full one, which the last step of any plan covers) is not
+    split: its best reads 0, but every split it is part of costs over C.
     So by induction over the levels, a kept mask whose optimum is at most C
     gets it exactly, every other split of a kept mask costs over C, and the
     argmin with its largest-`sub` tie rule picks the same splits as the full
@@ -351,19 +342,18 @@ def _plan_exhaustive(net: TensorNetwork) -> list[tuple[str, str]]:
     n = len(names)
     if n > 12:
         raise ArgumentError(f"exhaustive planning supports at most 12 nodes, got {n}")
-    tables = _split_tables(*_census(net, names))
-    size = tables[0]
+    merged, inner = _split_tables(*_census(net, names))
     popcount = np.zeros(1 << n, dtype=np.int64)
     for i in range(n):
         popcount[1 << i : 2 << i] = popcount[: 1 << i] + 1
-    best = np.zeros(1 << n, dtype=size.dtype)
+    best = np.zeros(1 << n, dtype=merged.dtype)
     splits = np.zeros(1 << n, dtype=np.int64)
-    cap = _greedy_scan(*_census(net, sorted(names)), _by_cost)[0] if size.dtype == np.int64 else None
+    cap = _greedy_scan(*_census(net, sorted(names)), _by_cost)[0] if merged.dtype == np.int64 else None
     for k in range(2, n + 1):
         masks = np.flatnonzero(popcount == k)
         if cap is not None:
-            masks = masks[size[masks] <= cap]
-        _plan_level(masks, k, best, splits, *tables)
+            masks = masks[merged[masks] <= cap]
+        _plan_level(masks, k, best, splits, merged, inner)
     best_split = splits.tolist()
 
     def build(mask: int) -> tuple[list[tuple[str, str]], str]:
@@ -649,7 +639,6 @@ def parse_network(text: str, base_dir: str | os.PathLike = ".") -> TensorNetwork
     names = set()
     extents: dict[str, int] = {}
     output = None
-    output_seen = False
 
     def learn(label, extent, line, col):
         if label in extents and extents[label] != extent:
@@ -694,9 +683,8 @@ def parse_network(text: str, base_dir: str | os.PathLike = ".") -> TensorNetwork
             else:
                 raise ParseError(f"expected '@file' or '=', got {text!r}", tline, tcol)
         elif text == "output":
-            if output_seen:
+            if output is not None:
                 raise ParseError("more than one output statement", line, col)
-            output_seen = True
             output, _, pos = _parse_label_list(stmt, 1, allow_extents=False)
             if pos != len(stmt):
                 _, extra, eline, ecol = stmt[pos]
@@ -704,7 +692,7 @@ def parse_network(text: str, base_dir: str | os.PathLike = ".") -> TensorNetwork
         else:
             raise ParseError(f"expected 'node' or 'output', got {text!r}", line, col)
 
-    if not output_seen:
+    if output is None:
         raise ParseError("missing output statement")
     if not raw_nodes:
         raise ParseError("network has no nodes")

@@ -162,6 +162,10 @@ def _check_result(name, args, out):
             if name in COPYING:
                 assert not any(np.shares_memory(data, a) for a in args if isinstance(a, np.ndarray)), (name, args)
         assert not finite_in or _finite(part), (name, args, out)
+    for train in out if isinstance(out, tuple) else (out,):
+        if isinstance(train, tk.TTTrain):
+            energy = train.discarded_energy
+            assert type(energy) is float and math.isfinite(energy) and energy >= 0, (name, args, energy)
 
 
 def _check_error(name, args, exc):

@@ -474,6 +474,30 @@ MODEL_ERRORS = {
     "tr_closing_bond": (
         lambda d: tk.TRRing(_TRAIN.cores[:2]), ModelError, "bond mismatch between cores 2 and 1: 2 vs 1"
     ),
+    # A train's discarded energy is a finite number >= 0, as tt_svd stores it.
+    "tt_energy_str": (
+        lambda d: tk.TTTrain(_TRAIN.cores, "a"), ArgumentError,
+        "TTTrain discarded_energy must be a finite number, got 'a'",
+    ),
+    "tt_energy_nan": (
+        lambda d: tk.TTTrain(_TRAIN.cores, float("nan")), ArgumentError,
+        "TTTrain discarded_energy must be a finite number, got nan",
+    ),
+    "tt_energy_inf": (
+        lambda d: tk.TTTrain(_TRAIN.cores, float("inf")), ArgumentError,
+        "TTTrain discarded_energy must be a finite number, got inf",
+    ),
+    "tt_energy_bool": (
+        lambda d: tk.TTTrain(_TRAIN.cores, True), ArgumentError,
+        "TTTrain discarded_energy must be a finite number, got True",
+    ),
+    "tt_energy_array": (
+        lambda d: tk.TTTrain(_TRAIN.cores, np.arange(3)), ArgumentError,
+        "TTTrain discarded_energy must be a finite number, got array([0, 1, 2])",
+    ),
+    "tt_energy_negative": (
+        lambda d: tk.TTTrain(_TRAIN.cores, -5.0), ModelError, "tt discarded_energy must be >= 0, got -5.0"
+    ),
     "read_model_line": (
         lambda d: _read_altered(d, _CP, manifest="this is not a manifest\n"), ModelError,
         "manifest line 1 is not key=value: 'this is not a manifest'",

@@ -707,8 +707,8 @@ def test_exhaustive_matches_python_dp_on_rings_and_ladders(build):
 
 def test_exhaustive_with_more_than_64_labels_matches_python_dp():
     # Extent-1 labels are free to create: 9 nodes share 80 of them, more
-    # than a 64-bit word has bits. They join all 36 node pairs, and the DP
-    # keeps one bit per pair, so its bonds take three 12-bit words.
+    # than a 64-bit word has bits. They join all 36 node pairs, so every
+    # split of the DP divides out bonds between its two parts.
     rng = np.random.default_rng(17)
     n = 9
     node_labels = [[f"f{k}"] for k in range(n)]
@@ -786,8 +786,8 @@ def test_split_tables_are_int64_exactly_when_cost_sums_fit(build, dtype):
     # The benchmark's largest rings and ladders must stay on int64; a bound
     # that was too strict would move them to Python ints without a failure.
     net = build(np.random.default_rng(20))
-    size, _, bond_tables = tn._split_tables(*tn._census(net, net.node_names))
-    assert [t.dtype for t in (size, *bond_tables)] == [np.dtype(dtype)] * (1 + len(bond_tables))
+    merged, inner = tn._split_tables(*tn._census(net, net.node_names))
+    assert (merged.dtype, inner.dtype) == (np.dtype(dtype), np.dtype(dtype))
     assert_plan_matches_oracle(net)
 
 
@@ -868,13 +868,15 @@ def test_greedy_drops_the_growth_order_when_it_meets_a_cost_overflow():
         tk.plan(vectors, "greedy")
 
 
-def open_label_product(net, subset):
-    """Element count of the node a subset of nodes merges into, from label sets."""
+def open_label_product(net, subset, held=1):
+    """Product of the extents of the labels that `held` nodes of a subset of
+    nodes hold, from label sets; with held=1, the element count of the node
+    the subset merges into."""
     count = {}
     for name in subset:
         for label in net.labels(name):
             count[label] = count.get(label, 0) + 1
-    return math.prod(net.extent(l) for l, c in count.items() if c == 1)
+    return math.prod(net.extent(l) for l, c in count.items() if c == held)
 
 
 @pytest.mark.parametrize(
@@ -923,6 +925,23 @@ def test_census_matches_label_sets():
                 multiple += len(shared) > 1
         assert bond == want
     assert multiple > 0
+
+
+def test_split_tables_match_label_sets():
+    # For every subset of nodes in a shuffled order, merged is the product
+    # of the labels held by exactly one of its nodes and inner of those
+    # held by two.
+    rng = np.random.default_rng(27)
+    for _ in range(100):
+        net = random_network(rng, max_nodes=8)
+        names = list(net.node_names)
+        rng.shuffle(names)
+        merged, inner = tn._split_tables(*tn._census(net, names))
+        assert len(merged) == len(inner) == 2 ** len(names)
+        for mask in range(2 ** len(names)):
+            subset = [a for i, a in enumerate(names) if mask >> i & 1]
+            assert merged[mask] == open_label_product(net, subset)
+            assert inner[mask] == open_label_product(net, subset, held=2)
 
 
 @pytest.mark.parametrize(
