@@ -23,7 +23,7 @@ from .core import _as_instance, _as_real, _fmt_shape, _scale_exponent, matricize
 from .elementwise import _finite, frobenius_norm
 from .errors import ArgumentError, ModelError, NumericError, ParseError, ShapeError
 from .factor import _householder, _jacobi_svd, _orthonormal_fill, _svd, default_rank_tol
-from .io import _PATH, _read_text, _write_atomic, read_tensor, write_tensor
+from .io import _PATH, _read_text, _write_atomic, format_float, read_tensor, write_tensor
 from .products import _khatri_rao, _mode_product, _multi_mode_product, _tt_chain
 
 __all__ = [
@@ -588,11 +588,13 @@ def tt_orthogonalize(t: TTTrain, pivot: int) -> TTTrain:
         q, r = _householder(k_unfold(cores[k], 1).to_array().T, "tt_orthogonalize")
         cores[k] = _from_rev(q.reshape(r1, i, q.shape[1]))
         cores[k - 1] = _mode_product("tt_orthogonalize", cores[k - 1], _from_rev(r.T), 3)
-    return TTTrain(tuple(cores))
+    return TTTrain(tuple(cores), t.discarded_energy)
 
 
 def tt_split(t: TTTrain, k: int) -> tuple[TTTrain, TTTrain]:
-    """Split into sub-trains (cores 1..k-1) and (cores k..N) sharing bond R_{k-1}."""
+    """Split into sub-trains (cores 1..k-1) and (cores k..N) sharing bond R_{k-1}.
+
+    The sub-trains are not fits: their discarded_energy reads 0.0."""
     _as_model(t, "tt_split", "tt")
     n = len(t.cores)
     k = _as_int(k, "split point", 2, n)
@@ -614,10 +616,13 @@ def tr_reconstruct(r: TRRing) -> DenseTensor:
 
 @dataclass(frozen=True)
 class _Kind:
-    """One model kind: its class, part files, manifest ranks and reconstruction.
+    """One model kind: its class, part files, manifest ranks and scalars, and
+    reconstruction.
 
     A model directory holds <head>.ten (for kinds with a head part) and
     <series>_1.ten, <series>_2.ten, ... for the model's tuple field <series>s.
+    Each name in `scalars` is a float field, finite and >= 0, that the
+    manifest stores as name=value.
     """
 
     name: str
@@ -626,6 +631,7 @@ class _Kind:
     series: str
     ranks: Callable[[object], tuple[int, ...]]
     reconstruct: Callable[[object], DenseTensor]
+    scalars: tuple[str, ...] = ()
 
 
 _KINDS = {
@@ -633,7 +639,7 @@ _KINDS = {
     for k in (
         _Kind("cp", CPModel, "weights", "factor", lambda m: (m.rank,), cp_reconstruct),
         _Kind("tucker", TuckerModel, "core", "factor", lambda m: m.ranks, tucker_reconstruct),
-        _Kind("tt", TTTrain, None, "core", lambda m: m.bond_ranks, tt_reconstruct),
+        _Kind("tt", TTTrain, None, "core", lambda m: m.bond_ranks, tt_reconstruct, ("discarded_energy",)),
         _Kind("tr", TRRing, None, "core", lambda m: m.bond_ranks, tr_reconstruct),
     )
 }
@@ -687,7 +693,8 @@ def write_model(dirpath: str | os.PathLike, model) -> None:
         if fname not in parts and _PART_RE.fullmatch(fname):
             os.remove(os.path.join(path, fname))
     ranks = " ".join(str(r) for r in kind.ranks(model))
-    _write_atomic(manifest, f"kind={kind.name}\nranks={ranks}\n")
+    scalars = "".join(f"{key}={format_float(getattr(model, key))}\n" for key in kind.scalars)
+    _write_atomic(manifest, f"kind={kind.name}\nranks={ranks}\n{scalars}")
 
 
 def _read_series(path: str, prefix: str) -> list[DenseTensor]:
@@ -705,7 +712,8 @@ def _read_series(path: str, prefix: str) -> list[DenseTensor]:
 
 
 def read_model(dirpath: str | os.PathLike):
-    """Load a model directory written by write_model."""
+    """Load a model directory written by write_model; a scalar the manifest
+    lacks, as in directories written before it held any, keeps its default."""
     path = os.fspath(_as_instance(dirpath, _PATH, "read_model"))
     manifest = os.path.join(path, _MANIFEST)
     try:
@@ -728,13 +736,22 @@ def read_model(dirpath: str | os.PathLike):
         ranks = tuple(int(v) for v in entries.get("ranks", "").split())
     except ValueError:
         raise ModelError(f"manifest ranks are not integers: {entries.get('ranks')!r}") from None
+    scalars = {}
+    for key in kind.scalars:
+        if key in entries:
+            try:
+                scalars[key] = float(entries[key])
+            except ValueError:
+                scalars[key] = math.nan
+            if not 0 <= scalars[key] < math.inf:
+                raise ModelError(f"manifest {key} must be a finite number >= 0, got {entries[key]!r}")
     head = []
     if kind.head:
         head_path = os.path.join(path, f"{kind.head}.ten")
         if not os.path.exists(head_path):
             raise ModelError(f"{kind.name} model directory has no {kind.head}.ten")
         head.append(read_tensor(head_path))
-    model = kind.cls(*head, tuple(_read_series(path, kind.series)))
+    model = kind.cls(*head, tuple(_read_series(path, kind.series)), **scalars)
     if ranks != kind.ranks(model):
         raise ModelError(
             f"manifest ranks {' '.join(map(str, ranks))} do not match the stored tensors"

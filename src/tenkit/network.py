@@ -314,9 +314,6 @@ def _plan_level(masks, k, best, best_split, merged, inner) -> None:
     sub = top + lower[-2::-1]
     rest = masks ^ sub
     product = merged[masks] * inner[masks] // (inner.take(sub) * inner.take(rest))
-    # Only Python-int tables can hold a product above 2**63 - 1.
-    if best.dtype == object and product.max() > _I64_MAX:
-        raise NumericError("contraction cost overflows 64-bit integers")
     cost = best.take(sub) + best.take(rest) + product
     pick = np.argmin(cost, axis=0)
     cols = np.arange(len(masks))
@@ -325,8 +322,8 @@ def _plan_level(masks, k, best, best_split, merged, inner) -> None:
 
 
 def _plan_exhaustive(net: TensorNetwork) -> list[tuple[str, str]]:
-    """Steps of the subset DP's plan; on int64 tables the cost C of the
-    least-cost greedy order caps which masks it splits.
+    """Steps of the subset DP's plan; the cost C of the least-cost greedy
+    order, a complete plan, caps which masks it splits.
 
     A split's product covers the open labels of both parts, so it is at
     least merged[part] for each part. A mask whose merged[mask] exceeds C
@@ -336,8 +333,7 @@ def _plan_exhaustive(net: TensorNetwork) -> list[tuple[str, str]]:
     gets it exactly, every other split of a kept mask costs over C, and the
     argmin with its largest-`sub` tie rule picks the same splits as the full
     DP. No computed best exceeds the mask's true optimum, so every sum
-    stays within the (n - 1) * P bound that chose int64. Python-int tables
-    run the full DP, so each of its splits is checked for overflow."""
+    stays within the (n - 1) * P bound that chose int64 tables."""
     names = net.node_names
     n = len(names)
     if n > 12:
@@ -348,11 +344,10 @@ def _plan_exhaustive(net: TensorNetwork) -> list[tuple[str, str]]:
         popcount[1 << i : 2 << i] = popcount[: 1 << i] + 1
     best = np.zeros(1 << n, dtype=merged.dtype)
     splits = np.zeros(1 << n, dtype=np.int64)
-    cap = _greedy_scan(*_census(net, sorted(names)), _by_cost)[0] if merged.dtype == np.int64 else None
+    cap = _greedy_scan(*_census(net, sorted(names)), _by_cost)[0]
     for k in range(2, n + 1):
         masks = np.flatnonzero(popcount == k)
-        if cap is not None:
-            masks = masks[merged[masks] <= cap]
+        masks = masks[merged[masks] <= cap]
         _plan_level(masks, k, best, splits, merged, inner)
     best_split = splits.tolist()
 
@@ -387,8 +382,7 @@ def _greedy_scan(size, bond, rule):
     contracts the pair with the least key rule(cost, growth, unshared) + (i,
     j), where growth is the result's size less the two operands' sizes;
     node j merges into node i, so only the pairs that touch i or j are keyed
-    again. Raises NumericError when it keys a pair that costs more than
-    2**63 - 1."""
+    again. Costs are exact Python ints."""
     size = list(size)
     bond = dict(bond)
     keys = {}
@@ -396,8 +390,6 @@ def _greedy_scan(size, bond, rule):
     def key(i, j):
         b = bond.get((i, j), 1)
         cost = size[i] * size[j] // b
-        if cost > _I64_MAX:
-            raise NumericError("contraction cost overflows 64-bit integers")
         keys[i, j] = (*rule(cost, cost // b - size[i] - size[j], (i, j) not in bond), i, j)
 
     for i, j in itertools.combinations(range(len(size)), 2):
@@ -423,18 +415,11 @@ def _greedy_scan(size, bond, rule):
 
 
 def _plan_greedy(net: TensorNetwork) -> tuple[int, list[tuple[str, str]]]:
-    """(total cost, steps) of the cheaper of the two greedy orders, _by_cost's on a tie.
-
-    _by_cost's scan keys every pair that any of its rounds holds, so it
-    raises NumericError on the same networks as a scan of every pair per
-    round; a _by_growth scan that meets such a pair is dropped."""
+    """(total cost, steps) of the cheaper of the two greedy orders, _by_cost's on a tie."""
     names = sorted(net.node_names)
     size, bond = _census(net, names)
     best = _greedy_scan(size, bond, _by_cost)
-    try:
-        other = _greedy_scan(size, bond, _by_growth)
-    except NumericError:
-        other = best
+    other = _greedy_scan(size, bond, _by_growth)
     total, steps = other if other[0] < best[0] else best
     return total, [(names[i], names[j]) for i, j in steps]
 
@@ -453,20 +438,19 @@ def plan(net: TensorNetwork, strategy="exhaustive") -> ContractionPlan:
     Of two splits of equal cost, the one whose part holding the highest bit
     has the larger mask wins. It takes at most 12 nodes and does 3**n work
     in numpy, one subset size at a time, so memory holds the splits of one
-    size only. It raises NumericError if any split costs more than
-    2**63 - 1. On int64 costs the cost C of the least-cost greedy order
-    (the first order of "greedy" below) caps the search: a subset whose
-    node has more than C elements is in no plan costing C or less, so it is
-    not split, and the plan is the same as without the cap.
+    size only. The cost C of the least-cost greedy order (the first order
+    of "greedy" below) caps the search: a subset whose node has more than C
+    elements is in no plan costing C or less, so it is not split, and the
+    plan is the same as without the cap.
     "greedy" builds two orders and keeps the cheaper, the first on a tie.
     Each round of the first contracts the pair of least cost; each round of
     the second contracts, among pairs that share a label if any do, the
     pair of least size(result) - size(a) - size(b) in elements (Smith &
     Gray, opt_einsum, JOSS 3(26) 753, 2018), then of least cost.
     Both break ties by the lexicographically smallest name pair, and the
-    merged node keeps the first name. It raises NumericError if the first
-    order meets a pair costing more than 2**63 - 1; the second is dropped
-    if it meets one.
+    merged node keeps the first name.
+    Whatever the strategy, plan raises NumericError only when one of the
+    plan's own step costs or intermediates exceeds 2**63 - 1.
     """
     _as_instance(net, TensorNetwork, "plan")
     if not isinstance(strategy, str):

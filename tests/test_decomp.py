@@ -914,6 +914,17 @@ def test_tt_split_and_rejoin():
         tk.tt_split(train, 4)
 
 
+def test_tt_orthogonalize_keeps_discarded_energy_and_split_parts_read_zero():
+    # Orthogonalizing leaves the reconstruction, and so what the fit
+    # dropped, unchanged; the parts of a split are not fits.
+    x = tk.DenseTensor.from_array(np.random.default_rng(0).standard_normal((3, 4, 5)))
+    train = tk.tt_svd(x, max_ranks=(2, 2))
+    assert train.discarded_energy > 0
+    for pivot in (1, 2, 3):
+        assert tk.tt_orthogonalize(train, pivot).discarded_energy == train.discarded_energy
+    assert [part.discarded_energy for part in tk.tt_split(train, 2)] == [0.0, 0.0]
+
+
 def test_tt_orthogonalize_shrinks_inflated_bond():
     rng = np.random.default_rng(48)
     train, x = planted_tt_train(rng, (3, 3, 3), (1, 2, 2, 1))
@@ -1067,6 +1078,20 @@ def test_model_dir_round_trips(tmp_path):
         assert model.shape == kind_reconstruct(model).shape
     with pytest.raises(ArgumentError):
         tk.reconstruct(object())
+
+
+def test_model_dir_keeps_a_trains_discarded_energy(tmp_path):
+    # The manifest holds the value as format_float writes it, so it reads
+    # back bit for bit; a manifest without the key, as older directories
+    # are, reads 0.0.
+    x = tk.DenseTensor.from_array(np.random.default_rng(0).standard_normal((3, 4, 5)))
+    train = tk.tt_svd(x, max_ranks=(2, 2))
+    tk.write_model(tmp_path, train)
+    manifest = (tmp_path / "model.json").read_text()
+    assert manifest.splitlines() == ["kind=tt", "ranks=1 2 2 1", f"discarded_energy={tk.format_float(train.discarded_energy)}"]
+    assert tk.read_model(tmp_path).discarded_energy == train.discarded_energy == 17.226989125096107
+    (tmp_path / "model.json").write_text("kind=tt\nranks=1 2 2 1\n")
+    assert tk.read_model(tmp_path).discarded_energy == 0.0
 
 
 def test_model_dir_corrupt_manifest(tmp_path):

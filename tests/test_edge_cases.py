@@ -528,6 +528,16 @@ MODEL_ERRORS = {
         lambda d: _read_altered(d, _TUCKER, manifest="kind=tucker\nranks=2 3 5\n"), ModelError,
         "manifest ranks 2 3 5 do not match the stored tensors",
     ),
+    # A stored discarded energy is a finite number >= 0; the message names its key.
+    **{
+        f"read_model_energy_{name}": (
+            lambda d, text=text: _read_altered(
+                d, _TRAIN, manifest=f"kind=tt\nranks={' '.join(map(str, _TRAIN.bond_ranks))}\ndiscarded_energy={text}\n"
+            ),
+            ModelError, f"manifest discarded_energy must be a finite number >= 0, got {text!r}",
+        )
+        for name, text in [("nan", "nan"), ("inf", "inf"), ("negative", "-1.5"), ("word", "a lot"), ("empty", "")]
+    },
     "tt_pair_product_order_0": (
         lambda d: tk.tt_pair_product(tk.DenseTensor((), [2.0]), _X), ShapeError,
         "tt_pair_product operands must have order >= 1",

@@ -735,19 +735,74 @@ def test_exhaustive_with_more_than_64_labels_matches_python_dp():
 def test_exhaustive_cost_overflow_bound():
     # In a 12-ring with bond 2, splitting the even nodes from the odd ones
     # costs free**12 * 2**12: at most 2**63 - 1 for free 19, above it for 20.
+    # No plan needs that split, so a plan raises only when one of its own
+    # steps passes 2**63 - 1, and these rings plan as the exact Python DP does.
     rng = np.random.default_rng(18)
     assert_plan_matches_oracle(ring_network(rng, 12, (2,), 19))
     for free in (20, 32):
-        with pytest.raises(NumericError, match="overflows"):
-            tk.plan(ring_network(rng, 12, (2,), free), "exhaustive")
+        assert_plan_matches_oracle(ring_network(rng, 12, (2,), free))
     # With bonds 2 and 3 and free 17 only that split overflows, and its cost
-    # wrapped to 64 bits would be positive and far from the minimum: the
-    # plan must still fail, as the Python DP does.
-    net = ring_network(rng, 12, (2, 3), 17)
-    with pytest.raises(NumericError, match="overflows"):
-        exhaustive_plan_oracle(net)
-    with pytest.raises(NumericError, match="overflows"):
-        tk.plan(net, "exhaustive")
+    # wrapped to 64 bits would be positive and far from the minimum.
+    assert_plan_matches_oracle(ring_network(rng, 12, (2, 3), 17))
+    # Twelve vectors of extent 64: every plan's last step is their outer
+    # product, 2**72, so every plan raises.
+    vectors = tk.TensorNetwork(
+        [(f"v{k}", (f"i{k}",), rand_tensor(rng, (64,))) for k in range(12)], tuple(f"i{k}" for k in range(12))
+    )
+    for strategy in ("exhaustive", "greedy"):
+        with pytest.raises(NumericError, match="overflows"):
+            tk.plan(vectors, strategy)
+
+
+def wide_network(rng, max_nodes=9, room=2**16):
+    """Random tree of at most max_nodes nodes, each of at most `room`
+    entries: bonds of extent 2-8, and one free label per node whose extent,
+    log-uniform, takes what its bonds leave. Small tensors whose label
+    products often pass 2**63 - 1."""
+    while True:
+        n = int(rng.integers(2, max_nodes + 1))
+        labels = [[] for _ in range(n)]
+        ext = {}
+        for k in range(1, n):
+            ext[f"b{k}"] = int(rng.integers(2, 9))
+            labels[k].append(f"b{k}")
+            labels[int(rng.integers(0, k))].append(f"b{k}")
+        left = [room // math.prod(ext[l] for l in ls) for ls in labels]
+        if min(left) < 1:
+            continue
+        for k in range(n):
+            ext[f"f{k}"] = int(2 ** rng.uniform(0, math.log2(left[k])))
+            labels[k].append(f"f{k}")
+        nodes = [(f"n{k}", tuple(ls), rand_tensor(rng, tuple(ext[l] for l in ls))) for k, ls in enumerate(labels)]
+        return tk.TensorNetwork(nodes, tuple(f"f{k}" for k in range(n)))
+
+
+def test_exhaustive_raises_only_at_its_own_steps():
+    # The DP meets splits beyond 2**63 - 1 whenever the product of every
+    # extent passes it, but a plan raises only when replaying its own steps
+    # does, and otherwise it is the exact Python DP's plan, no dearer than
+    # greedy's.
+    rng = np.random.default_rng(28)
+    raised = past = 0
+    for _ in range(120):
+        net = wide_network(rng)
+        want = exhaustive_plan_oracle(net)
+        try:
+            expect = tk.plan(net, want)
+        except NumericError:
+            raised += 1
+            with pytest.raises(NumericError, match="overflows"):
+                tk.plan(net, "exhaustive")
+            continue
+        got = tk.plan(net, "exhaustive")
+        assert got == expect
+        past += math.prod(net.extent(l) for l in {l for m in net.node_names for l in net.labels(m)}) > 2**63 - 1
+        try:
+            greedy = tk.plan(net, "greedy")
+        except NumericError:
+            continue
+        assert got.total_cost <= greedy.total_cost
+    assert raised >= 3 and past >= 10
 
 
 def test_exhaustive_cost_sums_past_int64_are_exact():
@@ -795,7 +850,7 @@ def reference_greedy(net, key):
     """(total cost, steps) of a greedy order built from label sets: each
     round looks at every pair and contracts the one with the least key(cost,
     growth, unshared) + (a, b), where growth is the result's size less the
-    two operands' sizes. None if it looks at a pair costing over 2**63 - 1."""
+    two operands' sizes. Costs are exact Python ints."""
     nodes = {name: set(net.labels(name)) for name in net.node_names}
 
     def size(labels):
@@ -806,8 +861,6 @@ def reference_greedy(net, key):
         options = []
         for a, b in itertools.combinations(sorted(nodes), 2):
             cost = size(nodes[a] | nodes[b])
-            if cost > 2**63 - 1:
-                return None
             growth = size(nodes[a] ^ nodes[b]) - size(nodes[a]) - size(nodes[b])
             options.append((*key(cost, growth, not nodes[a] & nodes[b]), a, b))
         *_, a, b = min(options)
@@ -841,9 +894,9 @@ def test_greedy_is_the_cheaper_of_two_reference_orders():
     assert ties > 0
 
 
-def test_greedy_drops_the_growth_order_when_it_meets_a_cost_overflow():
+def test_greedy_keeps_the_cheaper_order_past_int64():
     # Only the growth order builds a node whose pair with another costs over
-    # 2**63 - 1; the cost order meets no such pair, so "greedy" gives its plan.
+    # 2**63 - 1; both orders run to their end, and "greedy" keeps the cheaper.
     log2 = {"b0": 0, "b1": 3, "b2": 2, "b3": 0, "b4": 6, "b5": 0}
     log2.update({"f6": 10, "f7": 8, "f8": 5, "f9": 6, "f10": 12, "f11": 9, "f12": 11})
     node_labels = [
@@ -855,15 +908,16 @@ def test_greedy_drops_the_growth_order_when_it_meets_a_cost_overflow():
         [(f"n{k}", labels, rand_tensor(rng, tuple(2 ** log2[l] for l in labels))) for k, labels in enumerate(node_labels)],
         tuple(f"f{k}" for k in range(6, 13)),
     )
-    assert reference_greedy(net, by_growth) is None
-    want = reference_greedy(net, by_cost)
+    first, second = reference_greedy(net, by_cost), reference_greedy(net, by_growth)
+    assert first[0] <= 2**63 - 1 < second[0]
     got = tk.plan(net, "greedy")
-    assert (got.total_cost, list(got.steps)) == want
-    # Six vectors of 2**11: every order meets their outer product, 2**66.
+    assert (got.total_cost, list(got.steps)) == first
+    # Six vectors of 2**11: every plan's last step is their outer product,
+    # 2**66, so the plan raises.
     vectors = tk.TensorNetwork(
         [(f"v{k}", (f"i{k}",), rand_tensor(rng, (2**11,))) for k in range(6)], tuple(f"i{k}" for k in range(6))
     )
-    assert reference_greedy(vectors, by_cost) is None
+    assert reference_greedy(vectors, by_cost)[0] > 2**63 - 1
     with pytest.raises(NumericError, match="overflows"):
         tk.plan(vectors, "greedy")
 
@@ -948,14 +1002,14 @@ def test_split_tables_match_label_sets():
     "build, scans",
     [
         (lambda rng: ladder_network(rng, 6, (3, 2), 2), ["_by_cost"]),
-        (twelve_vectors, []),
-        (lambda rng: ring_network(rng, 12, (2,), 19), []),
+        (twelve_vectors, ["_by_cost"]),
+        (lambda rng: ring_network(rng, 12, (2,), 19), ["_by_cost"]),
     ],
     ids=["int64", "twelve-vectors", "ring12-free19"],
 )
 def test_exhaustive_caps_itself_with_the_least_cost_scan_alone(build, scans, monkeypatch):
-    # The cap needs one plan's cost, not the cheaper of the greedy orders;
-    # Python-int tables run the DP uncapped and scan nothing.
+    # The cap needs one plan's cost, not the cheaper of the greedy orders,
+    # and Python-int tables are capped as int64 ones are.
     net = build(np.random.default_rng(26))
     rules = []
     scan = tn._greedy_scan
